@@ -30,20 +30,19 @@ from .chains import (
 from .topology import (
     Complex2,
     GroupPresentation,
+    WordSolver,
     complex_KP,
     complex_KP_prime,
     components,
     friendliness_graph,
     pi1_presentation,
     tietze_simplify,
-    word_solver,
 )
 from .chainsemigroup import (
     INFINITE,
     UNKNOWN,
     ChainSemigroupHandle,
     ReducedChain,
-    build_chain_semigroup,
     star_semigroup_of,
 )
 from .boset import (

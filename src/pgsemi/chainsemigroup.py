@@ -30,22 +30,25 @@ from .chains import (
     restrict_left,
     restrict_right,
 )
-from .errors import CapExceeded, NotAMorphism, UndecidedEquality
+from .errors import NotAMorphism, UndecidedEquality
 from .projections import is_morphism, relations
-from .semigroups import StarSemigroup, projection_algebra_of
+from .semigroups import (
+    cayley_semigroup,
+    projection_algebra_of,
+    right_cayley_closure,
+)
 from .topology import (
     UNDECIDED,
+    WordSolver,
     complex_KP_prime,
     components,
     pi1_presentation,
     tietze_simplify,
-    word_solver,
 )
 
 __all__ = [
     "ReducedChain",
     "ChainSemigroupHandle",
-    "build_chain_semigroup",
     "star_semigroup_of",
     "INFINITE",
     "UNKNOWN",
@@ -103,6 +106,7 @@ class ChainSemigroupHandle:
 
     def __init__(self, P, budget=50_000):
         self.algebra = P
+        self.budget = budget
         self.rel = relations(P)
         self.complex = complex_KP_prime(P, self.rel)
         self.comps = components(self.complex)
@@ -114,7 +118,7 @@ class ChainSemigroupHandle:
         for i, comp in enumerate(self.comps):
             raw = pi1_presentation(self.complex, i)
             simplified, cls = tietze_simplify(raw, budget=budget)
-            solver = word_solver(simplified, cls)
+            solver = WordSolver(simplified, cls)
             self.components.append(
                 _Component(i, tuple(comp), raw, simplified, cls, solver)
             )
@@ -262,32 +266,18 @@ class ChainSemigroupHandle:
             )
         return total
 
-    def enumerate(self, cap=100_000):
-        """Closure of the projection chains under product and star."""
+    def _closure(self, cap):
         if cap < self.algebra.size:
             raise ValueError("cap smaller than the projection count")
-        elems = [self.projection_chain(p) for p in range(self.algebra.size)]
-        seen = set(elems)
+        gens = [self.projection_chain(p) for p in range(self.algebra.size)]
+        return right_cayley_closure(gens, gens, self.product, cap=cap)
 
-        def add(x, new):
-            if x not in seen:
-                seen.add(x)
-                new.append(x)
-                if len(seen) > cap:
-                    raise CapExceeded(f"closure exceeded cap={cap}")
-
-        frontier = list(elems)
-        while frontier:
-            new = []
-            for a in frontier:
-                add(self.star(a), new)
-            for a in elems:
-                for b in frontier:
-                    add(self.product(a, b), new)
-                    add(self.product(b, a), new)
-            elems.extend(new)
-            frontier = new
-        return sorted(seen, key=ReducedChain.sort_key)
+    def enumerate(self, cap=100_000):
+        """All chains, in canonical sort order.  PG(P) is generated by its
+        projections, so this is the right Cayley closure of the projection
+        chains under right multiplication by them (see
+        :func:`~pgsemi.semigroups.right_cayley_closure`)."""
+        return sorted(self._closure(cap)[0], key=ReducedChain.sort_key)
 
     def idempotents(self):
         """All chains [[p, q]] for friendly (p, q); the idempotents when the
@@ -305,7 +295,7 @@ class ChainSemigroupHandle:
         component re-based at p, simplified."""
         ci = self.comp_of[p]
         raw = pi1_presentation(self.complex, ci, basepoint=int(p))
-        return tietze_simplify(raw)
+        return tietze_simplify(raw, budget=self.budget)
 
     def extend_morphism(self, S, phi):
         """Extend a projection-algebra morphism into the projections of S to
@@ -313,27 +303,17 @@ class ChainSemigroupHandle:
         return StarMorphism(self, S, phi)
 
 
-def build_chain_semigroup(P, budget=50_000):
-    return ChainSemigroupHandle(P, budget=budget)
-
-
 def star_semigroup_of(handle, cap=100_000):
-    """Concrete multiplication and star tables of a finite chain semigroup.
+    """Concrete multiplication and star tables of a finite chain semigroup,
+    gathered from the right Cayley graph of the projection chains (see
+    :func:`~pgsemi.semigroups.cayley_semigroup`).
 
     Returns (StarSemigroup, elements) with elements[i] the chain carrying
     id i, in canonical sort order.
     """
-    elems = handle.enumerate(cap=cap)
-    index = {c: i for i, c in enumerate(elems)}
-    n = len(elems)
-    mult = np.empty((n, n), dtype=np.int64)
-    star = np.empty(n, dtype=np.int64)
-    for i, c in enumerate(elems):
-        star[i] = index[handle.star(c)]
-        for j, d in enumerate(elems):
-            mult[i, j] = index[handle.product(c, d)]
-    labels = [repr(c) for c in elems]
-    return StarSemigroup(mult, star, labels=labels), elems
+    return cayley_semigroup(
+        handle._closure(cap), handle.star, ReducedChain.sort_key, repr
+    )
 
 
 class StarMorphism:

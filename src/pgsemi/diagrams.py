@@ -9,14 +9,16 @@ Composition a*b stacks a over b, identifies a's primed row with b's unprimed
 row, traces connections through the middle (union-find on 3n points), and
 reads off the blocks on the outer 2n points.  The involution is the vertical
 reflection (swap primed/unprimed).
+
+Each family is built by ``generate_monoid`` from its standard generators
+(East, "Generators and relations for partition monoids and algebras", J.
+Algebra 2011), with the elements sorted by blocks.
 """
 
 import itertools
 
-import numpy as np
-
-from .errors import CapExceeded, DegreeMismatch, InfeasibleDegree
-from .semigroups import StarSemigroup
+from .errors import DegreeMismatch, InfeasibleDegree
+from .semigroups import cayley_semigroup, right_cayley_closure
 
 __all__ = [
     "PartitionDiagram",
@@ -158,35 +160,36 @@ def identity_diagram(n):
     return PartitionDiagram(n, [[i, n + i] for i in range(n)])
 
 
+def _local(n, *blocks):
+    """The diagram with the given blocks, the identity on every other strand
+    (points as in the module docstring)."""
+    used = {x for b in blocks for x in b}
+    rest = [[j, n + j] for j in range(n) if j not in used]
+    return PartitionDiagram(n, list(blocks) + rest)
+
+
 def tl_generators(n):
     """The diagrams for t_1, ..., t_{n-1}: t_i joins {i, i+1} on top,
     {i', (i+1)'} on the bottom, and is the identity elsewhere."""
-    gens = []
-    for i in range(n - 1):
-        blocks = [[i, i + 1], [n + i, n + i + 1]]
-        blocks += [[j, n + j] for j in range(n) if j not in (i, i + 1)]
-        gens.append(PartitionDiagram(n, blocks))
-    return gens
+    return [_local(n, [i, i + 1], [n + i, n + i + 1]) for i in range(n - 1)]
 
 
-def _table_from_elements(elements):
-    """Full multiplication and star tables over a multiplicatively closed,
-    star-closed element list."""
-    index = {d: i for i, d in enumerate(elements)}
-    k = len(elements)
-    mult = np.empty((k, k), dtype=np.int32)
-    for i, a in enumerate(elements):
-        for j, b in enumerate(elements):
-            mult[i, j] = index[a.multiply(b)]
-    star = np.array([index[d.star()] for d in elements], dtype=np.int32)
-    labels = [d.label() for d in elements]
-    return StarSemigroup(mult, star, labels=labels)
+def _transpositions(n):
+    """s_i crosses strands i and i+1."""
+    return [_local(n, [i, n + i + 1], [i + 1, n + i]) for i in range(n - 1)]
+
+
+def _cut(n, i):
+    """p_i: the identity with {i} and {i'} as singletons."""
+    return _local(n, [i], [n + i])
 
 
 def generate_monoid(gens, cap=100_000):
-    """Breadth-first closure of gens (plus identity and stars) under
-    multiplication.  Returns (StarSemigroup, elements) with elements in
-    discovery order; raises CapExceeded past the cap."""
+    """The monoid generated by gens and their stars: the right Cayley
+    closure of the identity under right multiplication by gens + stars (see
+    :func:`~pgsemi.semigroups.right_cayley_closure`), with the table
+    gathered from the Cayley graph.  Returns (StarSemigroup, elements) with
+    elements sorted by blocks; raises CapExceeded past the cap."""
     gens = list(gens)
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -195,142 +198,67 @@ def generate_monoid(gens, cap=100_000):
         raise DegreeMismatch(f"mixed degrees {sorted(degrees)}")
     n = degrees.pop() if degrees else 1
     # stars of generators are included so the star table stays in range
-    seed = [identity_diagram(n)]
-    for g in gens + [g.star() for g in gens]:
-        if g not in seed:
-            seed.append(g)
-    elements = list(seed)
-    index = set(elements)
-    frontier = list(elements)
-    mby = gens + [g.star() for g in gens]
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in mby:
-                c = a.multiply(g)
-                if c not in index:
-                    index.add(c)
-                    new.append(c)
-                    if len(index) > cap:
-                        raise CapExceeded(f"closure exceeded cap={cap}")
-        elements.extend(new)
-        frontier = new
-    return _table_from_elements(elements), elements
+    mby = list(dict.fromkeys(gens + [g.star() for g in gens]))
+    closure = right_cayley_closure(
+        [identity_diagram(n)], mby, PartitionDiagram.multiply, cap=cap
+    )
+    return cayley_semigroup(
+        closure, PartitionDiagram.star, lambda d: d.blocks,
+        PartitionDiagram.label,
+    )
 
 
-def _set_partitions(m):
-    """All set partitions of 0..m-1 via restricted growth strings."""
-    if m == 0:
-        yield []
-        return
-    rgs = [0] * m
-    maxes = [0] * m
-    while True:
-        blocks = {}
-        for i, c in enumerate(rgs):
-            blocks.setdefault(c, []).append(i)
-        yield list(blocks.values())
-        i = m - 1
-        while i > 0 and rgs[i] > maxes[i - 1]:
-            i -= 1
-        if i == 0:
-            return
-        rgs[i] += 1
-        m2 = max(maxes[i - 1], rgs[i])
-        maxes[i] = m2
-        for j in range(i + 1, m):
-            rgs[j] = 0
-            maxes[j] = m2
-
-
-def _matchings(points):
-    """All perfect matchings of the given point list, as block lists."""
-    if not points:
-        yield []
-        return
-    first, rest = points[0], points[1:]
-    for k in range(len(rest)):
-        other = rest[k]
-        remaining = rest[:k] + rest[k + 1:]
-        for tail in _matchings(remaining):
-            yield [[first, other]] + tail
-
-
-def _partial_matchings(points):
-    """All partitions of the point list into blocks of size <= 2."""
-    if not points:
-        yield []
-        return
-    first, rest = points[0], points[1:]
-    for tail in _partial_matchings(rest):
-        yield [[first]] + tail
-    for k in range(len(rest)):
-        other = rest[k]
-        remaining = rest[:k] + rest[k + 1:]
-        for tail in _partial_matchings(remaining):
-            yield [[first, other]] + tail
-
-
-def _family(n, candidates, keep, bound, name, allow_large):
+def _family(n, gens, bound, name, allow_large):
     if n < 1:
         raise InfeasibleDegree(f"{name} needs n >= 1")
     if n > bound and not allow_large:
         raise InfeasibleDegree(
             f"{name} is limited to n <= {bound} by default (pass allow_large=True)"
         )
-    elems = sorted(
-        (d for d in (PartitionDiagram(n, bs) for bs in candidates) if keep(d)),
-        key=lambda d: d.blocks,
-    )
-    return _table_from_elements(elems), elems
+    return generate_monoid(gens(n))
 
 
 def partition_monoid(n, allow_large=False):
-    """All set partitions of the 2n points."""
-    return _family(
-        n, _set_partitions(2 * n), lambda d: True, 4, "partition_monoid", allow_large
-    )
+    """All set partitions of the 2n points, generated by the s_i, p_1 and
+    b_1, the identity except for the block {1, 2, 1', 2'}."""
+    def gens(n):
+        if n == 1:
+            return [_cut(1, 0)]
+        return _transpositions(n) + [_cut(n, 0), _local(n, [0, 1, n, n + 1])]
+
+    return _family(n, gens, 4, "partition_monoid", allow_large)
 
 
 def motzkin_monoid(n, allow_large=False):
-    """Planar diagrams with blocks of size <= 2."""
-    return _family(
-        n,
-        _partial_matchings(list(range(2 * n))),
-        lambda d: d.is_planar(),
-        4,
-        "motzkin_monoid",
-        allow_large,
-    )
+    """Planar diagrams with blocks of size <= 2, generated by the t_i, every
+    p_i and the l_i, which join i+1 to i' and cut i and (i+1)'."""
+    def gens(n):
+        lefts = [_local(n, [i + 1, n + i], [i], [n + i + 1])
+                 for i in range(n - 1)]
+        return tl_generators(n) + [_cut(n, i) for i in range(n)] + lefts
+
+    return _family(n, gens, 4, "motzkin_monoid", allow_large)
 
 
 def partial_brauer_monoid(n, allow_large=False):
-    """All diagrams with blocks of size <= 2."""
+    """All diagrams with blocks of size <= 2, generated by the t_i, the s_i
+    and p_1."""
     return _family(
-        n,
-        _partial_matchings(list(range(2 * n))),
-        lambda d: True,
-        4,
-        "partial_brauer_monoid",
-        allow_large,
+        n, lambda n: tl_generators(n) + _transpositions(n) + [_cut(n, 0)],
+        4, "partial_brauer_monoid", allow_large,
     )
 
 
 def brauer_monoid(n, allow_large=False):
-    """All diagrams with blocks of size exactly 2."""
+    """All diagrams with blocks of size exactly 2, generated by the t_i and
+    the s_i."""
     return _family(
-        n, _matchings(list(range(2 * n))), lambda d: True, 6, "brauer_monoid",
-        allow_large,
+        n, lambda n: tl_generators(n) + _transpositions(n), 6,
+        "brauer_monoid", allow_large,
     )
 
 
 def tl_monoid(n, allow_large=False):
-    """Planar perfect matchings (Temperley-Lieb diagrams)."""
-    return _family(
-        n,
-        _matchings(list(range(2 * n))),
-        lambda d: d.is_planar(),
-        6,
-        "tl_monoid",
-        allow_large,
-    )
+    """Planar perfect matchings (Temperley-Lieb diagrams), generated by the
+    t_i."""
+    return _family(n, tl_generators, 6, "tl_monoid", allow_large)

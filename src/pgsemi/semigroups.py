@@ -3,14 +3,17 @@
 The main consumers are the diagram monoids and the adjacency semigroups of
 graphs.  ``projection_algebra_of`` extracts the projection algebra carried by
 the projections of a regular *-semigroup via ``q theta_p = p q p``.
+``right_cayley_closure`` is the one closure engine: the diagram monoids, the
+finite chain semigroups and ``subsemigroup_closure`` are all built with it,
+and ``cayley_semigroup`` gathers their tables from its Cayley graph.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSemigroup, MalformedTable
-from .projections import ProjectionAlgebra, Violation, validate_axioms
+from .errors import CapExceeded, InvalidSemigroup, MalformedTable
+from .projections import ProjectionAlgebra, Violation, _collect, validate_axioms
 
 __all__ = [
     "StarSemigroup",
@@ -19,6 +22,8 @@ __all__ = [
     "validate_star_semigroup",
     "projection_algebra_of",
     "subsemigroup_closure",
+    "right_cayley_closure",
+    "cayley_semigroup",
 ]
 
 
@@ -42,7 +47,7 @@ class StarSemigroup:
                 raise MalformedTable(f"{name} entries must be integers")
             if arr.size and (arr.min() < 0 or arr.max() >= n):
                 raise MalformedTable(f"{name} entries must lie in 0..n-1")
-        self.mult = mult.astype(np.int32, copy=True)
+        self.mult = np.array(mult, dtype=np.int32, order="C")
         self.star = star.astype(np.int32, copy=True)
         self.mult.setflags(write=False)
         self.star.setflags(write=False)
@@ -146,18 +151,18 @@ def validate_star_semigroup(S):
     if v:
         out.append(v)
 
-    v = _collect_mask(st[st] != rng, "star-involutive")
+    v = _collect(st[st] != rng, "star-involutive")
     if v:
         out.append(v)
 
     lhs = st[M]
     rhs = M[st[:, None], st[None, :]].T
-    v = _collect_mask(lhs != rhs, "star-antihomomorphism")
+    v = _collect(lhs != rhs, "star-antihomomorphism")
     if v:
         out.append(v)
 
     aa = M[rng, st]                        # a a*
-    v = _collect_mask(M[M[rng, st], rng] != rng, "regularity")
+    v = _collect(M[M[rng, st], rng] != rng, "regularity")
     if v:
         out.append(v)
 
@@ -174,7 +179,7 @@ def validate_star_semigroup(S):
         P = np.array(plist, dtype=np.intp)
         PP = M[np.ix_(P, P)]
         idem = M[PP.ravel(), PP.ravel()] == PP.ravel()
-        v = _collect_mask(
+        v = _collect(
             ~idem.reshape(PP.shape),
             "projection-products-idempotent",
             decode=lambda w: (plist[w[0]], plist[w[1]]),
@@ -185,7 +190,7 @@ def validate_star_semigroup(S):
         # p q p is a projection
         pqp = M[PP, P[:, None]]
         members = np.isin(pqp, np.array(plist))
-        v = _collect_mask(
+        v = _collect(
             ~members,
             "pqp-projection",
             decode=lambda w: (plist[w[0]], plist[w[1]]),
@@ -196,7 +201,7 @@ def validate_star_semigroup(S):
         # a q a* is a projection
         aq = M[:, P]                        # [a, j] -> a q_j
         aqas = M[aq, st[:, None]]           # [a, j] -> a q_j a*
-        v = _collect_mask(
+        v = _collect(
             ~np.isin(aqas, np.array(plist)),
             "aqa*-projection",
             decode=lambda w: (w[0], plist[w[1]]),
@@ -230,16 +235,6 @@ def validate_star_semigroup(S):
             out.append(Violation("friendly-product-injective", tuple(bad[:20]), len(bad)))
 
     return out
-
-
-def _collect_mask(mask, law, decode=None):
-    idx = np.argwhere(mask)
-    if idx.size == 0:
-        return None
-    wit = [tuple(int(x) for x in row) for row in idx[:20]]
-    if decode is not None:
-        wit = [decode(w) for w in wit]
-    return Violation(law, tuple(wit), int(idx.shape[0]))
 
 
 def projection_algebra_of(S, validate=True):
@@ -280,23 +275,75 @@ def projection_algebra_of(S, validate=True):
     return alg, plist
 
 
+def right_cayley_closure(seeds, gens, multiply, cap=100_000):
+    """Breadth-first closure of ``seeds`` under right multiplication by
+    ``gens``, recording the right Cayley graph (Froidure & Pin, "Algorithms
+    for computing finite semigroups", 1997).
+
+    Returns ``(elements, right, origin)``: the elements in discovery order,
+    ``right[i, g]`` the id of ``multiply(elements[i], gens[g])``, and
+    ``origin[i] = (w, g)`` with ``elements[i] = elements[w] * gens[g]``.  A
+    seed has ``w = -1`` and ``g`` its index in ``gens``, or -1 when it is not
+    a generator.  Raises CapExceeded once more than ``cap`` elements appear.
+    """
+    gens = list(gens)
+    gen_id = {x: g for g, x in enumerate(gens)}
+    elements, origin, right, index = [], [], [], {}
+
+    def visit(x, w, g):
+        i = index.get(x)
+        if i is None:
+            i = index[x] = len(elements)
+            if i >= cap:
+                raise CapExceeded(f"closure exceeded cap={cap}")
+            elements.append(x)
+            origin.append((w, g))
+        return i
+
+    for x in seeds:
+        visit(x, -1, gen_id.get(x, -1))
+    # the loop also walks the elements appended while it runs
+    for w, a in enumerate(elements):
+        right.append([visit(multiply(a, x), w, g) for g, x in enumerate(gens)])
+    right = np.array(right, dtype=np.int32).reshape(len(elements), len(gens))
+    return elements, right, origin
+
+
+def cayley_semigroup(closure, star, key, label):
+    """The StarSemigroup of a star-closed :func:`right_cayley_closure`, with
+    its elements sorted by ``key``.  Returns ``(StarSemigroup, elements)``.
+
+    The table is filled one column per element with one numpy gather: the
+    column of ``w g`` is ``right[column(w), g]``.  A seed that is not a
+    generator must be the identity, whose column is the identity map.
+    """
+    elements, right, origin = closure
+    k = len(elements)
+    order = sorted(range(k), key=lambda i: key(elements[i]))
+    pos = np.empty(k, dtype=np.int32)
+    pos[order] = np.arange(k, dtype=np.int32)
+    right = pos[right[order]]               # the Cayley graph in sorted ids
+    cols = np.empty((k, k), dtype=np.int32)  # cols[b, a] = a b, sorted ids
+    ident = np.arange(k, dtype=np.int32)
+    for b, (w, g) in enumerate(origin):
+        col = ident if w < 0 else cols[pos[w]]
+        cols[pos[b]] = col if g < 0 else right[col, g]
+    elements = [elements[i] for i in order]
+    index = {x: i for i, x in enumerate(elements)}
+    stars = [index[star(x)] for x in elements]
+    S = StarSemigroup(cols.T, stars, labels=[label(x) for x in elements])
+    return S, elements
+
+
 def subsemigroup_closure(S, seed):
-    """Ids of the subsemigroup generated by ``seed``, ascending."""
+    """Ids of the subsemigroup generated by ``seed``, ascending: the right
+    Cayley closure of ``seed`` under right multiplication by ``seed``."""
     M = S.mult
-    have = set(int(a) for a in seed)
-    frontier = sorted(have)
-    elems = list(frontier)
-    while frontier:
-        new = []
-        for a in elems:
-            for b in frontier:
-                for c in (int(M[a, b]), int(M[b, a])):
-                    if c not in have:
-                        have.add(c)
-                        new.append(c)
-        elems.extend(new)
-        frontier = new
-    return sorted(have)
+    seed = sorted(set(int(a) for a in seed))
+    elements, _, _ = right_cayley_closure(
+        seed, seed, lambda a, b: int(M[a, b]), cap=S.size
+    )
+    return sorted(elements)
 
 
 class AdjacencyGraph:

@@ -37,7 +37,7 @@ __all__ = [
     "pi1_presentation",
     "tietze_simplify",
     "free_reduce",
-    "word_solver",
+    "WordSolver",
 ]
 
 
@@ -562,7 +562,3 @@ class WordSolver:
                 x // 2 + 1 if x % 2 == 0 else -(x // 2 + 1) for x in rep
             )
         return UNDECIDED
-
-
-def word_solver(presentation, classification):
-    return WordSolver(presentation, classification)

@@ -5,8 +5,15 @@ import random
 import numpy as np
 import pytest
 
+from pgsemi.catalog import parse_source
 from pgsemi.chains import Path
-from pgsemi.chainsemigroup import INFINITE, UNKNOWN, star_semigroup_of
+from pgsemi.chainsemigroup import (
+    INFINITE,
+    UNKNOWN,
+    ChainSemigroupHandle,
+    ReducedChain,
+    star_semigroup_of,
+)
 from pgsemi.errors import CapExceeded, NotAMorphism
 from pgsemi.semigroups import validate_star_semigroup
 
@@ -116,6 +123,35 @@ def test_enumerate_cap():
         handle("tl:3").enumerate(cap=2)
 
 
+def _product_and_star_closure(h):
+    """Closure of the projection chains under product on both sides and
+    star, multiplying the frontier by every element found so far."""
+    elems = [h.projection_chain(p) for p in range(h.algebra.size)]
+    seen = set(elems)
+    frontier = list(elems)
+    while frontier:
+        new = []
+        candidates = [h.star(a) for a in frontier]
+        for a in elems:
+            for b in frontier:
+                candidates += [h.product(a, b), h.product(b, a)]
+        for x in candidates:
+            if x not in seen:
+                seen.add(x)
+                new.append(x)
+        elems.extend(new)
+        frontier = new
+    return sorted(seen, key=ReducedChain.sort_key)
+
+
+@pytest.mark.parametrize("src", [
+    "kinyon", "band:2", "tl:4", "tl:5", "motzkin:3", "partial_brauer:2",
+])
+def test_enumerate_matches_product_and_star_closure(src):
+    h = handle(src)
+    assert h.enumerate() == _product_and_star_closure(h)
+
+
 def test_normalize_expand_roundtrip():
     for src in ("kinyon", "tl:4"):
         h = handle(src)
@@ -182,19 +218,32 @@ def test_extend_morphism_rejects_theta_breakers():
         h.extend_morphism(b.semigroup, phi)
 
 
-def test_star_semigroup_of_kinyon_validates():
-    h = handle("kinyon")
+@pytest.mark.parametrize("src", ["kinyon", "tl:4"])
+def test_star_semigroup_of_validates(src):
+    h = handle(src)
     S, elems = star_semigroup_of(h)
-    assert S.size == 10
+    assert S.size == FINITE_SIZES[src]
     assert validate_star_semigroup(S) == []
-    assert len(elems) == 10
+    assert elems == h.enumerate()
     # labels carry the chain reprs
     assert S.labels[0] == repr(elems[0])
-    # table multiplication agrees with handle multiplication
+    # the gathered tables agree with handle multiplication and star
     idx = {c: i for i, c in enumerate(elems)}
     for c in elems:
+        assert S.star_of(idx[c]) == idx[h.star(c)]
         for d in elems:
             assert S.product(idx[c], idx[d]) == idx[h.product(c, d)]
+
+
+def test_maximal_subgroup_honours_the_budget():
+    P = parse_source("brauer:5").algebra
+    h = ChainSemigroupHandle(P, budget=2)
+    comp = h.components[0]
+    assert comp.classification.kind == "unknown"
+    _, cls = h.maximal_subgroup(comp.vertices[0])
+    assert cls.kind == "unknown"
+    _, cls = ChainSemigroupHandle(P).maximal_subgroup(comp.vertices[0])
+    assert cls.kind == "finite" and cls.order == 2
 
 
 def test_named_singletons():

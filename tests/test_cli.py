@@ -50,6 +50,12 @@ def test_size_tl3(capsys):
     assert out.splitlines()[0] == "5"
 
 
+def test_size_tl7_allow_large(capsys):
+    code, out, _ = run(capsys, "size", "--source", "tl:7", "--allow-large")
+    assert code == 0
+    assert out.splitlines()[0] == "429"
+
+
 def test_relations_text_matrices(capsys):
     code, out, _ = run(capsys, "relations", "--source", "kinyon")
     assert code == 0
@@ -116,6 +122,16 @@ def test_subgroup_text(capsys):
     assert code == 0
     assert "maximal subgroup at" in out
     assert "free(rank 1)" in out
+
+
+def test_subgroup_honours_budget(capsys):
+    argv = ("subgroup", "--source", "brauer:5", "--projection", "0")
+    code, out, _ = run(capsys, *argv, "--budget", "2")
+    assert code == 0
+    assert "classification: unknown" in out
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert "classification: finite(order 2)" in out
 
 
 def test_export_dot_with_sidecar(capsys, tmp_path):

@@ -23,9 +23,93 @@ from pgsemi.semigroups import validate_star_semigroup
 TL_SIZES = {1: 1, 2: 2, 3: 5, 4: 14, 5: 42}
 MOTZKIN_SIZES = {2: 9, 3: 51, 4: 323}
 BRAUER_SIZES = {2: 3, 3: 15, 4: 105}
-# n = 4 (Bell(8) = 4140) is left out: building its full product table is
-# minutes of work and adds nothing over n = 3
+# n = 4 (Bell(8) = 4140) is checked against the exhaustive oracle below
 PARTITION_SIZES = {2: 15, 3: 203}
+
+
+# -- exhaustive oracles: every candidate diagram, filtered -------------------
+
+
+def _set_partitions(m):
+    """All set partitions of 0..m-1 via restricted growth strings."""
+    if m == 0:
+        yield []
+        return
+    rgs = [0] * m
+    maxes = [0] * m
+    while True:
+        blocks = {}
+        for i, c in enumerate(rgs):
+            blocks.setdefault(c, []).append(i)
+        yield list(blocks.values())
+        i = m - 1
+        while i > 0 and rgs[i] > maxes[i - 1]:
+            i -= 1
+        if i == 0:
+            return
+        rgs[i] += 1
+        m2 = max(maxes[i - 1], rgs[i])
+        maxes[i] = m2
+        for j in range(i + 1, m):
+            rgs[j] = 0
+            maxes[j] = m2
+
+
+def _matchings(points):
+    """All perfect matchings of the given point list, as block lists."""
+    if not points:
+        yield []
+        return
+    first, rest = points[0], points[1:]
+    for k in range(len(rest)):
+        other = rest[k]
+        remaining = rest[:k] + rest[k + 1:]
+        for tail in _matchings(remaining):
+            yield [[first, other]] + tail
+
+
+def _partial_matchings(points):
+    """All partitions of the point list into blocks of size <= 2."""
+    if not points:
+        yield []
+        return
+    first, rest = points[0], points[1:]
+    for tail in _partial_matchings(rest):
+        yield [[first]] + tail
+    for k in range(len(rest)):
+        other = rest[k]
+        remaining = rest[:k] + rest[k + 1:]
+        for tail in _partial_matchings(remaining):
+            yield [[first, other]] + tail
+
+
+def _oracle(family, n):
+    """The family's diagrams by exhaustive enumeration, sorted by blocks."""
+    points = list(range(2 * n))
+    candidates, planar = {
+        "tl": (_matchings(points), True),
+        "brauer": (_matchings(points), False),
+        "motzkin": (_partial_matchings(points), True),
+        "partial_brauer": (_partial_matchings(points), False),
+        "partition": (_set_partitions(2 * n), False),
+    }[family]
+    diagrams = (PartitionDiagram(n, bs) for bs in candidates)
+    return sorted(
+        (d for d in diagrams if not planar or d.is_planar()),
+        key=lambda d: d.blocks,
+    )
+
+
+FAMILIES = {
+    "tl": tl_monoid,
+    "brauer": brauer_monoid,
+    "motzkin": motzkin_monoid,
+    "partial_brauer": partial_brauer_monoid,
+    "partition": partition_monoid,
+}
+ORACLE_DEGREES = {
+    "tl": 6, "brauer": 5, "motzkin": 4, "partial_brauer": 4, "partition": 4,
+}
 
 
 def test_identity_is_neutral():
@@ -114,6 +198,37 @@ def test_generated_tables_validate():
     for builder, n in ((tl_monoid, 4), (brauer_monoid, 3), (motzkin_monoid, 3)):
         S, _ = builder(n)
         assert validate_star_semigroup(S) == []
+
+
+@pytest.mark.parametrize("family,n", [
+    (f, n) for f, top in ORACLE_DEGREES.items() for n in range(1, top + 1)
+])
+def test_generated_family_matches_exhaustive_oracle(family, n):
+    _, elements = FAMILIES[family](n)
+    assert elements == _oracle(family, n)
+
+
+@pytest.mark.parametrize("family,n", [
+    (f, n) for f in FAMILIES for n in (1, 2, 3)
+])
+def test_gathered_table_matches_multiply_on_all_pairs(family, n):
+    S, elements = FAMILIES[family](n)
+    index = {d: i for i, d in enumerate(elements)}
+    for i, a in enumerate(elements):
+        assert S.star_of(i) == index[a.star()]
+        for j, b in enumerate(elements):
+            assert S.product(i, j) == index[a.multiply(b)]
+
+
+@pytest.mark.parametrize("family,n", [("motzkin", 4), ("brauer", 5)])
+def test_gathered_table_matches_multiply_on_sampled_pairs(family, n):
+    S, elements = FAMILIES[family](n)
+    index = {d: i for i, d in enumerate(elements)}
+    rng = random.Random(5)
+    for _ in range(2000):
+        i, j = rng.randrange(S.size), rng.randrange(S.size)
+        assert S.product(i, j) == index[elements[i].multiply(elements[j])]
+        assert S.star_of(i) == index[elements[i].star()]
 
 
 def test_generate_monoid_cap():

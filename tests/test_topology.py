@@ -8,6 +8,7 @@ from pgsemi.projections import relations
 from pgsemi.topology import (
     Cell,
     Complex2,
+    WordSolver,
     abelian_invariants,
     complex_KP,
     complex_KP_prime,
@@ -16,7 +17,6 @@ from pgsemi.topology import (
     friendliness_graph,
     pi1_presentation,
     tietze_simplify,
-    word_solver,
 )
 
 from conftest import FLEET, bundle
@@ -228,7 +228,7 @@ def test_solver_trivial_normalizes_everything_to_empty():
     from pgsemi.topology import GroupPresentation
 
     pres, cls = tietze_simplify(GroupPresentation(ngens=1, relators=((1,),)))
-    s = word_solver(pres, cls)
+    s = WordSolver(pres, cls)
     assert s.normalize((1, 1, -1)) == ()
     assert s.decisive
 
@@ -237,7 +237,7 @@ def test_solver_free_uses_free_reduction():
     from pgsemi.topology import GroupPresentation
 
     pres, cls = tietze_simplify(GroupPresentation(ngens=2, relators=()))
-    s = word_solver(pres, cls)
+    s = WordSolver(pres, cls)
     assert s.normalize((1, 2, -2, 1)) == (1, 1)
     assert s.decisive
 
@@ -248,7 +248,7 @@ def test_solver_finite_matches_coset_table():
     g = GroupPresentation(ngens=2, relators=((1, 1), (2, 2), (1, 2) * 3))
     pres, cls = tietze_simplify(g)
     assert cls.order == 6
-    s = word_solver(pres, cls)
+    s = WordSolver(pres, cls)
     # words equal in S_3 get the same canonical form
     assert s.normalize((1, 2, 1)) == s.normalize((2, 1, 2))
     assert s.normalize((1, 1)) == ()
