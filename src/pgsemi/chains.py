@@ -46,17 +46,18 @@ class Path:
     __slots__ = ("algebra", "verts")
 
     def __init__(self, algebra, verts):
-        verts = tuple(int(v) for v in verts)
+        verts = tuple(map(int, verts))
         if not verts:
             raise ValueError("a path needs at least one vertex")
-        T = algebra.theta
         n = algebra.size
+        # before any row lookup: a Python sequence wraps negative indices
         for v in verts:
             if not 0 <= v < n:
                 raise NotFriendly(f"vertex {v} out of range")
+        T = algebra.rows
         for a, b in zip(verts, verts[1:]):
             # a F b iff b th_a = a and a th_b = b
-            if T[a, b] != a or T[b, a] != b:
+            if T[a][b] != a or T[b][a] != b:
                 raise NotFriendly(
                     f"consecutive vertices {a}, {b} are not friendly"
                 )
@@ -122,28 +123,28 @@ def reduce_path(path):
 def restrict_left(path, q):
     """Restrict to start at q <= dom: (q_1, ..., q_k) with
     q_i = q th_{p_2} ... th_{p_i}."""
-    T = path.algebra.theta
+    T = path.algebra.rows
     p1 = path.verts[0]
-    if T[p1, q] != q:
+    if T[p1][q] != q:
         raise NotBelow(f"{q} is not below the left endpoint {p1}")
-    out = [int(q)]
-    cur = int(q)
+    out = [q]
+    cur = q
     for p in path.verts[1:]:
-        cur = int(T[p, cur])
+        cur = T[p][cur]
         out.append(cur)
     return Path(path.algebra, out)
 
 
 def restrict_right(path, r):
     """Restrict to end at r <= cod, mirror image of restrict_left."""
-    T = path.algebra.theta
+    T = path.algebra.rows
     pk = path.verts[-1]
-    if T[pk, r] != r:
+    if T[pk][r] != r:
         raise NotBelow(f"{r} is not below the right endpoint {pk}")
-    out = [int(r)]
-    cur = int(r)
+    out = [r]
+    cur = r
     for p in path.verts[-2::-1]:
-        cur = int(T[p, cur])
+        cur = T[p][cur]
         out.append(cur)
     return Path(path.algebra, out[::-1])
 

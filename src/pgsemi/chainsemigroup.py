@@ -125,6 +125,7 @@ class ChainSemigroupHandle:
         self._idem_cache = {}
         self._prod_cache = {}
         self._star_cache = {}
+        self._expand_cache = {}
 
     # -- encoding ---------------------------------------------------------
 
@@ -173,7 +174,10 @@ class ChainSemigroupHandle:
 
     def expand(self, c):
         """A representative path: tree walk to dom, the word's loop, tree
-        walk back to cod, reduced."""
+        walk back to cod, reduced.  Memoized per chain."""
+        hit = self._expand_cache.get(c)
+        if hit is not None:
+            return hit
         comp = self.components[c.comp]
         pres = comp.simplified
         base = pres.basepoint
@@ -188,8 +192,9 @@ class ChainSemigroupHandle:
             verts.extend(list(reversed(pres.tree_path(v)))[1:])
         tail = pres.tree_path(c.cod)
         verts.extend(tail[1:])
-        path = Path(self.algebra, verts)
-        return reduce_path(path)
+        out = reduce_path(Path(self.algebra, verts))
+        self._expand_cache[c] = out
+        return out
 
     # -- semigroup operations --------------------------------------------
 
@@ -199,11 +204,11 @@ class ChainSemigroupHandle:
         hit = self._prod_cache.get((c, d))
         if hit is not None:
             return hit
-        T = self.algebra.theta
+        T = self.algebra.rows
         p = c.cod
         q = d.dom
-        p1 = int(T[p, q])          # q theta_p
-        q1 = int(T[q, p])          # p theta_q
+        p1 = T[p][q]               # q theta_p
+        q1 = T[q][p]               # p theta_q
         left = restrict_right(self.expand(c), p1)
         right = restrict_left(self.expand(d), q1)
         joined = Path(self.algebra, left.verts + right.verts)

@@ -229,12 +229,13 @@ def cmd_subgroup(args):
         raise PgsemiError(f"no projection {args.projection}")
     handle = ChainSemigroupHandle(P, budget=args.budget)
     pres, cls = handle.maximal_subgroup(args.projection)
+    code = 3 if cls.kind == "unknown" else 0
     if args.format == "json":
         _emit(args, dumps(presentation_to_dict(pres, cls)))
-        return 0
+        return code
     print(f"maximal subgroup at {P.label(args.projection)}:")
     print(_group_text(pres, cls))
-    return 0
+    return code
 
 
 def _presentation_for(args, bundle):

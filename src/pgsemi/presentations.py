@@ -207,15 +207,15 @@ def word_to_friendly_path(P, word):
     for p in verts:
         if not 0 <= p < n:
             raise ValueError(f"letter {p} out of range")
-    T = P.theta
+    T = P.rows
     lead = []
     cur = verts[0]
     for p in verts[1:]:
-        lead.append(int(T[cur, p]))      # p th_cur
-        cur = int(T[p, cur])             # cur th_p
+        lead.append(T[cur][p])           # p th_cur
+        cur = T[p][cur]                  # cur th_p
     rev = [cur]
     for a in reversed(lead):
-        rev.append(int(T[a, rev[-1]]))   # repair the junction: next th_a
+        rev.append(T[a][rev[-1]])        # repair the junction: next th_a
     rev.reverse()
     return Path(P, rev)
 
@@ -348,6 +348,9 @@ def _verify_normal_form(handle, pres, seed, samples, budget):
     for lhs, rhs in pres.word_pairs():
         moves.append((lhs, rhs))
         moves.append((rhs, lhs))
+    by_first = {}                        # first letter of lhs -> move indices
+    for i, (l, _r) in enumerate(moves):
+        by_first.setdefault(l[0], []).append(i)
     rng = random.Random(seed)
     checked = 0
     try:
@@ -360,15 +363,19 @@ def _verify_normal_form(handle, pres, seed, samples, budget):
             while frontier and len(seen) < 256:
                 nxt = []
                 for u in frontier:
-                    for l, r in moves:
-                        for pos in range(len(u) - len(l) + 1):
-                            if u[pos:pos + len(l)] != l:
-                                continue
-                            v = u[:pos] + r + u[pos + len(l):]
-                            if len(v) <= budget and v not in seen \
-                                    and len(seen) < 256:
-                                seen.add(v)
-                                nxt.append(v)
+                    # sorted (move, pos) keeps the order of a scan of every
+                    # move at every position, which matters once seen is full
+                    hits = sorted(
+                        (i, pos) for pos, x in enumerate(u)
+                        for i in by_first.get(x, ())
+                        if u[pos:pos + len(moves[i][0])] == moves[i][0])
+                    for i, pos in hits:
+                        l, r = moves[i]
+                        v = u[:pos] + r + u[pos + len(l):]
+                        if len(v) <= budget and v not in seen \
+                                and len(seen) < 256:
+                            seen.add(v)
+                            nxt.append(v)
                 frontier = nxt
             for u in seen:
                 checked += 1

@@ -66,7 +66,7 @@ class ProjectionAlgebra:
     for the laws.
     """
 
-    __slots__ = ("theta", "labels", "_digest")
+    __slots__ = ("theta", "labels", "_digest", "_rows")
 
     def __init__(self, theta, labels=None):
         arr = np.asarray(theta)
@@ -86,6 +86,7 @@ class ProjectionAlgebra:
                 raise MalformedTable("labels length must equal the carrier size")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_digest", None)
+        object.__setattr__(self, "_rows", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ProjectionAlgebra is immutable")
@@ -102,6 +103,16 @@ class ProjectionAlgebra:
         if self.labels is not None:
             return self.labels[p]
         return str(p)
+
+    @property
+    def rows(self):
+        """The table as nested tuples of Python ints, ``rows[p][q] == q
+        theta_p``: scalar lookups on them are much cheaper than numpy
+        scalar indexing, so per-vertex loops read theta through here."""
+        if self._rows is None:
+            rows = tuple(map(tuple, self.theta.tolist()))
+            object.__setattr__(self, "_rows", rows)
+        return self._rows
 
     @property
     def digest(self):

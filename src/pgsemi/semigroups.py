@@ -247,13 +247,12 @@ def projection_algebra_of(S, validate=True):
     """
     plist = S.projections()
     index = {p: i for i, p in enumerate(plist)}
-    M = S.mult.astype(np.intp)
     P = np.array(plist, dtype=np.intp)
     k = len(plist)
     theta = np.empty((k, k), dtype=np.int32)
     if k:
-        pq = M[np.ix_(P, P)]
-        pqp = M[pq, P[:, None]]             # [i, j] -> p_i q_j p_i
+        pq = S.mult[np.ix_(P, P)]
+        pqp = S.mult[pq, P[:, None]]        # [i, j] -> p_i q_j p_i
         for i in range(k):
             for j in range(k):
                 val = int(pqp[i, j])

@@ -29,6 +29,8 @@ def test_path_requires_friendly_steps(P):
         Path(P, (0, 3))  # p and e are not friendly
     with pytest.raises(NotFriendly):
         Path(P, (0, 9))
+    with pytest.raises(NotFriendly):
+        Path(P, (0, -1))  # range is checked before any table lookup
     with pytest.raises(ValueError):
         Path(P, ())
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pgsemi.catalog import parse_source
-from pgsemi.chains import Path
+from pgsemi.chains import Path, reduce_path, restrict_left, restrict_right
 from pgsemi.chainsemigroup import (
     INFINITE,
     UNKNOWN,
@@ -150,6 +150,44 @@ def _product_and_star_closure(h):
 def test_enumerate_matches_product_and_star_closure(src):
     h = handle(src)
     assert h.enumerate() == _product_and_star_closure(h)
+
+
+def _expand_uncached(h, c):
+    """The representative path of c, rebuilt from the tree walk on every
+    call (the handle memoizes it)."""
+    pres = h.components[c.comp].simplified
+    verts = list(reversed(pres.tree_path(c.dom)))
+    for l in c.word:
+        u, v = pres.gen_edges[abs(l) - 1]
+        if l < 0:
+            u, v = v, u
+        verts.extend(pres.tree_path(u)[1:])
+        verts.append(v)
+        verts.extend(list(reversed(pres.tree_path(v)))[1:])
+    verts.extend(pres.tree_path(c.cod)[1:])
+    return reduce_path(Path(h.algebra, verts))
+
+
+def _product_uncached(h, c, d):
+    """c (*) d with fresh expansions and numpy theta lookups."""
+    T = h.algebra.theta
+    p1 = int(T[c.cod, d.dom])
+    q1 = int(T[d.dom, c.cod])
+    left = restrict_right(_expand_uncached(h, c), p1)
+    right = restrict_left(_expand_uncached(h, d), q1)
+    return h.normalize(Path(h.algebra, left.verts + right.verts))
+
+
+@pytest.mark.parametrize("src", ["kinyon", "band:3", "tl:4"])
+def test_product_matches_uncached_reference(src):
+    h = ChainSemigroupHandle(bundle(src).algebra)   # empty caches
+    pool = chain_pool(src)
+    first = [h.expand(c) for c in pool]
+    assert first == [_expand_uncached(h, c) for c in pool]
+    for c in pool:
+        for d in pool:
+            assert h.product(c, d) == _product_uncached(h, c, d)
+    assert [h.expand(c) for c in pool] == first
 
 
 def test_normalize_expand_roundtrip():

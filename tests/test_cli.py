@@ -127,7 +127,7 @@ def test_subgroup_text(capsys):
 def test_subgroup_honours_budget(capsys):
     argv = ("subgroup", "--source", "brauer:5", "--projection", "0")
     code, out, _ = run(capsys, *argv, "--budget", "2")
-    assert code == 0
+    assert code == 3
     assert "classification: unknown" in out
     code, out, _ = run(capsys, *argv)
     assert code == 0
