@@ -17,7 +17,7 @@ Whenever a component group fails to classify as trivial, free, or finite,
 equality there is refused with UndecidedEquality rather than approximated.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -68,7 +68,7 @@ INFINITE = _Named("Infinite")
 UNKNOWN = _Named("Unknown")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReducedChain:
     """Normal form of a chain: endpoints plus a canonical group word."""
 
@@ -76,6 +76,18 @@ class ReducedChain:
     dom: int
     cod: int
     word: tuple
+    # Chains key the product, star and expand caches, so the hash of the
+    # fields (word included) is computed once, not on every lookup;
+    # equality stays field by field.  Slots keep the extra field from
+    # costing memory.
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "_hash", hash((self.comp, self.dom, self.cod, self.word)))
+
+    def __hash__(self):
+        return self._hash
 
     def sort_key(self):
         return (self.comp, self.dom, self.cod, len(self.word), self.word)

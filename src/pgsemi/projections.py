@@ -42,6 +42,10 @@ __all__ = [
 # produce an O(n^3) report; the count field keeps the total honest.
 MAX_WITNESSES = 20
 
+# Cells per chunk of every check with three free indices, so that memory
+# stays bounded (about 4 MB per intp array) however large the table.
+CHUNK_CELLS = 500_000
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -149,9 +153,42 @@ def _collect(mask, law, decode=None):
     return Violation(law, tuple(witnesses), count)
 
 
+def _chunks(total, width):
+    """Consecutive (lo, hi) slices of range(total), each of at most
+    CHUNK_CELLS cells when one index stands for ``width`` cells."""
+    step = max(1, CHUNK_CELLS // width)
+    for lo in range(0, total, step):
+        yield lo, min(lo + step, total)
+
+
+class _Tally:
+    """One law's failures gathered over consecutive chunks of the first
+    axis of its mask: the same Violation as ``_collect`` on the whole mask,
+    without ever holding the whole mask."""
+
+    def __init__(self, law):
+        self.law = law
+        self.witnesses = []
+        self.count = 0
+
+    def add(self, mask, lo):
+        hits = int(np.count_nonzero(mask))
+        room = MAX_WITNESSES - len(self.witnesses)
+        if hits and room > 0:
+            idx = np.argwhere(mask)[:room]
+            idx[:, 0] += lo
+            self.witnesses.extend(tuple(int(x) for x in row) for row in idx)
+        self.count += hits
+
+    def report(self, out):
+        if self.count:
+            out.append(Violation(self.law, tuple(self.witnesses), self.count))
+
+
 def validate_axioms(P):
     """Check P1-P5 on the full table.  Returns a list of Violations, empty
-    iff the table is a projection algebra."""
+    iff the table is a projection algebra.  The three-variable laws run in
+    chunks over p, so memory stays bounded on large tables."""
     T = P.theta.astype(np.intp)
     n = P.size
     if n == 0:
@@ -176,21 +213,17 @@ def validate_axioms(P):
     if v:
         out.append(v)
 
-    # B[p, q, r] = (r th_p) th_q ; C[p, q, r] = ((r th_p) th_q) th_p
-    B = T[:, T].transpose(1, 0, 2)
-    C = T[rng[:, None, None], B]
-    # P4: ((r th_p) th_q) th_p = r th_{q th_p}
-    D = T[T]                              # [p, q, r] -> r th_{q th_p}
-    v = _collect(C != D, "P4")
-    if v:
-        out.append(v)
-
-    # P5: (((r th_p) th_q) th_p) th_q = (r th_p) th_q
-    E = T[rng[None, :, None], C]
-    v = _collect(E != B, "P5")
-    if v:
-        out.append(v)
-
+    p4, p5 = _Tally("P4"), _Tally("P5")
+    for lo, hi in _chunks(n, n * n):
+        # B[p, q, r] = (r th_p) th_q ; C[p, q, r] = ((r th_p) th_q) th_p
+        B = T[rng[None, :, None], T[lo:hi, None, :]]
+        C = T[rng[lo:hi, None, None], B]
+        # P4: ((r th_p) th_q) th_p = r th_{q th_p}
+        p4.add(C != T[T[lo:hi]], lo)
+        # P5: (((r th_p) th_q) th_p) th_q = (r th_p) th_q
+        p5.add(T[rng[None, :, None], C] != B, lo)
+    p4.report(out)
+    p5.report(out)
     return out
 
 
@@ -253,27 +286,43 @@ def theta_chain(P, q, ps):
     return int(reduce(lambda x, p: T[p, x], ps, q))
 
 
-def _tuple_maps(T, k):
-    """Array A of shape (n**k, n) with A[t, r] = r th_{p1} ... th_{pk},
-    where t encodes the tuple (p1, ..., pk) in base n, p1 most significant."""
+def _chain_classes(T, max_chain):
+    """Yield (k, cls, L, R) for k = 1..max_chain.  Tuple t = (p1, ..., pk),
+    encoded in base n with p1 most significant, lies in class ``cls[t]``;
+    class c has forward composite ``L[c, r] = r th_{p1} ... th_{pk}`` and
+    reversed composite ``R[c, r] = r th_{pk} ... th_{p1}``, and no two
+    classes share both maps.  Since L_{t.p} = L_t th_p and
+    R_{t.p} = th_p R_t, the classes of length k+1 are the distinct rows
+    (L th_p, th_p R) over the classes of length k and every p."""
     n = T.shape[0]
-    A = T.copy()
-    for _ in range(k - 1):
-        # extend each tuple on the right by one more operation
-        A = T[:, A]                   # [pk, t', r]
-        A = A.transpose(1, 0, 2).reshape(-1, n)
-    return A
+    cls = np.zeros(1, dtype=np.intp)              # the empty tuple
+    L = R = np.arange(n, dtype=T.dtype)[None, :]
+    rng = np.arange(n)
+    row = np.dtype((np.void, 2 * n * T.itemsize))
+    for k in range(1, max_chain + 1):
+        fwd = T[rng[None, :, None], L[:, None, :]]  # [c, p, r] = r L th_p
+        rev = R[:, T]                               # [c, p, r] = r th_p R
+        pairs = np.concatenate([fwd, rev], axis=2).reshape(-1, 2 * n)
+        # distinct rows, each compared as one block of bytes: much faster
+        # than np.unique(axis=0), which sorts field by field
+        _, first, inv = np.unique(pairs.view(row).reshape(-1),
+                                  return_index=True, return_inverse=True)
+        pairs = pairs[first]
+        cls = inv.reshape(-1, n)[cls].reshape(-1)
+        L, R = pairs[:, :n], pairs[:, n:]
+        yield k, cls, L, R
 
 
-def _reverse_index(n, k):
-    """rev[t] = index of the reversed tuple of t (base-n digit reversal)."""
-    idx = np.arange(n**k)
-    rev = np.zeros_like(idx)
-    rest = idx.copy()
-    for _ in range(k):
-        rev = rev * n + rest % n
-        rest //= n
-    return rev
+def _chain_mismatch(T, L, R):
+    """C1 and C2 failure masks, [c, q, r], for composites L[c], R[c]."""
+    n = T.shape[0]
+    rng = np.arange(n)
+    X = T[rng[None, :, None], R[:, None, :]]        # [c, q, r] = r R th_q
+    rhs_c1 = L[np.arange(len(L))[:, None, None], X]  # r R th_q L
+    lhs_c1 = T[L]                                    # r th_{q L}
+    lhs_c2 = T[rng[None, None, :], rhs_c1]           # apply th_r
+    rhs_c2 = T[rng[None, None, :], L[:, :, None]]    # q L th_r
+    return lhs_c1 != rhs_c1, lhs_c2 != rhs_c2
 
 
 def check_derived_laws(P, max_chain=3, rel=None):
@@ -298,6 +347,17 @@ def check_derived_laws(P, max_chain=3, rel=None):
     On a valid algebra all of these hold; they are checked independently of
     the axioms as a guard on the whole derivation chain.  Returns a list of
     Violations.
+
+    Checking the chain laws once per class of tuples is exact: at a tuple t
+    both sides of C1 and C2, for every (q, r), are functions of the forward
+    composite L_t = th_{p1} ... th_{pk} and the reversed composite
+    R_t = th_{pk} ... th_{p1} alone, so tuples with the same pair (L_t, R_t)
+    fail at exactly the same cells (q, r).  Each class is checked once; a
+    failing class is expanded back to its tuples, which are reported over
+    consecutive chunks of tuples of at most CHUNK_CELLS cells, one Violation
+    per law per chunk that fails, with witnesses (tuple, q, r) and counts of
+    failing cells exactly as a check of every tuple would give them.  The
+    pairwise laws with three variables run in chunks over p.
     """
     T = P.theta.astype(np.intp)
     n = P.size
@@ -316,74 +376,60 @@ def check_derived_laws(P, max_chain=3, rel=None):
         out.append(v)
 
     # A2 in both bracketings
-    bad = leq[:, :, None] & leqf[None, :, :] & ~leqf[:, None, :]
-    v = _collect(bad, "A2a")
-    if v:
-        out.append(v)
-    bad = leqf[:, :, None] & leq[None, :, :] & ~leqf[:, None, :]
-    v = _collect(bad, "A2b")
-    if v:
-        out.append(v)
+    a2a, a2b = _Tally("A2a"), _Tally("A2b")
+    for lo, hi in _chunks(n, n * n):
+        a2a.add(leq[lo:hi, :, None] & leqf[None, :, :]
+                & ~leqf[lo:hi, None, :], lo)
+        a2b.add(leqf[lo:hi, :, None] & leq[None, :, :]
+                & ~leqf[lo:hi, None, :], lo)
+    a2a.report(out)
+    a2b.report(out)
 
     # A3
     v = _collect(leq & ~leqf, "A3")
     if v:
         out.append(v)
 
-    # A4: rows compared as whole maps where p <= q
-    B = T[:, T]                        # B[x, y, r] = r th_y th_x
-    m1 = B.transpose(1, 0, 2)          # m1[p, q, r] = r th_p th_q
-    bad = (m1 != T[:, None, :]).any(axis=2) & leq
-    v = _collect(bad, "A4a")
-    if v:
-        out.append(v)
-    bad = (B != T[:, None, :]).any(axis=2) & leq
-    v = _collect(bad, "A4b")
-    if v:
-        out.append(v)
-
+    # A4: rows compared as whole maps where p <= q;
     # A5: theta_p = theta_p theta_q theta_p where p <=F q
-    C = T[rng[:, None, None], m1]      # C[p, q, r] = r th_p th_q th_p
-    bad = (C != T[:, None, :]).any(axis=2) & leqf
-    v = _collect(bad, "A5")
-    if v:
-        out.append(v)
+    a4a, a4b, a5 = _Tally("A4a"), _Tally("A4b"), _Tally("A5")
+    for lo, hi in _chunks(n, n * n):
+        Tp = T[lo:hi, None, :]                       # [p, ., r] = r th_p
+        m1 = T[rng[None, :, None], Tp]               # [p, q, r] = r th_p th_q
+        a4a.add((m1 != Tp).any(axis=2) & leq[lo:hi], lo)
+        m2 = T[rng[lo:hi, None, None], T[None]]      # [p, q, r] = r th_q th_p
+        a4b.add((m2 != Tp).any(axis=2) & leq[lo:hi], lo)
+        C = T[rng[lo:hi, None, None], m1]            # r th_p th_q th_p
+        a5.add((C != Tp).any(axis=2) & leqf[lo:hi], lo)
+    a4a.report(out)
+    a4b.report(out)
+    a5.report(out)
 
-    # chain laws, chunked over operation tuples
-    for k in range(1, max_chain + 1):
-        A = _tuple_maps(T, k)
-        rev = _reverse_index(n, k)
-        total = n**k
-        chunk = max(1, 500_000 // (n * n))
-        for lo in range(0, total, chunk):
-            hi = min(lo + chunk, total)
-            L = A[lo:hi]               # [t, r] forward composite
-            R = A[rev[lo:hi]]          # [t, r] reversed composite
-            m = hi - lo
-            # rhs_c1[t, q, r] = q-side composite map applied to r
-            X = T[:, R].transpose(1, 0, 2)           # [t, q, r] = r th.. pre
-            rhs_c1 = L[np.arange(m)[:, None, None], X]
-            lhs_c1 = T[L]                             # [t, q, r]
-            mism = lhs_c1 != rhs_c1
-
-            def dec(w, lo=lo, k=k):
-                t, q, r = w
-                t += lo
-                digits = []
-                for _ in range(k):
-                    digits.append(t % n)
-                    t //= n
-                return (tuple(reversed(digits)), q, r)
-
-            v = _collect(mism, f"C1[k={k}]", decode=dec)
-            if v:
-                out.append(v)
-
-            lhs_c2 = T[rng[None, None, :], rhs_c1]    # apply th_r
-            rhs_c2 = T[rng[None, None, :], L[:, :, None]]
-            v = _collect(lhs_c2 != rhs_c2, f"C2[k={k}]", decode=dec)
-            if v:
-                out.append(v)
+    # chain laws, once per class of tuples with equal composites
+    for k, cls, L, R in _chain_classes(P.theta, max_chain):
+        counts = np.zeros((2, len(L)), dtype=np.int64)
+        for lo, hi in _chunks(len(L), n * n):
+            for i, mism in enumerate(_chain_mismatch(T, L[lo:hi], R[lo:hi])):
+                counts[i, lo:hi] = np.count_nonzero(mism, axis=(1, 2))
+        if not counts.any():
+            continue
+        for lo, hi in _chunks(n**k, n * n):
+            c = cls[lo:hi]
+            for i, law in enumerate(("C1", "C2")):
+                per = counts[i, c]
+                total = int(per.sum())
+                if not total:
+                    continue
+                # every failing tuple has a witness, so the first
+                # MAX_WITNESSES failing tuples hold all that are shown
+                ts = np.flatnonzero(per)[:MAX_WITNESSES]
+                mism = _chain_mismatch(T, L[c[ts]], R[c[ts]])[i]
+                witnesses = tuple(
+                    (tuple(int(d) for d in
+                           np.unravel_index(lo + ts[j], (n,) * k)),
+                     int(q), int(r))
+                    for j, q, r in np.argwhere(mism)[:MAX_WITNESSES])
+                out.append(Violation(f"{law}[k={k}]", witnesses, total))
     return out
 
 

@@ -33,7 +33,16 @@ def test_validate_flags_violations(capsys, tmp_path):
         "size": 3, "theta": [[0, 0, 0], [2, 1, 0], [2, 2, 2]]}))
     code, out, _ = run(capsys, "validate", "--source", str(path))
     assert code == 1
-    assert "FAIL" in out
+    assert out == (
+        "P1: ok\n"
+        "FAIL P2: (1, 0), (1, 2)\n"
+        "P3: ok\n"
+        "P4: ok\n"
+        "P5: ok\n"
+        "A4a: (1, 1)\n"
+        "A4b: (1, 1)\n"
+        f"{path}: 3 projections\n"
+    )
 
 
 def test_size_infinite_band(capsys):
