@@ -30,7 +30,6 @@ from .chains import (
 from .topology import (
     Complex2,
     GroupPresentation,
-    WordSolver,
     complex_KP,
     complex_KP_prime,
     components,

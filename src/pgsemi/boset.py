@@ -91,22 +91,20 @@ class Boset:
                 f"{len(self._products)} basic pairs)")
 
 
-def boset_of(P, handle=None, cross_check=True):
+def boset_of(P, handle=None):
     """Build the boset of P.
 
     Arrows: [[p,q]] <- [[r,s]] iff q <= s and [[p,q]] -> [[r,s]] iff p <= r.
     On a basic pair the product is the absorbed factor where an arrow
     forces it, and otherwise the closed form
-    [[r th_q th_p, q th_r th_s]]; with cross_check every table entry is
-    compared against the chain-semigroup product.
+    [[r th_q th_p, q th_r th_s]]; every table entry is cross-checked
+    against the chain-semigroup product.
     """
     if handle is None:
         handle = ChainSemigroupHandle(P)
     rel = handle.rel
     T = P.theta
-    n = P.size
-    elements = [(p, q) for p in range(n) for q in range(n)
-                if rel.friendly[p, q]]
+    elements = handle.friendly_pairs
     ps = np.array([e[0] for e in elements])
     qs = np.array([e[1] for e in elements])
     left = rel.leq[np.ix_(qs, qs)]
@@ -124,12 +122,11 @@ def boset_of(P, handle=None, cross_check=True):
                 val = (r, s)                       # f -> e: f = ef
             else:
                 val = (int(T[p, T[q, r]]), int(T[s, T[r, q]]))
-            if cross_check:
-                got = handle.product(chains[i], chains[j])
-                if got != handle.idempotent_chain(*val):
-                    raise PgsemiError(
-                        f"basic product [[{p},{q}]][[{r},{s}]] disagrees "
-                        f"with the chain product {got!r}")
+            got = handle.product(chains[i], chains[j])
+            if got != handle.idempotent_chain(*val):
+                raise PgsemiError(
+                    f"basic product [[{p},{q}]][[{r},{s}]] disagrees "
+                    f"with the chain product {got!r}")
             products[(i, j)] = val
     return Boset(P, handle, elements, left, right, products)
 
@@ -142,18 +139,31 @@ def sandwich_set(handle, e, f):
     """
     ce, cf = _as_chain(handle, e), _as_chain(handle, f)
     ef = handle.product(ce, cf)
-    rel = handle.rel
-    n = handle.algebra.size
     out = []
-    for p in range(n):
-        for q in range(n):
-            if not rel.friendly[p, q]:
-                continue
-            g = handle.idempotent_chain(p, q)
-            if (handle.product(handle.product(ce, g), cf) == ef
-                    and handle.product(handle.product(cf, g), ce) == g):
-                out.append((p, q))
+    for p, q in handle.friendly_pairs:
+        g = handle.idempotent_chain(p, q)
+        if (handle.product(handle.product(ce, g), cf) == ef
+                and handle.product(handle.product(cf, g), ce) == g):
+            out.append((p, q))
     return out
+
+
+def _sandwich_element(handle, p, q):
+    """The unique g in S(p, q) with p g and g q projections, found by
+    scanning the whole sandwich set; raises unless exactly one exists."""
+    cp = handle.projection_chain(p)
+    cq = handle.projection_chain(q)
+    found = []
+    for g in sandwich_set(handle, p, q):
+        cg = handle.idempotent_chain(*g)
+        if (_is_projection(handle.product(cp, cg))
+                and _is_projection(handle.product(cg, cq))):
+            found.append(g)
+    if len(found) != 1:
+        raise PgsemiError(
+            f"sandwich element at ({p}, {q}): expected exactly one with "
+            f"projection side products, scan found {found}")
+    return found[0]
 
 
 def e_of(P, p, q, handle=None, verify=False):
@@ -167,18 +177,11 @@ def e_of(P, p, q, handle=None, verify=False):
     if verify:
         if handle is None:
             handle = ChainSemigroupHandle(P)
-        matches = []
-        cp = handle.projection_chain(int(p))
-        cq = handle.projection_chain(int(q))
-        for g in sandwich_set(handle, int(p), int(q)):
-            cg = handle.idempotent_chain(*g)
-            if (_is_projection(handle.product(cp, cg))
-                    and _is_projection(handle.product(cg, cq))):
-                matches.append(g)
-        if matches != [val]:
+        found = _sandwich_element(handle, int(p), int(q))
+        if found != val:
             raise PgsemiError(
-                f"sandwich element at ({p}, {q}): expected unique {val}, "
-                f"scan found {matches}")
+                f"sandwich element at ({p}, {q}): expected {val}, "
+                f"scan found {found}")
     return val
 
 
@@ -196,23 +199,8 @@ def projection_algebra_of_boset(b):
     handle = b.handle
     theta = np.zeros((n, n), dtype=np.int64)
     for i, (p, _) in enumerate(diag):
-        cp = handle.projection_chain(p)
         for j, (q, _) in enumerate(diag):
-            cq = handle.projection_chain(q)
-            found = None
-            for g in sandwich_set(handle, p, q):
-                cg = handle.idempotent_chain(*g)
-                if (_is_projection(handle.product(cp, cg))
-                        and _is_projection(handle.product(cg, cq))):
-                    if found is not None:
-                        raise PgsemiError(
-                            f"sandwich element at ({p}, {q}) is not unique")
-                    found = g
-            if found is None:
-                raise PgsemiError(
-                    f"no sandwich element with projection products at "
-                    f"({p}, {q})")
-            prod = b.product((p, p), found)
+            prod = b.product((p, p), _sandwich_element(handle, p, q))
             theta[i, j] = idx[prod[0]]
     labels = None
     if b.algebra is not None and n == b.algebra.size:
@@ -244,13 +232,13 @@ class BosetComparison:
         return f"BosetComparison(failures={self.failures[:3]!r}...)"
 
 
-def compare_with_semigroup_boset(P, S, boset=None, max_failures=20):
+def compare_with_semigroup_boset(P, S, boset=None):
     """Check that [[p, q]] |-> pq is a *-boset isomorphism onto E(S).
 
     Requires projection_algebra_of(S) == P with matching projection order.
     Verifies the map is a bijection onto the idempotents of S and that
     arrows (x <- y iff x = xy, x -> y iff x = yx), basic products, and
-    star agree on both sides.
+    star agree on both sides.  At most the first 20 failures are kept.
     """
     Q, embed = projection_algebra_of(S)
     if Q != P:
@@ -260,7 +248,7 @@ def compare_with_semigroup_boset(P, S, boset=None, max_failures=20):
     failures = []
 
     def note(kind, **data):
-        if len(failures) < max_failures:
+        if len(failures) < 20:
             failures.append({"kind": kind, **data})
 
     mapping = {}

@@ -91,7 +91,8 @@ class Path:
     def __eq__(self, other):
         if not isinstance(other, Path):
             return NotImplemented
-        return self.verts == other.verts and self.algebra == other.algebra
+        return self.verts == other.verts and (
+            self.algebra is other.algebra or self.algebra == other.algebra)
 
     def __hash__(self):
         return hash((self.verts, self.algebra.digest))

@@ -39,7 +39,6 @@ from .semigroups import (
 )
 from .topology import (
     UNDECIDED,
-    WordSolver,
     complex_KP_prime,
     components,
     pi1_presentation,
@@ -99,18 +98,13 @@ class ReducedChain:
 
 
 class _Component:
-    __slots__ = ("index", "vertices", "raw", "simplified", "classification",
-                 "solver", "edge_letter")
+    __slots__ = ("index", "vertices", "simplified", "classification")
 
-    def __init__(self, index, vertices, raw, simplified, classification, solver):
+    def __init__(self, index, vertices, simplified, classification):
         self.index = index
         self.vertices = vertices
-        self.raw = raw
         self.simplified = simplified
         self.classification = classification
-        self.solver = solver
-        # non-tree edge -> 1-based raw letter
-        self.edge_letter = {e: i + 1 for i, e in enumerate(raw.gen_edges)}
 
 
 class ChainSemigroupHandle:
@@ -120,6 +114,9 @@ class ChainSemigroupHandle:
         self.algebra = P
         self.budget = budget
         self.rel = relations(P)
+        # the friendly pairs (p, q), row-major: one per idempotent [[p, q]]
+        self.friendly_pairs = tuple(
+            (int(p), int(q)) for p, q in np.argwhere(self.rel.friendly))
         self.complex = complex_KP_prime(P, self.rel)
         self.comps = components(self.complex)
         self.comp_of = {}
@@ -128,12 +125,10 @@ class ChainSemigroupHandle:
                 self.comp_of[v] = i
         self.components = []
         for i, comp in enumerate(self.comps):
-            raw = pi1_presentation(self.complex, i)
-            simplified, cls = tietze_simplify(raw, budget=budget)
-            solver = WordSolver(simplified, cls)
+            simplified, cls = tietze_simplify(
+                pi1_presentation(self.complex, i), budget=budget)
             self.components.append(
-                _Component(i, tuple(comp), raw, simplified, cls, solver)
-            )
+                _Component(i, tuple(comp), simplified, cls))
         self._idem_cache = {}
         self._prod_cache = {}
         self._star_cache = {}
@@ -145,27 +140,15 @@ class ChainSemigroupHandle:
         if path.algebra.digest != self.algebra.digest:
             raise ValueError("path belongs to a different algebra")
 
-    def _raw_word(self, verts, comp):
-        word = []
-        tree = comp.raw.tree_parent
-        for a, b in zip(verts, verts[1:]):
-            e = (min(a, b), max(a, b))
-            if tree.get(a) == b or tree.get(b) == a:
-                continue
-            letter = comp.edge_letter[e]
-            word.append(letter if a < b else -letter)
-        return word
-
     def normalize(self, path):
         """Canonical ReducedChain of a path; raises UndecidedEquality when
-        the component solver is indecisive."""
+        the component group is not classified."""
         self._check_path(path)
         rp = reduce_path(path)
         ci = self.comp_of[rp.dom]
         comp = self.components[ci]
-        raw = self._raw_word(rp.verts, comp)
-        word = comp.simplified.translate(raw)
-        canon = comp.solver.normalize(word)
+        word = comp.simplified.word_of(rp.verts)
+        canon = comp.classification.normalize(word)
         if canon is UNDECIDED:
             raise UndecidedEquality(
                 f"component {ci} group is not decided", component=ci
@@ -190,21 +173,8 @@ class ChainSemigroupHandle:
         hit = self._expand_cache.get(c)
         if hit is not None:
             return hit
-        comp = self.components[c.comp]
-        pres = comp.simplified
-        base = pres.basepoint
-        verts = list(reversed(pres.tree_path(c.dom)))   # dom -> base
-        for l in c.word:
-            u, v = pres.gen_edges[abs(l) - 1]
-            if l < 0:
-                u, v = v, u
-            # walk base -> u, cross to v, walk v -> base
-            verts.extend(pres.tree_path(u)[1:])
-            verts.append(v)
-            verts.extend(list(reversed(pres.tree_path(v)))[1:])
-        tail = pres.tree_path(c.cod)
-        verts.extend(tail[1:])
-        out = reduce_path(Path(self.algebra, verts))
+        pres = self.components[c.comp].simplified
+        out = reduce_path(Path(self.algebra, pres.walk(c.dom, c.word, c.cod)))
         self._expand_cache[c] = out
         return out
 
@@ -233,9 +203,8 @@ class ChainSemigroupHandle:
         hit = self._star_cache.get(c)
         if hit is not None:
             return hit
-        comp = self.components[c.comp]
         inv = tuple(-l for l in reversed(c.word))
-        canon = comp.solver.normalize(inv)
+        canon = self.components[c.comp].classification.normalize(inv)
         if canon is UNDECIDED:
             raise UndecidedEquality(
                 f"component {c.comp} group is not decided", component=c.comp
@@ -299,13 +268,7 @@ class ChainSemigroupHandle:
     def idempotents(self):
         """All chains [[p, q]] for friendly (p, q); the idempotents when the
         semigroup is finite."""
-        out = []
-        n = self.algebra.size
-        for p in range(n):
-            for q in range(n):
-                if self.rel.friendly[p, q]:
-                    out.append(self.idempotent_chain(p, q))
-        return out
+        return [self.idempotent_chain(p, q) for p, q in self.friendly_pairs]
 
     def maximal_subgroup(self, p):
         """(presentation, classification) of the group at p: pi1 of p's

@@ -14,7 +14,6 @@ Exit codes: 0 success, 1 verification failure, 2 usage or input error,
 """
 
 import argparse
-import os
 import sys
 
 from .boset import boset_of, compare_with_semigroup_boset, \
@@ -45,13 +44,6 @@ _FAMILIES = {
     "RE": presentation_RE,
     "RE2": presentation_RE2,
 }
-
-
-def _default_budget():
-    try:
-        return int(os.environ.get("PGSEMI_BUDGET", "50000"))
-    except ValueError:
-        return 50_000
 
 
 def _bundle(args):
@@ -431,7 +423,7 @@ def cmd_verify(args):
 def _add_common(sp, source=True):
     if source:
         sp.add_argument("--source", help="algebra source spec")
-    sp.add_argument("--budget", type=int, default=_default_budget(),
+    sp.add_argument("--budget", type=int, default=50_000,
                     help="class/search budget")
     sp.add_argument("--allow-large", action="store_true",
                     help="lift the diagram degree guards")

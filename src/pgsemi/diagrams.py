@@ -152,9 +152,6 @@ class PartitionDiagram:
                 return False
         return True
 
-    def max_block_size(self):
-        return max(len(b) for b in self.blocks)
-
 
 def identity_diagram(n):
     return PartitionDiagram(n, [[i, n + i] for i in range(n)])

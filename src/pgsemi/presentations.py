@@ -110,9 +110,8 @@ def presentation_RP(P):
     return SemigroupPresentation("RP", letters, _proj_names(P), tuple(rels))
 
 
-def _pair_alphabet(P, rel):
-    pairs = [(p, q) for p in range(P.size) for q in range(P.size)
-             if rel.friendly[p, q]]
+def _pair_alphabet(P, handle):
+    pairs = handle.friendly_pairs
     letters = tuple(("pair", e) for e in pairs)
     names = tuple(f"x[{P.label(p)},{P.label(q)}]" for (p, q) in pairs)
     index = {e: i for i, e in enumerate(pairs)}
@@ -125,7 +124,7 @@ def presentation_RE(P, handle=None):
     if handle is None:
         handle = ChainSemigroupHandle(P)
     b = boset_of(P, handle=handle)
-    _, letters, names, index = _pair_alphabet(P, handle.rel)
+    _, letters, names, index = _pair_alphabet(P, handle)
     rels = []
     for (e, f), val in b.basic_items():
         rels.append(((index[e], index[f]), (index[val],), "R1'"))
@@ -145,7 +144,7 @@ def presentation_RE2(P, handle=None):
     if handle is None:
         handle = ChainSemigroupHandle(P)
     b = boset_of(P, handle=handle)
-    pairs, letters, names, index = _pair_alphabet(P, handle.rel)
+    pairs, letters, names, index = _pair_alphabet(P, handle)
     rels = []
     for (e, f), val in b.basic_items():
         rels.append(((index[e], index[f]), (index[val],), "R1''"))
@@ -154,14 +153,11 @@ def presentation_RE2(P, handle=None):
             ie, jf = index[e], index[f]
             for g in sandwich_set(handle, e, f):
                 rels.append(((ie, jf), (ie, index[g], jf), "R2''"))
-    for p in range(P.size):
-        for q in range(P.size):
-            if not handle.rel.friendly[p, q]:
-                continue
-            pq = handle.product(handle.projection_chain(p),
-                                handle.projection_chain(q))
-            rels.append(((index[(p, p)], index[(q, q)]),
-                         (index[(pq.dom, pq.cod)],), "R3''"))
+    for p, q in pairs:
+        pq = handle.product(handle.projection_chain(p),
+                            handle.projection_chain(q))
+        rels.append(((index[(p, p)], index[(q, q)]),
+                     (index[(pq.dom, pq.cod)],), "R3''"))
     return SemigroupPresentation("RE''", letters, names, tuple(rels))
 
 

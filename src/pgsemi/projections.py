@@ -99,10 +99,6 @@ class ProjectionAlgebra:
     def size(self):
         return self.theta.shape[0]
 
-    def apply(self, p, q):
-        """q theta_p."""
-        return int(self.theta[p, q])
-
     def label(self, p):
         if self.labels is not None:
             return self.labels[p]
@@ -239,19 +235,6 @@ class ProjectionRelations:
     leq: np.ndarray
     leqf: np.ndarray
     friendly: np.ndarray
-
-    def below(self, p, q):
-        return bool(self.leq[p, q])
-
-    def f_below(self, p, q):
-        return bool(self.leqf[p, q])
-
-    def are_friends(self, p, q):
-        return bool(self.friendly[p, q])
-
-    def down_set(self, p):
-        """All q <= p, ascending."""
-        return [int(q) for q in np.flatnonzero(self.leq[:, p])]
 
 
 def relations(P, check=True):

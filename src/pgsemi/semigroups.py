@@ -237,13 +237,13 @@ def validate_star_semigroup(S):
     return out
 
 
-def projection_algebra_of(S, validate=True):
+def projection_algebra_of(S):
     """Projection algebra on the projections of S, via q theta_p = p q p.
 
     Returns ``(P, embed)`` where ``embed[i]`` is the semigroup element id of
     the i-th projection (ascending element order).  Raises InvalidSemigroup
-    if some p q p is not itself a projection, and, with ``validate=True``,
-    if the resulting table fails the projection-algebra axioms.
+    if some p q p is not itself a projection, or if the resulting table
+    fails the projection-algebra axioms.
     """
     plist = S.projections()
     index = {p: i for i, p in enumerate(plist)}
@@ -265,12 +265,11 @@ def projection_algebra_of(S, validate=True):
     if S.labels is not None:
         labels = [S.label(p) for p in plist]
     alg = ProjectionAlgebra(theta, labels=labels)
-    if validate:
-        report = validate_axioms(alg)
-        if report:
-            raise InvalidSemigroup(
-                f"extracted table fails the axioms: {report[0]}"
-            )
+    report = validate_axioms(alg)
+    if report:
+        raise InvalidSemigroup(
+            f"extracted table fails the axioms: {report[0]}"
+        )
     return alg, plist
 
 

@@ -38,10 +38,8 @@ __all__ = [
     "complex_to_dict",
     "complex_to_dot",
     "presentation_to_dict",
-    "presentation_to_text",
     "chain_to_dict",
     "boset_to_dict",
-    "diagram_to_blocks",
 ]
 
 
@@ -201,12 +199,6 @@ def presentation_to_dict(pres, classification=None):
     return d
 
 
-def presentation_to_text(pres):
-    """One relation per line for semigroup presentations (see
-    presentations.SemigroupPresentation.render)."""
-    return pres.render()
-
-
 def chain_to_dict(c):
     return {
         "component": c.comp,
@@ -231,7 +223,3 @@ def boset_to_dict(b):
             [idx[e], idx[f], idx[val]] for (e, f), val in b.basic_items()
         ],
     }
-
-
-def diagram_to_blocks(d):
-    return d.signed_blocks()

@@ -8,9 +8,11 @@ for type 2 and (e, e1, f, e) for type 3.
 
 Per component, pi1 is presented off a breadth-first spanning tree: one
 generator per non-tree edge (oriented low-to-high), one relator per cell.
-Tietze simplification plus a bounded coset enumeration classify each group
-as trivial, free, finite, or unknown; a word solver gives canonical words
-whenever the classification is decisive.
+Each presentation also carries the word every directed edge spells, so a
+walk encodes to a word and a word decodes to a walk.  Tietze simplification
+plus a bounded coset enumeration classify each group as trivial, free,
+finite, or unknown; the classification gives canonical words whenever it is
+decisive.
 """
 
 from dataclasses import dataclass, field
@@ -37,7 +39,6 @@ __all__ = [
     "pi1_presentation",
     "tietze_simplify",
     "free_reduce",
-    "WordSolver",
 ]
 
 
@@ -232,8 +233,8 @@ class GroupPresentation:
     Letters are 1-based and signed: +i / -i refer to generator i-1.  Each
     generator names a non-tree edge (u, v), oriented u -> v with u < v.
     Tree metadata (basepoint, parent map) stays attached so words can be
-    expanded back into walks; ``kept`` maps the current generator index to
-    the generator index of the presentation it was simplified from.
+    decoded back into walks; ``edge_words[(a, b)]`` is the word the step
+    a -> b spells, for every directed edge of the component.
     """
 
     ngens: int
@@ -242,12 +243,7 @@ class GroupPresentation:
     basepoint: int = None
     tree_parent: dict = field(default_factory=dict)
     vertices: tuple = ()
-    kept: tuple = None
-    defs: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kept is None:
-            self.kept = tuple(range(self.ngens))
+    edge_words: dict = field(default_factory=dict)
 
     def tree_path(self, v):
         """Vertex sequence from the basepoint to v along the tree."""
@@ -256,23 +252,27 @@ class GroupPresentation:
             path.append(self.tree_parent[path[-1]])
         return path[::-1]
 
-    def translate(self, word):
-        """Rewrite a word over the pre-simplification generators into the
-        surviving generators (apply eliminations, then renumber)."""
-        out = []
+    def word_of(self, verts):
+        """The freely reduced word a walk spells; raises KeyError on a step
+        that is not an edge of the component."""
+        ew = self.edge_words
+        return free_reduce(
+            [l for step in zip(verts, verts[1:]) for l in ew[step]])
+
+    def walk(self, dom, word, cod):
+        """A walk from dom to cod spelling ``word``: tree walk to the
+        basepoint, one loop through each letter's edge, tree walk to cod."""
+        verts = self.tree_path(dom)[::-1]              # dom -> base
         for l in word:
-            g = abs(l) - 1
-            if g in self.defs:
-                rep = self.defs[g]
-                out.extend(rep if l > 0 else [-x for x in reversed(rep)])
-            else:
-                out.append(l)
-        renum = {orig: i for i, orig in enumerate(self.kept)}
-        mapped = []
-        for l in out:
-            i = renum[abs(l) - 1]
-            mapped.append(i + 1 if l > 0 else -(i + 1))
-        return free_reduce(mapped)
+            u, v = self.gen_edges[abs(l) - 1]
+            if l < 0:
+                u, v = v, u
+            # walk base -> u, cross to v, walk v -> base
+            verts.extend(self.tree_path(u)[1:])
+            verts.append(v)
+            verts.extend(self.tree_path(v)[::-1][1:])
+        verts.extend(self.tree_path(cod)[1:])
+        return verts
 
 
 def pi1_presentation(c, component, basepoint=None):
@@ -304,43 +304,31 @@ def pi1_presentation(c, component, basepoint=None):
             if w not in parent:
                 parent[w] = v
                 order.append(w)
-    tree_edges = {
-        (min(v, p), max(v, p)) for v, p in parent.items() if p is not None
-    }
+    tree_parent = {v: p for v, p in parent.items() if p is not None}
+    tree_edges = {(min(v, p), max(v, p)) for v, p in tree_parent.items()}
     comp_set = set(comp)
     nontree = [
         e for e in c.edges if e[0] in comp_set and e not in tree_edges
     ]
-    gen_of = {e: i for i, e in enumerate(nontree)}
-
-    def letter(a, b):
-        e = (min(a, b), max(a, b))
-        if e in tree_edges:
-            return None
-        i = gen_of[e]
-        return i + 1 if a < b else -(i + 1)
-
-    relators = []
-    for cell in c.cells:
-        if cell.boundary[0] not in comp_set:
-            continue
-        word = []
-        for a, b in zip(cell.boundary, cell.boundary[1:]):
-            l = letter(a, b)
-            if l is not None:
-                word.append(l)
-        word = free_reduce(word)
-        if word:
-            relators.append(tuple(word))
-    tp = {v: p for v, p in parent.items() if p is not None}
-    return GroupPresentation(
+    edge_words = {}
+    for v, p in tree_parent.items():
+        edge_words[(v, p)] = edge_words[(p, v)] = ()
+    for i, (u, v) in enumerate(nontree):
+        edge_words[(u, v)] = (i + 1,)
+        edge_words[(v, u)] = (-(i + 1),)
+    pres = GroupPresentation(
         ngens=len(nontree),
-        relators=tuple(relators),
+        relators=(),
         gen_edges=tuple(nontree),
         basepoint=basepoint,
-        tree_parent=tp,
+        tree_parent=tree_parent,
         vertices=tuple(comp),
+        edge_words=edge_words,
     )
+    words = (pres.word_of(cell.boundary) for cell in c.cells
+             if cell.boundary[0] in comp_set)
+    pres.relators = tuple(w for w in words if w)
+    return pres
 
 
 @dataclass
@@ -368,6 +356,29 @@ class Classification:
             return f"unknown(abelianization {self.abelian})"
         return self.kind
 
+    @property
+    def decisive(self):
+        return self.kind in ("trivial", "free", "finite")
+
+    def normalize(self, word):
+        """Canonical form of a word over the simplified generators, or
+        UNDECIDED when the group is not classified."""
+        if self.kind == "trivial":
+            return ()
+        if self.kind == "free":
+            return free_reduce(word)
+        if self.kind == "finite":
+            enum = self.enumeration
+            encoded = [
+                2 * (abs(l) - 1) + (0 if l > 0 else 1) for l in word
+            ]
+            c = enum.act(0, encoded)
+            rep = enum.reps[c]
+            return tuple(
+                x // 2 + 1 if x % 2 == 0 else -(x // 2 + 1) for x in rep
+            )
+        return UNDECIDED
+
 
 def abelian_invariants(ngens, relators):
     """(free rank, torsion tuple) of the abelianized group via Smith
@@ -393,22 +404,25 @@ def tietze_simplify(g, budget=50_000):
     Moves: free/cyclic reduction, empty-relator removal, duplicate removal,
     and elimination of a generator that occurs exactly once in some relator.
     Eliminations only remove generators, so surviving generators are a
-    subset of the input ones (recorded in ``kept``; elimination words in
-    ``defs``).  Classification: 0 generators -> trivial; no relators ->
-    free(rank); completed coset enumeration -> finite(order); otherwise
-    unknown with abelianization attached.
+    subset of the input ones; each edge word is rewritten once over the
+    survivors (eliminations substituted, then renumbered).
+    Classification: 0 generators -> trivial; no relators -> free(rank);
+    completed coset enumeration -> finite(order); otherwise unknown with
+    abelianization attached.
     """
     relators = [list(r) for r in g.relators]
     alive = set(range(g.ngens))
     defs = {}
 
-    def substitute(word, gen, rep):
+    def substitute(word, reps):
+        """Replace every generator keyed in ``reps`` by its word."""
         out = []
         for l in word:
-            if abs(l) - 1 == gen:
-                out.extend(rep if l > 0 else [-x for x in reversed(rep)])
-            else:
+            rep = reps.get(abs(l) - 1)
+            if rep is None:
                 out.append(l)
+            else:
+                out.extend(rep if l > 0 else [-x for x in reversed(rep)])
         return out
 
     steps = 0
@@ -458,36 +472,36 @@ def tietze_simplify(g, budget=50_000):
                 rep = list(rest)
             rep = list(free_reduce(rep))
             relators = [
-                list(free_reduce(substitute(w, gen, rep)))
+                list(free_reduce(substitute(w, {gen: rep})))
                 for i, w in enumerate(relators)
                 if i != idx
             ]
             for k in list(defs):
-                defs[k] = list(free_reduce(substitute(defs[k], gen, rep)))
+                defs[k] = list(free_reduce(substitute(defs[k], {gen: rep})))
             defs[gen] = rep
             alive.discard(gen)
             changed = True
 
-    kept_in = tuple(sorted(alive))          # surviving input-level gen ids
-    renum = {orig: i for i, orig in enumerate(kept_in)}
+    kept = tuple(sorted(alive))             # surviving input-level gen ids
+    renum = {orig: i + 1 for i, orig in enumerate(kept)}
+
+    def rename(word):
+        return [renum[l - 1] if l > 0 else -renum[-l - 1] for l in word]
+
     out_relators = []
     for r in relators:
-        w = []
-        for l in r:
-            i = renum[abs(l) - 1]
-            w.append(i + 1 if l > 0 else -(i + 1))
-        w = _cyclic_reduce(w)
+        w = _cyclic_reduce(rename(r))
         if w:
             out_relators.append(tuple(w))
     simplified = GroupPresentation(
-        ngens=len(kept_in),
+        ngens=len(kept),
         relators=tuple(out_relators),
-        gen_edges=tuple(g.gen_edges[i] for i in kept_in) if g.gen_edges else (),
+        gen_edges=tuple(g.gen_edges[i] for i in kept) if g.gen_edges else (),
         basepoint=g.basepoint,
         tree_parent=g.tree_parent,
         vertices=g.vertices,
-        kept=tuple(g.kept[i] for i in kept_in),
-        defs={k: list(v) for k, v in defs.items()},
+        edge_words={e: free_reduce(rename(substitute(w, defs)))
+                    for e, w in g.edge_words.items()},
     )
 
     ab = abelian_invariants(simplified.ngens, simplified.relators)
@@ -530,35 +544,3 @@ class _Undecided:
 
 
 UNDECIDED = _Undecided()
-
-
-class WordSolver:
-    """Canonical-form oracle for one component group."""
-
-    __slots__ = ("presentation", "classification")
-
-    def __init__(self, presentation, classification):
-        self.presentation = presentation
-        self.classification = classification
-
-    @property
-    def decisive(self):
-        return self.classification.kind in ("trivial", "free", "finite")
-
-    def normalize(self, word):
-        kind = self.classification.kind
-        if kind == "trivial":
-            return ()
-        if kind == "free":
-            return free_reduce(word)
-        if kind == "finite":
-            enum = self.classification.enumeration
-            encoded = [
-                2 * (abs(l) - 1) + (0 if l > 0 else 1) for l in word
-            ]
-            c = enum.act(0, encoded)
-            rep = enum.reps[c]
-            return tuple(
-                x // 2 + 1 if x % 2 == 0 else -(x // 2 + 1) for x in rep
-            )
-        return UNDECIDED

@@ -1,5 +1,7 @@
 """Friendliness complexes, fundamental groups, and group classification."""
 
+import random
+
 import pytest
 
 from pgsemi.catalog import kinyon_algebra
@@ -8,7 +10,6 @@ from pgsemi.projections import relations
 from pgsemi.topology import (
     Cell,
     Complex2,
-    WordSolver,
     abelian_invariants,
     complex_KP,
     complex_KP_prime,
@@ -19,7 +20,7 @@ from pgsemi.topology import (
     tietze_simplify,
 )
 
-from conftest import FLEET, bundle
+from conftest import FLEET, bundle, handle
 
 
 def test_kinyon_friendliness_graph():
@@ -144,6 +145,82 @@ def test_pi1_rejects_non_component_vertex_sets():
         pi1_presentation(circle(4), 0, basepoint=9)
 
 
+# -- edge words ------------------------------------------------------------
+
+
+def test_walks_spell_their_words():
+    # decoding a word into a walk and encoding it back gives the freely
+    # reduced word, over the raw and the simplified generators alike
+    rng = random.Random(11)
+    negative = 0
+    for src in FLEET + ["brauer:5"]:
+        h = handle(src)
+        for comp in h.components:
+            raw = pi1_presentation(h.complex, comp.index)
+            for pres in (raw, comp.simplified):
+                letters = [s * i for i in range(1, pres.ngens + 1)
+                           for s in (1, -1)]
+                for _ in range(20):
+                    word = [rng.choice(letters)
+                            for _ in range(rng.randrange(9))] if letters else []
+                    negative += sum(1 for l in word if l < 0)
+                    dom = rng.choice(pres.vertices)
+                    cod = rng.choice(pres.vertices)
+                    verts = pres.walk(dom, word, cod)
+                    assert verts[0] == dom and verts[-1] == cod
+                    assert pres.word_of(verts) == free_reduce(word)
+    assert negative > 0
+
+
+def test_raw_relators_are_the_cell_boundary_words():
+    relators = 0
+    for src in FLEET + ["brauer:5"]:
+        h = handle(src)
+        for i, comp in enumerate(h.comps):
+            raw = pi1_presentation(h.complex, i)
+            gen = {e: k + 1 for k, e in enumerate(raw.gen_edges)}
+
+            def letters(a, b):
+                k = gen.get((min(a, b), max(a, b)))
+                if k is None:                   # a tree edge
+                    return []
+                return [k] if a < b else [-k]
+
+            want = []
+            for cell in h.complex.cells:
+                if cell.boundary[0] in comp:
+                    steps = zip(cell.boundary, cell.boundary[1:])
+                    w = free_reduce([l for a, b in steps
+                                     for l in letters(a, b)])
+                    if w:
+                        want.append(w)
+            assert raw.relators == tuple(want)
+            relators += len(want)
+    assert relators > 0
+
+
+def test_cell_boundaries_spell_the_identity():
+    # every relator dies in the group, so the simplified edge words (which
+    # carry the eliminated generators' definitions) spell the identity
+    # around every cell
+    nontrivial = 0
+    for src in FLEET + ["brauer:5"]:
+        h = handle(src)
+        for cell in h.complex.cells:
+            comp = h.components[h.comp_of[cell.boundary[0]]]
+            word = comp.simplified.word_of(cell.boundary)
+            nontrivial += bool(word)
+            assert comp.classification.normalize(word) == ()
+    assert nontrivial > 0
+
+
+def test_word_of_rejects_steps_off_the_component():
+    h = handle("brauer:5")
+    small, big = h.components[0].simplified, h.components[1].simplified
+    with pytest.raises(KeyError):
+        small.word_of((small.vertices[0], big.vertices[0]))
+
+
 # -- simplification and classification ------------------------------------
 
 
@@ -221,25 +298,23 @@ def test_kp_and_kp_prime_agree_on_abelianization():
                 abelian_invariants(b.ngens, b.relators)
 
 
-# -- word solvers ---------------------------------------------------------
+# -- canonical words ------------------------------------------------------
 
 
 def test_solver_trivial_normalizes_everything_to_empty():
     from pgsemi.topology import GroupPresentation
 
     pres, cls = tietze_simplify(GroupPresentation(ngens=1, relators=((1,),)))
-    s = WordSolver(pres, cls)
-    assert s.normalize((1, 1, -1)) == ()
-    assert s.decisive
+    assert cls.normalize((1, 1, -1)) == ()
+    assert cls.decisive
 
 
 def test_solver_free_uses_free_reduction():
     from pgsemi.topology import GroupPresentation
 
     pres, cls = tietze_simplify(GroupPresentation(ngens=2, relators=()))
-    s = WordSolver(pres, cls)
-    assert s.normalize((1, 2, -2, 1)) == (1, 1)
-    assert s.decisive
+    assert cls.normalize((1, 2, -2, 1)) == (1, 1)
+    assert cls.decisive
 
 
 def test_solver_finite_matches_coset_table():
@@ -248,7 +323,6 @@ def test_solver_finite_matches_coset_table():
     g = GroupPresentation(ngens=2, relators=((1, 1), (2, 2), (1, 2) * 3))
     pres, cls = tietze_simplify(g)
     assert cls.order == 6
-    s = WordSolver(pres, cls)
     # words equal in S_3 get the same canonical form
-    assert s.normalize((1, 2, 1)) == s.normalize((2, 1, 2))
-    assert s.normalize((1, 1)) == ()
+    assert cls.normalize((1, 2, 1)) == cls.normalize((2, 1, 2))
+    assert cls.normalize((1, 1)) == ()
