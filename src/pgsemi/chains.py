@@ -14,9 +14,17 @@ e = f th_p th_e.  Each such pair sources two paths lambda = (e, e th_p, f)
 and rho = (e, f th_p, f) from e to f; downstream these get identified, and
 their classification (special / degenerate / type 1-3) drives which 2-cells
 the complexes carry.
+
+Each walk is checked for friendliness once, where it is formed: the public
+functions return checked ``Path`` objects, while callers that chain several
+steps (the chain product, the linked-pair cross-check) pass plain vertex
+tuples between them through ``_reduce`` and ``_restrict`` and check only the
+walk they end with.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import (
     InconsistentClassification,
@@ -101,13 +109,14 @@ class Path:
         return f"Path{self.verts}"
 
 
-def reduce_path(path):
-    """The unique reduced form: no p_i = p_{i+1} and no p_i = p_{i+2}.
+def _reduce(verts):
+    """The reduced vertex tuple of a walk: no p_i = p_{i+1} and no
+    p_i = p_{i+2}.
 
     Scans left to right applying the first available rule, restarting just
     behind the edit, until no redex remains.
     """
-    v = list(path.verts)
+    v = list(verts)
     i = 0
     while i < len(v) - 1:
         if v[i] == v[i + 1]:
@@ -118,62 +127,66 @@ def reduce_path(path):
             i = max(i - 1, 0)
         else:
             i += 1
-    return Path(path.algebra, v)
+    return tuple(v)
+
+
+def reduce_path(path):
+    """The unique reduced form of a path (see :func:`_reduce`)."""
+    return Path(path.algebra, _reduce(path.verts))
+
+
+def _restrict(rows, verts, q, side):
+    """The vertex tuple (q_1, ..., q_k) with q_1 = q and
+    q_i = q th_{p_2} ... th_{p_i}; q must lie below p_1, the ``side``
+    endpoint named in the error."""
+    p1 = verts[0]
+    if rows[p1][q] != q:
+        raise NotBelow(f"{q} is not below the {side} endpoint {p1}")
+    out = [q]
+    cur = q
+    for p in verts[1:]:
+        cur = rows[p][cur]
+        out.append(cur)
+    return tuple(out)
 
 
 def restrict_left(path, q):
     """Restrict to start at q <= dom: (q_1, ..., q_k) with
     q_i = q th_{p_2} ... th_{p_i}."""
-    T = path.algebra.rows
-    p1 = path.verts[0]
-    if T[p1][q] != q:
-        raise NotBelow(f"{q} is not below the left endpoint {p1}")
-    out = [q]
-    cur = q
-    for p in path.verts[1:]:
-        cur = T[p][cur]
-        out.append(cur)
-    return Path(path.algebra, out)
+    P = path.algebra
+    return Path(P, _restrict(P.rows, path.verts, q, "left"))
 
 
 def restrict_right(path, r):
-    """Restrict to end at r <= cod, mirror image of restrict_left."""
-    T = path.algebra.rows
-    pk = path.verts[-1]
-    if T[pk][r] != r:
-        raise NotBelow(f"{r} is not below the right endpoint {pk}")
-    out = [r]
-    cur = r
-    for p in path.verts[-2::-1]:
-        cur = T[p][cur]
-        out.append(cur)
-    return Path(path.algebra, out[::-1])
+    """Restrict to end at r <= cod: the mirror image of restrict_left
+    (reverse, restrict, reverse)."""
+    P = path.algebra
+    return Path(P, _restrict(P.rows, path.verts[::-1], r, "right")[::-1])
 
 
 @dataclass(frozen=True)
 class LinkedPair:
     """A p-linked pair (e, f): f = e th_p th_f and e = f th_p th_e.
 
-    e1 and f1 are the middle vertices e th_p and f th_p of the two paths."""
+    e1 and f1 are the middle vertices e th_p and f th_p of the two paths,
+    computed once at construction; they are determined by the other fields,
+    so equality and hashing ignore them."""
 
     algebra: object
     p: int
     e: int
     f: int
+    e1: int = field(init=False, compare=False)
+    f1: int = field(init=False, compare=False)
 
     def __post_init__(self):
-        T = self.algebra.theta
+        T = self.algebra.rows
         p, e, f = self.p, self.e, self.f
-        if T[f, T[p, e]] != f or T[e, T[p, f]] != e:
+        e1, f1 = T[p][e], T[p][f]
+        if T[f][e1] != f or T[e][f1] != e:
             raise NotLinked(f"({e}, {f}) is not {p}-linked")
-
-    @property
-    def e1(self):
-        return int(self.algebra.theta[self.p, self.e])
-
-    @property
-    def f1(self):
-        return int(self.algebra.theta[self.p, self.f])
+        object.__setattr__(self, "e1", e1)
+        object.__setattr__(self, "f1", f1)
 
     def swap(self):
         return LinkedPair(self.algebra, self.p, self.f, self.e)
@@ -195,16 +208,17 @@ def enumerate_linked_pairs(P, rel=None):
     Candidates are filtered by e, f <=F p first (a necessary condition),
     then the two defining equations are checked directly.
     """
-    T = P.theta
+    T = P.rows
     if rel is None:
         rel = relations(P, check=False)
     out = []
     for p in range(P.size):
-        cand = [int(e) for e in range(P.size) if rel.leqf[e, p]]
+        Tp = T[p]
+        cand = np.flatnonzero(rel.leqf[:, p]).tolist()
         for e in cand:
-            ep = T[p, e]
+            ep = Tp[e]
             for f in cand:
-                if T[f, ep] == f and T[e, T[p, f]] == e:
+                if T[f][ep] == f and T[e][Tp[f]] == e:
                     out.append(LinkedPair(P, p, e, f))
     return out
 
@@ -219,16 +233,15 @@ def classify_linked_pair(lp):
     The degeneracy verdict is cross-checked against lambda and rho reducing
     to the same path; disagreement raises InconsistentClassification.
     """
-    T = lp.algebra.theta
-    p, e, f = lp.p, lp.e, lp.f
+    e, f = lp.e, lp.f
     e1, f1 = lp.e1, lp.f1
-    e_below = T[p, e] == e
-    f_below = T[p, f] == f
+    e_below = e1 == e
+    f_below = f1 == f
     special = bool(e_below or f_below)
     degenerate = bool(e1 == f1 or (e_below and f_below))
 
     lam, rho = lambda_rho(lp)
-    if (reduce_path(lam) == reduce_path(rho)) != degenerate:
+    if (_reduce(lam.verts) == _reduce(rho.verts)) != degenerate:
         raise InconsistentClassification(
             f"degeneracy formula disagrees with path reduction on {lp!r}"
         )

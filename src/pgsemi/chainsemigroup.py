@@ -17,18 +17,18 @@ Whenever a component group fails to classify as trivial, free, or finite,
 equality there is refused with UndecidedEquality rather than approximated.
 """
 
-from dataclasses import dataclass, field
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
 from .chains import (
     Path,
+    _reduce,
+    _restrict,
     enumerate_linked_pairs,
     lambda_rho,
     reduce_path,
-    restrict_left,
-    restrict_right,
 )
 from .errors import NotAMorphism, UndecidedEquality
 from .projections import is_morphism, relations
@@ -38,7 +38,6 @@ from .semigroups import (
     right_cayley_closure,
 )
 from .topology import (
-    UNDECIDED,
     complex_KP_prime,
     components,
     pi1_presentation,
@@ -67,26 +66,13 @@ INFINITE = _Named("Infinite")
 UNKNOWN = _Named("Unknown")
 
 
-@dataclass(frozen=True, slots=True)
-class ReducedChain:
+class ReducedChain(NamedTuple):
     """Normal form of a chain: endpoints plus a canonical group word."""
 
     comp: int
     dom: int
     cod: int
     word: tuple
-    # Chains key the product, star and expand caches, so the hash of the
-    # fields (word included) is computed once, not on every lookup;
-    # equality stays field by field.  Slots keep the extra field from
-    # costing memory.
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_hash", hash((self.comp, self.dom, self.cod, self.word)))
-
-    def __hash__(self):
-        return self._hash
 
     def sort_key(self):
         return (self.comp, self.dom, self.cod, len(self.word), self.word)
@@ -140,20 +126,28 @@ class ChainSemigroupHandle:
         if path.algebra.digest != self.algebra.digest:
             raise ValueError("path belongs to a different algebra")
 
+    def _canonical(self, ci, word):
+        """The canonical word of component ci's group; raises
+        UndecidedEquality when that group is not classified."""
+        canon = self.components[ci].classification.normalize(word)
+        if canon is None:
+            raise UndecidedEquality(
+                f"component {ci} group is not decided", component=ci
+            )
+        return tuple(canon)
+
+    def _chain(self, verts):
+        """The chain of a checked friendly walk, given as a vertex tuple."""
+        verts = _reduce(verts)
+        ci = self.comp_of[verts[0]]
+        word = self.components[ci].simplified.word_of(verts)
+        return ReducedChain(ci, verts[0], verts[-1], self._canonical(ci, word))
+
     def normalize(self, path):
         """Canonical ReducedChain of a path; raises UndecidedEquality when
         the component group is not classified."""
         self._check_path(path)
-        rp = reduce_path(path)
-        ci = self.comp_of[rp.dom]
-        comp = self.components[ci]
-        word = comp.simplified.word_of(rp.verts)
-        canon = comp.classification.normalize(word)
-        if canon is UNDECIDED:
-            raise UndecidedEquality(
-                f"component {ci} group is not decided", component=ci
-            )
-        return ReducedChain(ci, rp.dom, rp.cod, tuple(canon))
+        return self._chain(path.verts)
 
     def projection_chain(self, p):
         return ReducedChain(self.comp_of[p], int(p), int(p), ())
@@ -182,7 +176,8 @@ class ChainSemigroupHandle:
 
     def product(self, c, d):
         """c (*) d: restrict both sides to the linking projections and
-        concatenate."""
+        concatenate.  The restrictions stay vertex tuples; the joined walk
+        is checked once, which checks every step of both and the junction."""
         hit = self._prod_cache.get((c, d))
         if hit is not None:
             return hit
@@ -191,10 +186,9 @@ class ChainSemigroupHandle:
         q = d.dom
         p1 = T[p][q]               # q theta_p
         q1 = T[q][p]               # p theta_q
-        left = restrict_right(self.expand(c), p1)
-        right = restrict_left(self.expand(d), q1)
-        joined = Path(self.algebra, left.verts + right.verts)
-        out = self.normalize(joined)
+        left = _restrict(T, self.expand(c).verts[::-1], p1, "right")
+        right = _restrict(T, self.expand(d).verts, q1, "left")
+        out = self._chain(Path(self.algebra, left[::-1] + right).verts)
         self._prod_cache[(c, d)] = out
         return out
 
@@ -204,12 +198,7 @@ class ChainSemigroupHandle:
         if hit is not None:
             return hit
         inv = tuple(-l for l in reversed(c.word))
-        canon = self.components[c.comp].classification.normalize(inv)
-        if canon is UNDECIDED:
-            raise UndecidedEquality(
-                f"component {c.comp} group is not decided", component=c.comp
-            )
-        out = ReducedChain(c.comp, c.cod, c.dom, tuple(canon))
+        out = ReducedChain(c.comp, c.cod, c.dom, self._canonical(c.comp, inv))
         self._star_cache[c] = out
         return out
 

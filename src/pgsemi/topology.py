@@ -31,7 +31,6 @@ __all__ = [
     "Complex2",
     "GroupPresentation",
     "Classification",
-    "UNDECIDED",
     "friendliness_graph",
     "complex_KP",
     "complex_KP_prime",
@@ -362,7 +361,7 @@ class Classification:
 
     def normalize(self, word):
         """Canonical form of a word over the simplified generators, or
-        UNDECIDED when the group is not classified."""
+        None when the group is not classified."""
         if self.kind == "trivial":
             return ()
         if self.kind == "free":
@@ -377,7 +376,7 @@ class Classification:
             return tuple(
                 x // 2 + 1 if x % 2 == 0 else -(x // 2 + 1) for x in rep
             )
-        return UNDECIDED
+        return None
 
 
 def abelian_invariants(ngens, relators):
@@ -526,21 +525,3 @@ def tietze_simplify(g, budget=50_000):
         except BudgetExceeded:
             cls = Classification(kind="unknown", abelian=ab)
     return simplified, cls
-
-
-class _Undecided:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Undecided"
-
-    def __bool__(self):
-        return False
-
-
-UNDECIDED = _Undecided()

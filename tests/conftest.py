@@ -8,7 +8,10 @@ full complex/pi1 pipeline.
 import random
 from functools import lru_cache
 
+import pytest
+
 from pgsemi.catalog import parse_source
+from pgsemi.chains import Path
 from pgsemi.chainsemigroup import ChainSemigroupHandle, INFINITE
 
 # Canonical test fleet.  Every member's components classify decisively
@@ -65,3 +68,18 @@ def chain_pool(src, seed=0, size=48):
         return tuple(h.enumerate())
     rng = random.Random(seed)
     return tuple(random_chain(h, rng) for _ in range(size))
+
+
+@pytest.fixture
+def path_count(monkeypatch):
+    """A one-item list holding the number of Path constructions (each one a
+    friendliness check of a whole walk) since the test started."""
+    count = [0]
+    init = Path.__init__
+
+    def counting_init(self, algebra, verts):
+        count[0] += 1
+        init(self, algebra, verts)
+
+    monkeypatch.setattr(Path, "__init__", counting_init)
+    return count

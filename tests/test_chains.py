@@ -17,6 +17,8 @@ from pgsemi.chains import (
 from pgsemi.errors import NotBelow, NotFriendly, NotLinked
 from pgsemi.projections import relations
 
+from conftest import bundle, chain_pool, handle
+
 
 @pytest.fixture(scope="module")
 def P():
@@ -89,6 +91,21 @@ def test_restrict_below_only():
         restrict_left(Path(P, (1, 2)), 0)  # p is not below q
 
 
+def test_restrict_right_mirrors_restrict_left():
+    for src in ("kinyon", "band:3", "tl:4", "brauer:4"):
+        h = handle(src)
+        P = h.algebra
+        for c in chain_pool(src)[:16]:
+            w = h.expand(c)
+            for r in range(P.size):
+                if P.theta[w.cod, r] == r:
+                    want = restrict_left(w.reverse(), r).reverse()
+                    assert restrict_right(w, r) == want
+                else:
+                    with pytest.raises(NotBelow):
+                        restrict_right(w, r)
+
+
 def test_reverse_of_restriction():
     P = kinyon_algebra()
     walk = Path(P, (0, 1, 2))
@@ -118,6 +135,34 @@ def test_kinyon_linked_pair_inventory(P):
     assert kinds == {(3, 0, 2): 2, (3, 2, 0): 3}
     for lp in nondeg:
         assert classify_linked_pair(lp)["special"]
+
+
+def test_linked_pairs_are_values():
+    for src in ("kinyon", "tl:4", "motzkin:3"):
+        P = bundle(src).algebra
+        pairs = enumerate_linked_pairs(P)
+        for lp in pairs:
+            assert type(lp.e1) is int and lp.e1 == int(P.theta[lp.p, lp.e])
+            assert type(lp.f1) is int and lp.f1 == int(P.theta[lp.p, lp.f])
+            fresh = LinkedPair(P, lp.p, lp.e, lp.f)
+            assert lp == fresh and hash(lp) == hash(fresh)
+        linked = {(lp.p, lp.e, lp.f) for lp in pairs}
+        for p in range(P.size):
+            for e in range(P.size):
+                for f in range(P.size):
+                    if (p, e, f) not in linked:
+                        with pytest.raises(NotLinked):
+                            LinkedPair(P, p, e, f)
+
+
+def test_classify_builds_two_paths(path_count):
+    # lambda and rho are checked once each; their reductions are tuples
+    for src in ("kinyon", "tl:4", "band:3"):
+        pairs = enumerate_linked_pairs(bundle(src).algebra)
+        path_count[0] = 0
+        for lp in pairs:
+            classify_linked_pair(lp)
+        assert path_count[0] == 2 * len(pairs)
 
 
 def test_lambda_rho_share_endpoints(P):

@@ -1,6 +1,7 @@
 """The chain semigroup handle: products, star, size, subgroups, morphisms."""
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,10 +15,23 @@ from pgsemi.chainsemigroup import (
     ReducedChain,
     star_semigroup_of,
 )
-from pgsemi.errors import CapExceeded, NotAMorphism
+from pgsemi.errors import (
+    CapExceeded,
+    NotAMorphism,
+    PgsemiError,
+    UndecidedEquality,
+)
+from pgsemi.projections import ProjectionAlgebra, relations
 from pgsemi.semigroups import validate_star_semigroup
 
-from conftest import FINITE_SIZES, bundle, chain_pool, handle, random_chain
+from conftest import (
+    FINITE_SIZES,
+    FLEET,
+    bundle,
+    chain_pool,
+    handle,
+    random_chain,
+)
 
 
 def test_kinyon_size_and_inventory():
@@ -169,7 +183,8 @@ def _expand_uncached(h, c):
 
 
 def _product_uncached(h, c, d):
-    """c (*) d with fresh expansions and numpy theta lookups."""
+    """c (*) d with fresh expansions and numpy theta lookups, and a checked
+    Path for each restriction and for the joined walk."""
     T = h.algebra.theta
     p1 = int(T[c.cod, d.dom])
     q1 = int(T[d.dom, c.cod])
@@ -188,6 +203,83 @@ def test_product_matches_uncached_reference(src):
         for d in pool:
             assert h.product(c, d) == _product_uncached(h, c, d)
     assert [h.expand(c) for c in pool] == first
+
+
+def test_uncached_product_builds_one_path(path_count):
+    # both expansions are memoized, so the product itself checks one walk
+    for src in ("kinyon", "band:3", "tl:4"):
+        h = ChainSemigroupHandle(bundle(src).algebra)   # empty caches
+        pool = list(dict.fromkeys(chain_pool(src)))[:12]   # distinct pairs
+        for c in pool:
+            h.expand(c)
+        for c in pool:
+            for d in pool:
+                path_count[0] = 0
+                h.product(c, d)
+                assert path_count[0] == 1
+
+
+@pytest.mark.parametrize("src", FLEET + ["tl:6", "brauer:5", "band:8"])
+def test_product_matches_path_reference_on_streams(src):
+    h = ChainSemigroupHandle(bundle(src).algebra)   # empty caches
+    rng = random.Random(7)
+    seen = [h.projection_chain(p) for p in range(h.algebra.size)]
+    for _ in range(150):
+        c, d = rng.choice(seen), rng.choice(seen)
+        out = h.product(c, d)
+        assert out == _product_uncached(h, c, d)
+        seen.append(out)
+
+
+def test_product_on_random_tables_matches_path_reference():
+    # Tables that pass relations(P) but need not be projection algebras:
+    # products of projection chains fail with NotBelow or NotFriendly, and
+    # must fail with the same type as the reference.
+    rng = random.Random(0)
+    outcomes = Counter()
+    for _ in range(600):
+        n = rng.randint(3, 5)
+        T = np.array([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
+        T[np.arange(n), np.arange(n)] = np.arange(n)
+        P = ProjectionAlgebra(T)
+        try:
+            relations(P)
+            h = ChainSemigroupHandle(P)
+        except PgsemiError:
+            continue
+        for p in range(n):
+            for q in range(n):
+                c, d = h.projection_chain(p), h.projection_chain(q)
+                try:
+                    want = _product_uncached(h, c, d)
+                except PgsemiError as exc:
+                    with pytest.raises(type(exc)):
+                        h.product(c, d)
+                    outcomes[type(exc).__name__] += 1
+                else:
+                    assert h.product(c, d) == want
+                    outcomes["equal"] += 1
+    assert set(outcomes) == {"equal", "NotBelow", "NotFriendly"}
+
+
+def test_reduced_chain_repr_and_order():
+    c = ReducedChain(0, 1, 2, (1, -2))
+    assert repr(c) == "<1->2 w=[1, -2]>"
+    assert repr(ReducedChain(0, 3, 3, ())) == "<[3]>"
+    assert repr(ReducedChain(0, 3, 3, (1,))) == "<3->3 w=[1]>"
+    chains = [ReducedChain(1, 0, 0, ()), ReducedChain(0, 1, 1, (1, 1)),
+              ReducedChain(0, 1, 1, (2,)), ReducedChain(0, 0, 1, ()),
+              ReducedChain(0, 1, 1, (-1,))]
+    # shorter words first, then the words in order; not plain tuple order
+    assert sorted(chains, key=ReducedChain.sort_key) == [
+        ReducedChain(0, 0, 1, ()), ReducedChain(0, 1, 1, (-1,)),
+        ReducedChain(0, 1, 1, (2,)), ReducedChain(0, 1, 1, (1, 1)),
+        ReducedChain(1, 0, 0, ()),
+    ]
+    assert [repr(c) for c in handle("kinyon").enumerate()] == [
+        "<[0]>", "<0->1 w=[]>", "<0->2 w=[]>", "<1->0 w=[]>", "<[1]>",
+        "<1->2 w=[]>", "<2->0 w=[]>", "<2->1 w=[]>", "<[2]>", "<[3]>",
+    ]
 
 
 def test_normalize_expand_roundtrip():
@@ -282,6 +374,19 @@ def test_maximal_subgroup_honours_the_budget():
     assert cls.kind == "unknown"
     _, cls = ChainSemigroupHandle(P).maximal_subgroup(comp.vertices[0])
     assert cls.kind == "finite" and cls.order == 2
+
+
+def test_undecided_groups_refuse_normalize_and_star():
+    P = parse_source("brauer:5").algebra
+    h = ChainSemigroupHandle(P, budget=2)
+    comp = h.components[0]
+    assert comp.classification.normalize((1,)) is None
+    v = comp.vertices[0]
+    for call in (lambda: h.normalize(Path(P, (v,))),
+                 lambda: h.star(ReducedChain(0, v, v, (1,)))):
+        with pytest.raises(UndecidedEquality) as info:
+            call()
+        assert info.value.component == 0
 
 
 def test_named_singletons():

@@ -39,6 +39,20 @@ def test_tampered_mult_detected():
     assert validate_star_semigroup(bad) != []
 
 
+def test_associativity_count_covers_every_chunk():
+    # at n = 90 the check runs in two chunks over the left factor
+    n = 90
+    mult = np.random.default_rng(0).integers(0, n, (n, n))
+    S = StarSemigroup(mult, np.arange(n))
+    (v,) = [v for v in validate_star_semigroup(S)
+            if v.law == "associativity"]
+    M = S.mult.astype(np.intp)
+    mask = M[M] != M[:, M]                 # [a, b, c]: (ab)c != a(bc)
+    assert v.count == int(mask.sum())
+    assert v.witnesses == tuple(
+        tuple(int(x) for x in row) for row in np.argwhere(mask)[:20])
+
+
 def test_idempotents_and_projections_of_tl3():
     # all five TL_3 elements are idempotent, three are symmetric
     S = bundle("tl:3").semigroup
