@@ -29,7 +29,7 @@ from .semigroups import subsemigroup_closure
 from .serialize import algebra_to_dict, chain_to_dict, complex_to_dict, \
     complex_to_dot, dumps, presentation_to_dict
 from .topology import complex_KP, complex_KP_prime, components, \
-    friendliness_graph, pi1_presentation, tietze_simplify
+    friendliness_graph
 
 __all__ = ["main"]
 
@@ -170,16 +170,15 @@ def cmd_complex(args):
 
 def cmd_pi1(args):
     bundle = _bundle(args)
-    P = bundle.algebra
-    c = complex_KP_prime(P, relations(P))
-    comps = components(c)
+    handle = ChainSemigroupHandle(bundle.algebra, budget=args.budget)
+    comps = handle.comps
     picked = range(len(comps)) if args.component is None else [args.component]
     out = []
     for i in picked:
         if not 0 <= i < len(comps):
             raise PgsemiError(f"no component {i}; have {len(comps)}")
-        raw = pi1_presentation(c, i)
-        pres, cls = tietze_simplify(raw, budget=args.budget)
+        pres = handle.components[i].simplified
+        cls = handle.components[i].classification
         if args.format == "json":
             out.append(presentation_to_dict(pres, cls))
         else:

@@ -277,7 +277,7 @@ def verify_presentation(P, pres, mode, handle=None, seed=0, samples=200,
         return _verify_soundness(handle, pres)
     if mode == "size":
         return _verify_size(handle, pres, budget)
-    if mode in ("normal-form", "normal_form"):
+    if mode == "normal-form":
         return _verify_normal_form(handle, pres, seed, samples, budget)
     raise ValueError(f"unknown mode {mode!r}")
 

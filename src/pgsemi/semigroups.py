@@ -235,21 +235,17 @@ def projection_algebra_of(S):
     fails the projection-algebra axioms.
     """
     plist = S.projections()
-    index = {p: i for i, p in enumerate(plist)}
     P = np.array(plist, dtype=np.intp)
-    k = len(plist)
-    theta = np.empty((k, k), dtype=np.int32)
-    if k:
-        pq = S.mult[np.ix_(P, P)]
-        pqp = S.mult[pq, P[:, None]]        # [i, j] -> p_i q_j p_i
-        for i in range(k):
-            for j in range(k):
-                val = int(pqp[i, j])
-                if val not in index:
-                    raise InvalidSemigroup(
-                        f"p q p left the projections at p={plist[i]}, q={plist[j]}"
-                    )
-                theta[i, j] = index[val]
+    pos = np.full(S.size, -1, dtype=np.int32)   # element -> projection index
+    pos[P] = np.arange(len(P))
+    pqp = S.mult[S.mult[np.ix_(P, P)], P[:, None]]  # [i, j] -> p_i q_j p_i
+    theta = pos[pqp]
+    bad = np.argwhere(theta < 0)
+    if len(bad):
+        i, j = bad[0]
+        raise InvalidSemigroup(
+            f"p q p left the projections at p={plist[i]}, q={plist[j]}"
+        )
     labels = None
     if S.labels is not None:
         labels = [S.label(p) for p in plist]

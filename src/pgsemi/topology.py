@@ -12,9 +12,14 @@ Each presentation also carries the word every directed edge spells, so a
 walk encodes to a word and a word decodes to a walk.  Tietze simplification
 plus a bounded coset enumeration classify each group as trivial, free,
 finite, or unknown; the classification gives canonical words whenever it is
-decisive.
+decisive.  Simplification keeps its relators clean after every move (each
+cyclically reduced, no two equal up to rotation and inversion), so an
+elimination re-cleans only the relators that contain the eliminated
+generator.
 """
 
+import heapq
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +44,9 @@ __all__ = [
     "tietze_simplify",
     "free_reduce",
 ]
+
+# Tietze simplification stops after this many eliminations
+MAX_ELIMINATIONS = 10_000
 
 
 @dataclass(frozen=True)
@@ -205,24 +213,18 @@ def free_reduce(word):
 
 
 def _cyclic_reduce(word):
-    w = list(free_reduce(word))
-    while len(w) >= 2 and w[0] == -w[-1]:
-        w = w[1:-1]
-        w = list(free_reduce(w))
-    return tuple(w)
+    w = free_reduce(word)
+    i = 0
+    while 2 * i + 2 <= len(w) and w[i] == -w[-1 - i]:
+        i += 1
+    return w[i:len(w) - i]
 
 
 def _canonical_cyclic(word):
-    """Smallest rotation over the word and its inverse, for dedup."""
-    if not word:
-        return ()
-    best = None
-    for w in (tuple(word), tuple(-l for l in reversed(word))):
-        for i in range(len(w)):
-            rot = w[i:] + w[:i]
-            if best is None or rot < best:
-                best = rot
-    return best
+    """Smallest rotation over a non-empty word and its inverse, for
+    dedup."""
+    inv = tuple(-l for l in reversed(word))
+    return min(w[i:] + w[:i] for w in (word, inv) for i in range(len(w)))
 
 
 @dataclass
@@ -397,109 +399,106 @@ def abelian_invariants(ngens, relators):
     return (ngens - len(nonzero), torsion)
 
 
+def _substitute(word, defs):
+    """Replace each letter whose generator is keyed in ``defs`` by that
+    generator's word, inverted for a negative letter."""
+    out = []
+    for l in word:
+        rep = defs.get(abs(l))
+        if rep is None:
+            out.append(l)
+        else:
+            out.extend(rep if l > 0 else [-x for x in reversed(rep)])
+    return out
+
+
 def tietze_simplify(g, budget=50_000):
     """Simplify a presentation and classify its group.
 
-    Moves: free/cyclic reduction, empty-relator removal, duplicate removal,
-    and elimination of a generator that occurs exactly once in some relator.
-    Eliminations only remove generators, so surviving generators are a
-    subset of the input ones; each edge word is rewritten once over the
-    survivors (eliminations substituted, then renumbered).
+    Relators are held by input position and kept clean by ``place``: each
+    is cyclically reduced and non-empty, and no two are equal up to
+    rotation and inversion (on a collision the earlier position wins).
+    Each round takes the shortest, then lexicographically smallest,
+    relator with a generator occurring exactly once in it and eliminates
+    its smallest such generator: the generator's word is substituted only
+    into the relators that contain it, and only those are re-placed.
+    Rounds stop when no relator qualifies or after MAX_ELIMINATIONS.
+    Survivors keep their input order; the eliminations are resolved once,
+    latest first, to rewrite each edge word over them.
     Classification: 0 generators -> trivial; no relators -> free(rank);
     completed coset enumeration -> finite(order); otherwise unknown with
     abelianization attached.
     """
-    relators = [list(r) for r in g.relators]
-    alive = set(range(g.ngens))
+    rels = {}                     # position -> clean relator
+    keys = {}                     # position -> canonical key
+    owner = {}                    # canonical key -> position holding it
+    occ = {a: set() for a in range(1, g.ngens + 1)}  # gen -> positions
+    heap = []      # (length, relator, position, its smallest single gen)
+
+    def drop(pos):
+        w = rels.pop(pos)
+        del owner[keys.pop(pos)]
+        for a in set(map(abs, w)):
+            occ[a].discard(pos)
+        return w
+
+    def place(pos, word):
+        w = _cyclic_reduce(word)
+        if not w:
+            return
+        key = _canonical_cyclic(w)
+        other = owner.get(key)
+        if other is not None:
+            if other < pos:
+                return
+            drop(other)
+        rels[pos] = w
+        keys[pos] = key
+        owner[key] = pos
+        counts = Counter(map(abs, w))
+        for a in counts:
+            occ[a].add(pos)
+        singles = [a for a, k in counts.items() if k == 1]
+        if singles:
+            heapq.heappush(heap, (len(w), w, pos, min(singles)))
+
+    for pos, r in enumerate(g.relators):
+        place(pos, r)
+    eliminated = []               # (gen, its word when eliminated)
+    while len(eliminated) < MAX_ELIMINATIONS:
+        while heap and rels.get(heap[0][2]) != heap[0][1]:
+            heapq.heappop(heap)   # stale: its position was re-placed
+        if not heap:
+            break
+        _, r, idx, gen = heapq.heappop(heap)
+        drop(idx)
+        i = next(i for i, l in enumerate(r) if abs(l) == gen)
+        # r[i] * rest = 1 up to rotation, so gen = rest^-1 or rest
+        rest = r[i + 1:] + r[:i]
+        rep = tuple(-x for x in reversed(rest)) if r[i] > 0 else rest
+        eliminated.append((gen, rep))
+        touched = list(occ[gen])
+        words = [drop(p) for p in touched]
+        for p, w in zip(touched, words):
+            place(p, _substitute(w, {gen: rep}))
+
     defs = {}
-
-    def substitute(word, reps):
-        """Replace every generator keyed in ``reps`` by its word."""
-        out = []
-        for l in word:
-            rep = reps.get(abs(l) - 1)
-            if rep is None:
-                out.append(l)
-            else:
-                out.extend(rep if l > 0 else [-x for x in reversed(rep)])
-        return out
-
-    steps = 0
-    changed = True
-    while changed and steps < 10_000:
-        changed = False
-        steps += 1
-        cleaned = []
-        seen = set()
-        for r in relators:
-            w = _cyclic_reduce(r)
-            if not w:
-                changed = changed or bool(r)
-                continue
-            key = _canonical_cyclic(w)
-            if key in seen:
-                changed = True
-                continue
-            seen.add(key)
-            if tuple(w) != tuple(r):
-                changed = True
-            cleaned.append(list(w))
-        relators = cleaned
-
-        # elimination: find a relator containing some generator exactly once
-        pick = None
-        for idx in sorted(
-            range(len(relators)), key=lambda i: (len(relators[i]), relators[i])
-        ):
-            counts = {}
-            for l in relators[idx]:
-                counts[abs(l) - 1] = counts.get(abs(l) - 1, 0) + 1
-            singles = sorted(gen for gen, k in counts.items() if k == 1)
-            if singles:
-                pick = (idx, singles[0])
-                break
-        if pick is not None:
-            idx, gen = pick
-            r = relators[idx]
-            pos = next(i for i, l in enumerate(r) if abs(l) - 1 == gen)
-            rot = r[pos:] + r[:pos]
-            head, rest = rot[0], rot[1:]
-            # head * rest = 1  =>  gen = rest^-1 (if head positive) or rest
-            if head > 0:
-                rep = [-x for x in reversed(rest)]
-            else:
-                rep = list(rest)
-            rep = list(free_reduce(rep))
-            relators = [
-                list(free_reduce(substitute(w, {gen: rep})))
-                for i, w in enumerate(relators)
-                if i != idx
-            ]
-            for k in list(defs):
-                defs[k] = list(free_reduce(substitute(defs[k], {gen: rep})))
-            defs[gen] = rep
-            alive.discard(gen)
-            changed = True
-
-    kept = tuple(sorted(alive))             # surviving input-level gen ids
-    renum = {orig: i + 1 for i, orig in enumerate(kept)}
+    for gen, rep in reversed(eliminated):
+        defs[gen] = free_reduce(_substitute(rep, defs))
+    kept = [a for a in range(1, g.ngens + 1) if a not in defs]
+    renum = {s * a: s * (i + 1) for i, a in enumerate(kept) for s in (1, -1)}
 
     def rename(word):
-        return [renum[l - 1] if l > 0 else -renum[-l - 1] for l in word]
+        return tuple(renum[l] for l in word)
 
-    out_relators = []
-    for r in relators:
-        w = _cyclic_reduce(rename(r))
-        if w:
-            out_relators.append(tuple(w))
     simplified = GroupPresentation(
         ngens=len(kept),
-        relators=tuple(out_relators),
-        gen_edges=tuple(g.gen_edges[i] for i in kept) if g.gen_edges else (),
+        relators=tuple(rename(rels[p]) for p in sorted(rels)),
+        gen_edges=tuple(g.gen_edges[a - 1] for a in kept) if g.gen_edges else (),
         basepoint=g.basepoint,
         tree_parent=g.tree_parent,
         vertices=g.vertices,
-        edge_words={e: free_reduce(rename(substitute(w, defs)))
+        edge_words={e: rename(free_reduce(_substitute(w, defs)))
                     for e, w in g.edge_words.items()},
     )
 

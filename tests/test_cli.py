@@ -1,5 +1,6 @@
 """The command line, driven through main(argv)."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -123,6 +124,26 @@ def test_pi1_component(capsys):
     assert code == 0
     assert "classification: free(rank 3)" in out
     assert "abelianization: free rank 3, torsion []" in out
+
+
+# sha256 of stdout for commands whose output passes through Tietze
+# simplification: the presentations, classifications and canonical words
+# they print must not move by a single byte
+STDOUT_DIGESTS = {
+    ("pi1", "--source", "brauer:5"):
+        "53ad19d1bd41d759361b4bd82a1fd62af39675fa09826e12ad2ee586f5058a65",
+    ("pi1", "--source", "motzkin:4", "--format", "json"):
+        "cdb4b80794685e3ad7d091afe0bcf5072c9cc9c3109ea60b0dba13b1ec41bd5d",
+    ("subgroup", "--source", "brauer:5", "--projection", "3"):
+        "da6a6e63eea307d89d9f1a3c7c18d8474faac0b65d10b54c4905fd1665a1dce3",
+}
+
+
+@pytest.mark.parametrize("argv", list(STDOUT_DIGESTS))
+def test_stdout_digest(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_DIGESTS[argv]
 
 
 def test_subgroup_text(capsys):

@@ -176,8 +176,9 @@ def test_normal_form_mode_needs_projection_letters():
 
 def test_unknown_mode_rejected():
     P = bundle("band:2").algebra
-    with pytest.raises(ValueError):
-        verify_presentation(P, presentation_RP(P), "completeness")
+    for mode in ("completeness", "normal_form"):
+        with pytest.raises(ValueError, match="unknown mode"):
+            verify_presentation(P, presentation_RP(P), mode)
 
 
 def test_presentation_container_validation():

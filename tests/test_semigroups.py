@@ -77,7 +77,8 @@ def test_projection_algebra_of_rejects_escaping_pqp():
         [2, 2, 0],
     ])
     S = StarSemigroup(mult, np.arange(3))
-    with pytest.raises(InvalidSemigroup):
+    with pytest.raises(InvalidSemigroup,
+                       match="p q p left the projections at p=0, q=1"):
         projection_algebra_of(S)
 
 

@@ -1,12 +1,14 @@
 """Friendliness complexes, fundamental groups, and group classification."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from pgsemi.catalog import kinyon_algebra
 from pgsemi.chains import classify_linked_pair, enumerate_linked_pairs
 from pgsemi.projections import relations
+from pgsemi.serialize import presentation_to_dict
 from pgsemi.topology import (
     Cell,
     Complex2,
@@ -326,3 +328,254 @@ def test_solver_finite_matches_coset_table():
     # words equal in S_3 get the same canonical form
     assert cls.normalize((1, 2, 1)) == cls.normalize((2, 1, 2))
     assert cls.normalize((1, 1)) == ()
+
+
+# -- Tietze simplification against a reference routine --------------------
+#
+# _reference_tietze is the earlier whole-pass routine, kept verbatim apart
+# from ``max_steps`` (its pass cap) and ``stats``: every round it re-cleans
+# and re-sorts every relator and rewrites every earlier definition.  The
+# incremental routine must give the same presentations, edge words and
+# classifications letter for letter.
+
+
+def _ref_cyclic_reduce(word):
+    w = list(free_reduce(word))
+    while len(w) >= 2 and w[0] == -w[-1]:
+        w = w[1:-1]
+        w = list(free_reduce(w))
+    return tuple(w)
+
+
+def _ref_canonical_cyclic(word):
+    if not word:
+        return ()
+    best = None
+    for w in (tuple(word), tuple(-l for l in reversed(word))):
+        for i in range(len(w)):
+            rot = w[i:] + w[:i]
+            if best is None or rot < best:
+                best = rot
+    return best
+
+
+def _reference_tietze(g, budget=50_000, max_steps=10_000, stats=None):
+    from pgsemi.cosets import enumerate_group
+    from pgsemi.errors import BudgetExceeded
+    from pgsemi.topology import Classification, GroupPresentation
+
+    relators = [list(r) for r in g.relators]
+    alive = set(range(g.ngens))
+    defs = {}
+
+    def substitute(word, reps):
+        out = []
+        for l in word:
+            rep = reps.get(abs(l) - 1)
+            if rep is None:
+                out.append(l)
+            else:
+                out.extend(rep if l > 0 else [-x for x in reversed(rep)])
+        return out
+
+    steps = 0
+    changed = True
+    while changed and steps < max_steps:
+        changed = False
+        steps += 1
+        cleaned = []
+        seen = set()
+        for r in relators:
+            w = _ref_cyclic_reduce(r)
+            if not w:
+                changed = changed or bool(r)
+                continue
+            key = _ref_canonical_cyclic(w)
+            if key in seen:
+                changed = True
+                if stats is not None:
+                    stats["collisions"] += 1
+                continue
+            seen.add(key)
+            if tuple(w) != tuple(r):
+                changed = True
+            cleaned.append(list(w))
+        relators = cleaned
+
+        pick = None
+        for idx in sorted(
+            range(len(relators)), key=lambda i: (len(relators[i]), relators[i])
+        ):
+            counts = {}
+            for l in relators[idx]:
+                counts[abs(l) - 1] = counts.get(abs(l) - 1, 0) + 1
+            singles = sorted(gen for gen, k in counts.items() if k == 1)
+            if singles:
+                pick = (idx, singles[0])
+                break
+        if pick is not None:
+            idx, gen = pick
+            r = relators[idx]
+            pos = next(i for i, l in enumerate(r) if abs(l) - 1 == gen)
+            rot = r[pos:] + r[:pos]
+            head, rest = rot[0], rot[1:]
+            if head > 0:
+                rep = [-x for x in reversed(rest)]
+            else:
+                rep = list(rest)
+                if stats is not None:
+                    stats["inverse_eliminations"] += 1
+            rep = list(free_reduce(rep))
+            relators = [
+                list(free_reduce(substitute(w, {gen: rep})))
+                for i, w in enumerate(relators)
+                if i != idx
+            ]
+            for k in list(defs):
+                defs[k] = list(free_reduce(substitute(defs[k], {gen: rep})))
+            defs[gen] = rep
+            alive.discard(gen)
+            changed = True
+
+    kept = tuple(sorted(alive))
+    renum = {orig: i + 1 for i, orig in enumerate(kept)}
+
+    def rename(word):
+        return [renum[l - 1] if l > 0 else -renum[-l - 1] for l in word]
+
+    out_relators = []
+    for r in relators:
+        w = _ref_cyclic_reduce(rename(r))
+        if w:
+            out_relators.append(tuple(w))
+    simplified = GroupPresentation(
+        ngens=len(kept),
+        relators=tuple(out_relators),
+        gen_edges=tuple(g.gen_edges[i] for i in kept) if g.gen_edges else (),
+        basepoint=g.basepoint,
+        tree_parent=g.tree_parent,
+        vertices=g.vertices,
+        edge_words={e: free_reduce(rename(substitute(w, defs)))
+                    for e, w in g.edge_words.items()},
+    )
+
+    ab = abelian_invariants(simplified.ngens, simplified.relators)
+    if simplified.ngens == 0:
+        cls = Classification(kind="trivial", order=1, abelian=(0, ()))
+    elif not simplified.relators:
+        cls = Classification(kind="free", rank=simplified.ngens, abelian=ab)
+    elif ab[0] >= 1:
+        cls = Classification(kind="unknown", abelian=ab)
+    else:
+        try:
+            enum = enumerate_group(
+                simplified.ngens, simplified.relators, budget=budget
+            )
+            if enum.size == 1:
+                cls = Classification(kind="trivial", order=1, abelian=ab,
+                                     enumeration=enum)
+            else:
+                cls = Classification(kind="finite", order=enum.size,
+                                     abelian=ab, enumeration=enum)
+        except BudgetExceeded:
+            cls = Classification(kind="unknown", abelian=ab)
+    return simplified, cls
+
+
+def _simplified_output(result):
+    pres, cls = result
+    enum = cls.enumeration
+    return (presentation_to_dict(pres, cls), pres.edge_words,
+            None if enum is None else enum.reps)
+
+
+def assert_same_simplification(raw, budget=50_000):
+    assert _simplified_output(tietze_simplify(raw, budget=budget)) == \
+        _simplified_output(_reference_tietze(raw, budget=budget))
+
+
+def test_tietze_matches_reference_on_fleet_components():
+    for src in FLEET:
+        h = handle(src)
+        for i in range(len(h.comps)):
+            assert_same_simplification(pi1_presentation(h.complex, i))
+
+
+@pytest.mark.parametrize("src", ["motzkin:4", "brauer:5"])
+def test_tietze_matches_reference_on_maximal_subgroups(src):
+    h = handle(src)
+    for p in range(h.algebra.size):
+        raw = pi1_presentation(h.complex, h.comp_of[p], basepoint=p)
+        assert_same_simplification(raw)
+
+
+def _random_presentation(rng):
+    from pgsemi.topology import GroupPresentation
+
+    n = rng.randint(1, 6)
+    letters = [s * a for a in range(1, n + 1) for s in (1, -1)]
+    relators = []
+    for _ in range(rng.randint(0, 8)):
+        if relators and rng.random() < 0.3:
+            # a copy of an earlier relator, rotated and perhaps inverted
+            w = rng.choice(relators)
+            i = rng.randrange(len(w))
+            w = w[i:] + w[:i]
+            if rng.random() < 0.5:
+                w = tuple(-l for l in reversed(w))
+        else:
+            w = tuple(rng.choice(letters) for _ in range(rng.randint(1, 7)))
+        relators.append(w)
+    edge_words = {(0, a): (a,) for a in range(1, n + 1)}
+    for e in range(3):
+        edge_words[(e, -1)] = tuple(rng.choice(letters)
+                                    for _ in range(rng.randrange(6)))
+    return GroupPresentation(
+        ngens=n, relators=tuple(relators),
+        gen_edges=tuple((0, a) for a in range(1, n + 1)),
+        edge_words=edge_words)
+
+
+def test_tietze_matches_reference_on_random_presentations():
+    rng = random.Random(2024)
+    stats = Counter()
+    for _ in range(2_000):
+        raw = _random_presentation(rng)
+        new = _simplified_output(tietze_simplify(raw, budget=500))
+        assert new == _simplified_output(
+            _reference_tietze(raw, budget=500, stats=stats))
+        stats[new[0]["classification"]["kind"]] += 1
+    # the fleet exercises dedup collisions, eliminations through an
+    # inverse letter, and every classification kind
+    assert stats["collisions"] > 100
+    assert stats["inverse_eliminations"] > 100
+    for kind in ("trivial", "free", "finite", "unknown"):
+        assert stats[kind] > 0
+
+
+def test_tietze_elimination_cap(monkeypatch):
+    from pgsemi import topology
+    from pgsemi.topology import GroupPresentation
+
+    # five generators, each defined by the next: all but one can go
+    g = GroupPresentation(ngens=5, relators=(
+        (1, -2), (2, -3), (3, -4), (4, -5), (1, 1, 1),
+        (-5, 1, 2, 3), (3, 2, 1, -5)))
+    full, full_cls = tietze_simplify(g)
+    assert full.ngens == 1
+    monkeypatch.setattr(topology, "MAX_ELIMINATIONS", 2)
+    capped, cls = tietze_simplify(g)
+    assert capped.ngens == 3
+    assert cls.abelian == full_cls.abelian
+    # the reference stopped after two passes with its relators uncleaned;
+    # the capped routine returns the same relators, cleaned and deduplicated
+    ref, _ = _reference_tietze(g, max_steps=2)
+    assert ref.ngens == 3
+    seen, want = set(), []
+    for r in ref.relators:
+        key = _ref_canonical_cyclic(r)
+        if key not in seen:
+            seen.add(key)
+            want.append(r)
+    assert len(want) < len(ref.relators)
+    assert capped.relators == tuple(want)
