@@ -17,9 +17,14 @@ the complexes carry.
 
 Each walk is checked for friendliness once, where it is formed: the public
 functions return checked ``Path`` objects, while callers that chain several
-steps (the chain product, the linked-pair cross-check) pass plain vertex
-tuples between them through ``_reduce`` and ``_restrict`` and check only the
-walk they end with.
+steps (the chain product) pass plain vertex tuples between them through
+``_reduce`` and ``_restrict`` and check only the walk they end with.
+
+Linked pairs are found and classified as arrays: ``_linked_pairs`` lists
+every pair as int arrays in (p, e, f) order, and ``_classify_pairs`` runs
+every check of :func:`classify_linked_pair` on all of them at once.  Objects
+are built only where they are handed out: ``LinkedPair`` for the public
+enumeration and for the cells of K'.
 """
 
 from dataclasses import dataclass, field
@@ -202,25 +207,84 @@ def lambda_rho(lp):
     return lam, rho
 
 
-def enumerate_linked_pairs(P, rel=None):
-    """All p-linked pairs, ordered by (p, e, f).
+def _linked_pairs(P, rel):
+    """All p-linked pairs as int arrays (p, e, f, e1, f1), ordered by
+    (p, e, f); e1 = e th_p and f1 = f th_p.
 
-    Candidates are filtered by e, f <=F p first (a necessary condition),
-    then the two defining equations are checked directly.
+    For each p the candidates are e, f <=F p (a necessary condition); one
+    gather over them gives ``A[i, j]``: f = e th_p th_f for e = cand[i],
+    f = cand[j], and e = f th_p th_e is its transpose.
     """
-    T = P.rows
+    T = P.theta
+    ps, es, fs = [], [], []
+    for p in range(P.size):
+        cand = np.flatnonzero(rel.leqf[:, p])
+        A = T[cand[None, :], T[p, cand][:, None]] == cand[None, :]
+        i, j = np.nonzero(A & A.T)
+        ps.append(np.full(len(i), p))
+        es.append(cand[i])
+        fs.append(cand[j])
+    return _with_midpoints(T, *(np.concatenate([np.empty(0, np.intp)] + x)
+                                for x in (ps, es, fs)))
+
+
+def _with_midpoints(T, p, e, f):
+    """(p, e, f, e th_p, f th_p) for int arrays p, e, f."""
+    return p, e, f, T[p, e], T[p, f]
+
+
+def _reduce3(a, b, c):
+    """The reduced forms (see :func:`_reduce`) of the walks (a, b, c), one
+    row each, padded with -1: (a) when a = c, (a, c) when b repeats a or c,
+    else (a, b, c)."""
+    one = a == c
+    two = ~one & ((a == b) | (b == c))
+    pad = np.full(a.shape, -1)
+    mid = np.where(one, pad, np.where(two, c, b))
+    last = np.where(one | two, pad, c)
+    return np.stack([a, mid, last], axis=1)
+
+
+def _classify_pairs(P, p, e, f, e1, f1):
+    """Arrays (special, degenerate, nondegenerate type or 0) for the linked
+    pairs given as arrays, with every check of :func:`classify_linked_pair`
+    run on every pair: friendliness of the four steps of lambda and rho,
+    the degeneracy formula against the reduced walks, and the vertex set of
+    each non-degenerate pair.  On a failure, the first failing pair is
+    handed to :func:`classify_linked_pair`, which raises its error.
+    """
+    T = P.theta
+
+    def friendly(a, b):
+        return (T[a, b] == a) & (T[b, a] == b)
+
+    e_below = e1 == e
+    f_below = f1 == f
+    special = e_below | f_below
+    degenerate = (e1 == f1) | (e_below & f_below)
+    # |{e, f, e1, f1}|: 4 less each value equal to an earlier one
+    distinct = (4 - (f == e) - ((e1 == e) | (e1 == f))
+                - ((f1 == e) | (f1 == f) | (f1 == e1)))
+    ntype = np.select(
+        [degenerate, distinct == 4, (distinct == 3) & e_below,
+         (distinct == 3) & f_below], [0, 1, 2, 3], -1)
+    same = (_reduce3(e, e1, f) == _reduce3(e, f1, f)).all(axis=1)
+    ok = (friendly(e, e1) & friendly(e1, f) & friendly(e, f1)
+          & friendly(f1, f) & (same == degenerate) & (ntype >= 0))
+    if not ok.all():
+        i = int(np.argmin(ok))
+        lp = LinkedPair(P, int(p[i]), int(e[i]), int(f[i]))
+        classify_linked_pair(lp)
+        raise AssertionError(f"array classification rejects {lp!r}")
+    return special, degenerate, ntype
+
+
+def enumerate_linked_pairs(P, rel=None):
+    """All p-linked pairs, ordered by (p, e, f)."""
     if rel is None:
         rel = relations(P, check=False)
-    out = []
-    for p in range(P.size):
-        Tp = T[p]
-        cand = np.flatnonzero(rel.leqf[:, p]).tolist()
-        for e in cand:
-            ep = Tp[e]
-            for f in cand:
-                if T[f][ep] == f and T[e][Tp[f]] == e:
-                    out.append(LinkedPair(P, p, e, f))
-    return out
+    p, e, f, _, _ = _linked_pairs(P, rel)
+    return [LinkedPair(P, *t) for t in zip(p.tolist(), e.tolist(), f.tolist())]
 
 
 def classify_linked_pair(lp):

@@ -23,11 +23,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .chains import (
+    LinkedPair,
     Path,
+    _linked_pairs,
     _reduce,
     _restrict,
-    enumerate_linked_pairs,
-    lambda_rho,
     reduce_path,
 )
 from .errors import NotAMorphism, UndecidedEquality
@@ -127,14 +127,18 @@ class ChainSemigroupHandle:
             raise ValueError("path belongs to a different algebra")
 
     def _canonical(self, ci, word):
-        """The canonical word of component ci's group; raises
+        """The canonical word of component ci's group for a freely reduced
+        word (a free group's canonical word is the word itself); raises
         UndecidedEquality when that group is not classified."""
-        canon = self.components[ci].classification.normalize(word)
+        cls = self.components[ci].classification
+        if cls.kind == "free":
+            return word
+        canon = cls.normalize(word)
         if canon is None:
             raise UndecidedEquality(
                 f"component {ci} group is not decided", component=ci
             )
-        return tuple(canon)
+        return canon
 
     def _chain(self, verts):
         """The chain of a checked friendly walk, given as a vertex tuple."""
@@ -306,12 +310,14 @@ class StarMorphism:
         if not is_morphism(P, Q, psi):
             raise NotAMorphism("phi does not respect the unary operations")
         self.psi = psi
-        # well-definedness: the generating identifications map to equalities
-        for lp in enumerate_linked_pairs(P, handle.rel):
-            lam, rho = lambda_rho(lp)
-            if self._eval_verts(lam.verts) != self._eval_verts(rho.verts):
+        # well-definedness: the generating identifications map to
+        # equalities, lambda = (e, e1, f) and rho = (e, f1, f) for every pair
+        for p, e, f, e1, f1 in zip(
+                *(a.tolist() for a in _linked_pairs(P, handle.rel))):
+            if self._eval_verts((e, e1, f)) != self._eval_verts((e, f1, f)):
                 raise NotAMorphism(
-                    f"images of the identified paths differ at {lp!r}"
+                    "images of the identified paths differ at "
+                    f"{LinkedPair(P, p, e, f)!r}"
                 )
 
     def _eval_verts(self, verts):

@@ -4,7 +4,9 @@ The 1-skeleton has the projections as vertices and an edge for every
 distinct friendly pair.  K attaches a quad cell (e, e1, f, f1, e) for every
 p-linked pair (boundaries collapsing below cyclic length 3 are dropped); K'
 attaches triangles only for the non-degenerate special pairs: (e, f, f1, e)
-for type 2 and (e, e1, f, e) for type 3.
+for type 2 and (e, e1, f, e) for type 3.  K' classifies every linked pair
+as arrays and builds ``LinkedPair`` and ``Cell`` objects only for the
+triangles it keeps.
 
 Per component, pi1 is presented off a breadth-first spanning tree: one
 generator per non-tree edge (oriented low-to-high), one relator per cell.
@@ -26,7 +28,13 @@ import numpy as np
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 
-from .chains import classify_linked_pair, enumerate_linked_pairs
+from .chains import (
+    LinkedPair,
+    _classify_pairs,
+    _linked_pairs,
+    _with_midpoints,
+    enumerate_linked_pairs,
+)
 from .cosets import enumerate_group
 from .errors import BudgetExceeded
 from .projections import relations
@@ -60,9 +68,13 @@ class Cell:
 
 
 class Complex2:
-    """Vertices 0..n-1, undirected edges between distinct vertices, cells."""
+    """Vertices 0..n-1, undirected edges between distinct vertices, cells.
 
-    __slots__ = ("n", "edges", "cells", "algebra")
+    Immutable after construction: the adjacency lists and the components
+    are computed once, on first use, and shared by every caller, who must
+    not mutate them."""
+
+    __slots__ = ("n", "edges", "cells", "algebra", "_adjacency", "_components")
 
     def __init__(self, n, edges, cells=(), algebra=None):
         self.n = int(n)
@@ -81,17 +93,21 @@ class Complex2:
                     raise ValueError(f"cell boundary uses missing edge ({a},{bb})")
         self.cells = tuple(cells)
         self.algebra = algebra
+        self._adjacency = None
+        self._components = None
 
     @property
     def vertices(self):
         return tuple(range(self.n))
 
     def adjacency(self):
-        adj = {v: [] for v in range(self.n)}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return {v: sorted(ws) for v, ws in adj.items()}
+        if self._adjacency is None:
+            adj = {v: [] for v in range(self.n)}
+            for u, v in self.edges:
+                adj[u].append(v)
+                adj[v].append(u)
+            self._adjacency = {v: sorted(ws) for v, ws in adj.items()}
+        return self._adjacency
 
     def __repr__(self):
         return (
@@ -104,14 +120,8 @@ def friendliness_graph(P, rel=None):
     """Graph with an edge for every distinct friendly pair; no cells."""
     if rel is None:
         rel = relations(P)
-    n = P.size
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if rel.friendly[u, v]
-    ]
-    return Complex2(n, edges, (), algebra=P)
+    edges = map(tuple, np.argwhere(np.triu(rel.friendly, 1)).tolist())
+    return Complex2(P.size, edges, (), algebra=P)
 
 
 def _cyclic_dedup(walk):
@@ -143,36 +153,51 @@ def complex_KP(P, rel=None, pairs=None):
 
 
 def complex_KP_prime(P, rel=None, pairs=None):
-    """The subcomplex with triangles only for non-degenerate special pairs."""
+    """The subcomplex with triangles only for non-degenerate special pairs.
+
+    Every linked pair (all of them, or ``pairs`` when given) is classified
+    as arrays, with every check of ``classify_linked_pair``; ``LinkedPair``
+    and ``Cell`` objects are built only for the triangles kept.  (e, f) and
+    (f, e) describe the same triangle with opposite orientation: the first
+    one in pair order is kept.
+    """
     if rel is None:
         rel = relations(P)
     g = friendliness_graph(P, rel)
     if pairs is None:
-        pairs = enumerate_linked_pairs(P, rel)
+        arrays = _linked_pairs(P, rel)
+    else:
+        pef = np.array([(lp.p, lp.e, lp.f) for lp in pairs], dtype=np.intp)
+        arrays = _with_midpoints(P.theta, *pef.reshape(-1, 3).T)
+    special, degenerate, ntype = _classify_pairs(P, *arrays)
+    kept = np.flatnonzero(special & ~degenerate)
     cells = []
     seen = set()
-    for lp in pairs:
-        cls = classify_linked_pair(lp)
-        if cls["degenerate"] or not cls["special"]:
-            continue
-        # (e, f) and (f, e) describe the same triangle with opposite
-        # orientation; keep the first one found
-        key = (lp.p, min(lp.e, lp.f), max(lp.e, lp.f))
+    for p, e, f, e1, f1, t in zip(*(a[kept].tolist()
+                                    for a in (*arrays, ntype))):
+        key = (p, min(e, f), max(e, f))
         if key in seen:
             continue
         seen.add(key)
-        if cls["nondegenerate_type"] == 2:
-            b = (lp.e, lp.f, lp.f1, lp.e)
-            cells.append(Cell(b, pair=lp, kind="triangle2"))
-        elif cls["nondegenerate_type"] == 3:
-            b = (lp.e, lp.e1, lp.f, lp.e)
-            cells.append(Cell(b, pair=lp, kind="triangle3"))
+        lp = LinkedPair(P, p, e, f)
+        # a special non-degenerate pair is of type 2 or 3
+        if t == 2:
+            cells.append(Cell((e, f, f1, e), pair=lp, kind="triangle2"))
+        else:
+            cells.append(Cell((e, e1, f, e), pair=lp, kind="triangle3"))
     return Complex2(P.size, g.edges, cells, algebra=P)
 
 
 def components(c):
     """Connected components of the 1-skeleton as sorted vertex lists,
-    ordered by smallest vertex.  Asserts no cell spans components."""
+    ordered by smallest vertex.  Asserts no cell spans components.
+    Computed once per complex; callers must not mutate the lists."""
+    if c._components is None:
+        c._components = _components(c)
+    return c._components
+
+
+def _components(c):
     adj = c.adjacency()
     seen = [False] * c.n
     comps = []

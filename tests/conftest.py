@@ -8,11 +8,14 @@ full complex/pi1 pipeline.
 import random
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from pgsemi.catalog import parse_source
-from pgsemi.chains import Path
+from pgsemi.chains import LinkedPair, Path, classify_linked_pair
 from pgsemi.chainsemigroup import ChainSemigroupHandle, INFINITE
+from pgsemi.projections import relations
+from pgsemi.topology import Cell, Complex2, friendliness_graph
 
 # Canonical test fleet.  Every member's components classify decisively
 # (trivial or free), so chain products never come back Undecided.
@@ -83,3 +86,51 @@ def path_count(monkeypatch):
 
     monkeypatch.setattr(Path, "__init__", counting_init)
     return count
+
+
+# -- per-pair reference for the array-level linked pairs and K' ------------
+#
+# The earlier object-per-pair routines, kept verbatim: every linked pair is
+# a LinkedPair, classified by classify_linked_pair (two checked Paths, two
+# reductions) before the triangle filter.
+
+
+def reference_linked_pairs(P, rel=None):
+    T = P.rows
+    if rel is None:
+        rel = relations(P, check=False)
+    out = []
+    for p in range(P.size):
+        Tp = T[p]
+        cand = np.flatnonzero(rel.leqf[:, p]).tolist()
+        for e in cand:
+            ep = Tp[e]
+            for f in cand:
+                if T[f][ep] == f and T[e][Tp[f]] == e:
+                    out.append(LinkedPair(P, p, e, f))
+    return out
+
+
+def reference_complex_KP_prime(P, rel=None, pairs=None):
+    if rel is None:
+        rel = relations(P)
+    g = friendliness_graph(P, rel)
+    if pairs is None:
+        pairs = reference_linked_pairs(P, rel)
+    cells = []
+    seen = set()
+    for lp in pairs:
+        cls = classify_linked_pair(lp)
+        if cls["degenerate"] or not cls["special"]:
+            continue
+        key = (lp.p, min(lp.e, lp.f), max(lp.e, lp.f))
+        if key in seen:
+            continue
+        seen.add(key)
+        if cls["nondegenerate_type"] == 2:
+            b = (lp.e, lp.f, lp.f1, lp.e)
+            cells.append(Cell(b, pair=lp, kind="triangle2"))
+        elif cls["nondegenerate_type"] == 3:
+            b = (lp.e, lp.e1, lp.f, lp.e)
+            cells.append(Cell(b, pair=lp, kind="triangle3"))
+    return Complex2(P.size, g.edges, cells, algebra=P)

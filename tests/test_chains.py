@@ -1,11 +1,18 @@
 """Friendly paths, rewriting, restrictions, and linked pairs."""
 
+from itertools import product
+
+import numpy as np
 import pytest
 
 from pgsemi.catalog import kinyon_algebra, square_band_algebra
 from pgsemi.chains import (
     LinkedPair,
     Path,
+    _classify_pairs,
+    _linked_pairs,
+    _reduce,
+    _reduce3,
     classify_linked_pair,
     enumerate_linked_pairs,
     lambda_rho,
@@ -17,7 +24,7 @@ from pgsemi.chains import (
 from pgsemi.errors import NotBelow, NotFriendly, NotLinked
 from pgsemi.projections import relations
 
-from conftest import bundle, chain_pool, handle
+from conftest import FLEET, bundle, chain_pool, handle, reference_linked_pairs
 
 
 @pytest.fixture(scope="module")
@@ -207,3 +214,43 @@ def test_square_band_pairs_all_degenerate():
     B = square_band_algebra(3)
     for lp in enumerate_linked_pairs(B):
         assert classify_linked_pair(lp)["degenerate"]
+
+
+# -- linked pairs as arrays -----------------------------------------------
+
+
+def test_reduce3_matches_reduce_on_every_short_word():
+    words = np.array(list(product(range(5), repeat=3)))
+    rows = _reduce3(words[:, 0], words[:, 1], words[:, 2])
+    for w, row in zip(words.tolist(), rows.tolist()):
+        assert tuple(x for x in row if x >= 0) == _reduce(w)
+        assert row[len(_reduce(w)):] == [-1] * (3 - len(_reduce(w)))
+
+
+def test_enumerate_linked_pairs_matches_brute_force():
+    # every triple, straight from the defining equations
+    for src in ("kinyon", "tl:4", "motzkin:3"):
+        P = bundle(src).algebra
+        T = P.rows
+        brute = [
+            (p, e, f)
+            for p, e, f in product(range(P.size), repeat=3)
+            if T[f][T[p][e]] == f and T[e][T[p][f]] == e
+        ]
+        got = [(lp.p, lp.e, lp.f) for lp in enumerate_linked_pairs(P)]
+        assert got == brute
+
+
+def test_classify_pairs_matches_the_scalar_classification():
+    for src in FLEET:
+        P = bundle(src).algebra
+        rel = relations(P)
+        arrays = _linked_pairs(P, rel)
+        special, degenerate, ntype = _classify_pairs(P, *arrays)
+        pairs = reference_linked_pairs(P, rel)
+        assert [(lp.p, lp.e, lp.f, lp.e1, lp.f1) for lp in pairs] == \
+            list(zip(*(a.tolist() for a in arrays)))
+        for lp, s, d, t in zip(pairs, special, degenerate, ntype):
+            want = classify_linked_pair(lp)
+            assert (want["special"], want["degenerate"]) == (s, d)
+            assert want["nondegenerate_type"] == (t or None)

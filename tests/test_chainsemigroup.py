@@ -1,13 +1,22 @@
 """The chain semigroup handle: products, star, size, subgroups, morphisms."""
 
 import random
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
 
+import pgsemi.chainsemigroup as chainsemigroup
 from pgsemi.catalog import parse_source
-from pgsemi.chains import Path, reduce_path, restrict_left, restrict_right
+from pgsemi.chains import (
+    Path,
+    enumerate_linked_pairs,
+    lambda_rho,
+    reduce_path,
+    restrict_left,
+    restrict_right,
+)
 from pgsemi.chainsemigroup import (
     INFINITE,
     UNKNOWN,
@@ -22,7 +31,11 @@ from pgsemi.errors import (
     UndecidedEquality,
 )
 from pgsemi.projections import ProjectionAlgebra, relations
-from pgsemi.semigroups import validate_star_semigroup
+from pgsemi.semigroups import (
+    StarSemigroup,
+    projection_algebra_of,
+    validate_star_semigroup,
+)
 
 from conftest import (
     FINITE_SIZES,
@@ -31,6 +44,7 @@ from conftest import (
     chain_pool,
     handle,
     random_chain,
+    reference_complex_KP_prime,
 )
 
 
@@ -346,6 +360,61 @@ def test_extend_morphism_rejects_theta_breakers():
     phi[0] = phi[2]
     with pytest.raises(NotAMorphism):
         h.extend_morphism(b.semigroup, phi)
+
+
+def test_extend_morphism_rejects_a_broken_identification():
+    # motzkin:3 with one product (e e1) f moved, e e1 not a projection: the
+    # projections and theta stay, so phi is still a morphism, but lambda and
+    # rho of some pair no longer agree; the error names the first such pair,
+    # as the per-pair check does
+    b = bundle("motzkin:3")
+    h = handle("motzkin:3")
+    S, phi = b.semigroup, [int(x) for x in b.embed]
+    pairs = enumerate_linked_pairs(h.algebra)
+    lp = next(lp for lp in pairs if lp.e1 != lp.f1 and lp.e != lp.e1)
+    mult = S.mult.copy()
+    x, y = S.product(phi[lp.e], phi[lp.e1]), phi[lp.f]
+    mult[x, y] = (mult[x, y] + 1) % S.size
+    broken = StarSemigroup(mult, S.star)
+    Q, embed = projection_algebra_of(S)
+    Q2, embed2 = projection_algebra_of(broken)
+    assert Q2 == Q and list(embed2) == list(embed)
+
+    def image(path):
+        return broken.product_of(phi[v] for v in path.verts)
+
+    first = next(lp for lp in pairs
+                 if image(lambda_rho(lp)[0]) != image(lambda_rho(lp)[1]))
+    want = f"images of the identified paths differ at {first!r}"
+    with pytest.raises(NotAMorphism, match=re.escape(want)):
+        h.extend_morphism(broken, phi)
+
+
+def test_handle_errors_match_the_per_pair_reference(monkeypatch):
+    # random 3-5 element tables: the array classification must fail where
+    # and how the per-pair routine fails, with the same message
+    def outcome(P):
+        try:
+            ChainSemigroupHandle(P)
+        except PgsemiError as exc:
+            return type(exc).__name__, str(exc)
+        return "ok", ""
+
+    rng = random.Random(0)
+    counts = Counter()
+    for _ in range(3000):
+        n = rng.randint(3, 5)
+        T = np.array([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
+        T[np.arange(n), np.arange(n)] = np.arange(n)
+        P = ProjectionAlgebra(T)
+        got = outcome(P)
+        with monkeypatch.context() as m:
+            m.setattr(chainsemigroup, "complex_KP_prime",
+                      reference_complex_KP_prime)
+            assert outcome(P) == got
+        counts[got[0]] += 1
+    assert counts == {"NotPartialOrder": 1837, "NotFriendly": 599,
+                      "InconsistentClassification": 6, "ok": 558}
 
 
 @pytest.mark.parametrize("src", ["kinyon", "tl:4"])

@@ -1,13 +1,18 @@
 """Friendliness complexes, fundamental groups, and group classification."""
 
 import random
+import re
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from pgsemi.catalog import kinyon_algebra
-from pgsemi.chains import classify_linked_pair, enumerate_linked_pairs
-from pgsemi.projections import relations
+from pgsemi.catalog import adjacency_algebra, kinyon_algebra, \
+    random_adjacency_graph
+from pgsemi.chains import LinkedPair, classify_linked_pair, \
+    enumerate_linked_pairs
+from pgsemi.errors import PgsemiError
+from pgsemi.projections import ProjectionAlgebra, relations
 from pgsemi.serialize import presentation_to_dict
 from pgsemi.topology import (
     Cell,
@@ -22,7 +27,13 @@ from pgsemi.topology import (
     tietze_simplify,
 )
 
-from conftest import FLEET, bundle, handle
+from conftest import (
+    FLEET,
+    bundle,
+    handle,
+    reference_complex_KP_prime,
+    reference_linked_pairs,
+)
 
 
 def test_kinyon_friendliness_graph():
@@ -64,6 +75,82 @@ def test_kp_prime_stores_one_triangle_per_unordered_pair():
             seen.add(key)
 
 
+def _same_complex(got, want):
+    assert got.n == want.n and got.edges == want.edges
+    assert [(c.boundary, c.kind, c.pair) for c in got.cells] == \
+        [(c.boundary, c.kind, c.pair) for c in want.cells]
+
+
+def _kp_prime_fleet():
+    yield from (bundle(src).algebra for src in (
+        "kinyon", "tl:2", "tl:3", "tl:4", "tl:5", "tl:6", "motzkin:3",
+        "motzkin:4", "brauer:3", "brauer:4", "brauer:5", "partition:2",
+        "partition:3", *(f"band:{k}" for k in range(2, 9))))
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        yield adjacency_algebra(random_adjacency_graph(rng)).algebra
+
+
+def test_kp_prime_matches_the_per_pair_reference():
+    for P in _kp_prime_fleet():
+        rel = relations(P)
+        want = reference_complex_KP_prime(P, rel)
+        _same_complex(complex_KP_prime(P, rel), want)
+        # given pairs, in enumeration order or shuffled, are honoured:
+        # the first of (e, f) and (f, e) in the given order wins
+        pairs = reference_linked_pairs(P, rel)
+        _same_complex(complex_KP_prime(P, rel, pairs), want)
+        random.Random(P.size).shuffle(pairs)
+        _same_complex(complex_KP_prime(P, rel, pairs),
+                      reference_complex_KP_prime(P, rel, pairs))
+
+
+# Tables (p th_p = p, otherwise random) with a linked pair that fails
+# exactly one check of classify_linked_pair: a step of lambda or rho that is
+# not friendly, or a non-degenerate pair with an unexpected vertex set.  (A
+# degeneracy mismatch never comes alone: it forces e1 = f, f1 = e and so an
+# unexpected vertex set.)
+_ONE_CHECK_FAILS = {
+    "e-e1": ([[0, 0, 0, 0, 0], [1, 1, 1, 1, 0], [0, 2, 2, 4, 2],
+              [2, 1, 0, 3, 0], [2, 2, 1, 0, 4]], (3, 0, 1)),
+    "e1-f": ([[0, 0, 3, 3, 3], [0, 1, 1, 2, 3], [2, 4, 2, 4, 2],
+              [4, 4, 3, 3, 3], [3, 1, 4, 4, 4]], (2, 2, 3)),
+    "e-f1": ([[0, 0, 3, 3, 3], [0, 1, 1, 2, 3], [2, 4, 2, 4, 2],
+              [4, 4, 3, 3, 3], [3, 1, 4, 4, 4]], (2, 3, 2)),
+    "f1-f": ([[0, 0, 0, 0, 0], [1, 1, 1, 1, 0], [0, 2, 2, 4, 2],
+              [2, 1, 0, 3, 0], [2, 2, 1, 0, 4]], (3, 1, 0)),
+    "vertex set, f1 = e": ([[0, 2, 0, 2, 0], [0, 1, 0, 1, 2],
+                            [2, 2, 2, 3, 2], [2, 2, 1, 3, 2],
+                            [4, 4, 4, 2, 4]], (1, 2, 4)),
+    "vertex set, e1 = f": ([[0, 2, 0, 2, 0], [0, 1, 0, 1, 2],
+                            [2, 2, 2, 3, 2], [2, 2, 1, 3, 2],
+                            [4, 4, 4, 2, 4]], (1, 4, 2)),
+}
+
+
+@pytest.mark.parametrize("check", sorted(_ONE_CHECK_FAILS))
+def test_kp_prime_runs_every_check_on_every_pair(check):
+    theta, pef = _ONE_CHECK_FAILS[check]
+    P = ProjectionAlgebra(theta)
+    rel = relations(P, check=False)
+    lp = LinkedPair(P, *pef)
+    with pytest.raises(PgsemiError) as want:
+        classify_linked_pair(lp)
+    with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+        complex_KP_prime(P, rel, [lp])
+    # the whole enumeration fails as the per-pair routine does
+    with pytest.raises(PgsemiError) as want:
+        reference_complex_KP_prime(P, rel)
+    with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+        complex_KP_prime(P, rel)
+
+
+def test_components_and_adjacency_are_computed_once():
+    c = handle("motzkin:4").complex
+    assert components(c) is components(c)
+    assert c.adjacency() is c.adjacency()
+
+
 def test_cells_must_close_and_use_edges():
     with pytest.raises(ValueError):
         Complex2(3, [(0, 1)], [Cell((0, 1))])  # boundary does not close
@@ -78,16 +165,14 @@ def test_components_sorted_and_exhaustive():
 
 def test_components_reject_spanning_cells():
     # a cell across two components is structurally impossible for our
-    # complexes; the checker guards it anyway
-    c = Complex2.__new__(Complex2)
-    c.n = 4
-    c.edges = ((0, 1), (2, 3))
-    c.cells = (Cell((0, 1, 0)),)
-    c.algebra = None
-    good = components(c)
-    assert good == [[0, 1], [2, 3]]
-    c.cells = (Cell((2, 3, 2)), Cell((0, 1, 0)))
-    components(c)  # still fine: each cell stays inside one component
+    # complexes (the constructor checks every boundary edge); the checker
+    # guards it anyway
+    c = Complex2(4, [(0, 1), (2, 3)], [Cell((2, 3, 2)), Cell((0, 1, 0))])
+    assert components(c) == [[0, 1], [2, 3]]
+    bad = Complex2(4, [(0, 1), (2, 3)])
+    bad.cells = (Cell((0, 2, 0)),)  # planted past the constructor's check
+    with pytest.raises(AssertionError, match="spans components"):
+        components(bad)
 
 
 # -- pi1 ------------------------------------------------------------------
