@@ -30,8 +30,8 @@ from .chains import (
     _restrict,
     reduce_path,
 )
-from .errors import NotAMorphism, UndecidedEquality
-from .projections import is_morphism, relations
+from .errors import InvalidAlgebra, NotAMorphism, UndecidedEquality
+from .projections import is_morphism, relations, validate_axioms
 from .semigroups import (
     cayley_semigroup,
     projection_algebra_of,
@@ -94,9 +94,16 @@ class _Component:
 
 
 class ChainSemigroupHandle:
-    """One-time build over a projection algebra; pure operations after."""
+    """One-time build over a projection algebra; pure operations after.
+
+    The table is checked against P1-P5 first: one that fails raises
+    InvalidAlgebra naming the first failed law, before any construction
+    can fail on a lemma that only holds for projection algebras."""
 
     def __init__(self, P, budget=50_000):
+        bad = validate_axioms(P)
+        if bad:
+            raise InvalidAlgebra(bad[0])
         self.algebra = P
         self.budget = budget
         self.rel = relations(P)

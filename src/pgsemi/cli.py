@@ -34,9 +34,9 @@ from .topology import complex_KP, complex_KP_prime, components, \
 __all__ = ["main"]
 
 _COMPLEXES = {
-    "GP": lambda P, rel: friendliness_graph(P, rel),
-    "KP": lambda P, rel: complex_KP(P, rel),
-    "KP'": lambda P, rel: complex_KP_prime(P, rel),
+    "GP": friendliness_graph,
+    "KP": complex_KP,
+    "KP'": complex_KP_prime,
 }
 
 _FAMILIES = {
@@ -50,6 +50,11 @@ def _bundle(args):
     if not getattr(args, "source", None):
         raise PgsemiError("this command needs --source")
     return parse_source(args.source, allow_large=args.allow_large)
+
+
+def _lines(lines):
+    """Text lines as one string, each line ended by a newline."""
+    return "".join(line + "\n" for line in lines)
 
 
 def _emit(args, text):
@@ -158,13 +163,14 @@ def cmd_complex(args):
         d["components"] = comps
         _emit(args, dumps(d))
         return 0
-    print(f"{bundle.name} {args.which}: {c.n} vertices, "
-          f"{len(c.edges)} edges, {len(c.cells)} cells, "
-          f"{len(comps)} components")
+    lines = [f"{bundle.name} {args.which}: {c.n} vertices, "
+             f"{len(c.edges)} edges, {len(c.cells)} cells, "
+             f"{len(comps)} components"]
     for i, comp in enumerate(comps):
         cells = [cell.boundary for cell in c.cells
                  if cell.boundary[0] in comp]
-        print(f"component {i}: vertices {comp}, {len(cells)} cells")
+        lines.append(f"component {i}: vertices {comp}, {len(cells)} cells")
+    _emit(args, _lines(lines))
     return 0
 
 
@@ -182,10 +188,9 @@ def cmd_pi1(args):
         if args.format == "json":
             out.append(presentation_to_dict(pres, cls))
         else:
-            print(f"component {i}: vertices {comps[i]}")
-            print("  " + _group_text(pres, cls).replace("\n", "\n  "))
-    if args.format == "json":
-        _emit(args, dumps(out))
+            out.append(f"component {i}: vertices {comps[i]}")
+            out.append("  " + _group_text(pres, cls).replace("\n", "\n  "))
+    _emit(args, dumps(out) if args.format == "json" else _lines(out))
     return 0
 
 
@@ -196,9 +201,7 @@ def cmd_enumerate(args):
     if args.format == "json":
         _emit(args, dumps([chain_to_dict(c) for c in elems]))
         return 0
-    print(f"{len(elems)} elements")
-    for c in elems:
-        print(repr(c))
+    _emit(args, _lines([f"{len(elems)} elements"] + list(map(repr, elems))))
     return 0
 
 
@@ -224,8 +227,8 @@ def cmd_subgroup(args):
     if args.format == "json":
         _emit(args, dumps(presentation_to_dict(pres, cls)))
         return code
-    print(f"maximal subgroup at {P.label(args.projection)}:")
-    print(_group_text(pres, cls))
+    _emit(args, _lines([f"maximal subgroup at {P.label(args.projection)}:",
+                        _group_text(pres, cls)]))
     return code
 
 
@@ -419,13 +422,18 @@ def cmd_verify(args):
 
 # -- wiring ---------------------------------------------------------------
 
-def _add_common(sp, source=True):
-    if source:
-        sp.add_argument("--source", help="algebra source spec")
-    sp.add_argument("--budget", type=int, default=50_000,
-                    help="class/search budget")
+def _add_common(sp):
+    sp.add_argument("--source", help="algebra source spec")
     sp.add_argument("--allow-large", action="store_true",
                     help="lift the diagram degree guards")
+
+
+def _add_budget(sp):
+    sp.add_argument("--budget", type=int, default=50_000,
+                    help="class/search budget")
+
+
+def _add_out(sp):
     sp.add_argument("--out", help="write the artifact to this path")
 
 
@@ -442,43 +450,55 @@ def build_parser():
 
     sp = sub.add_parser("build", help="emit the algebra as JSON")
     _add_common(sp)
+    _add_out(sp)
     sp.set_defaults(func=cmd_build)
 
     sp = sub.add_parser("relations", help="orders and friendliness")
     _add_common(sp)
+    _add_out(sp)
     sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.set_defaults(func=cmd_relations)
 
     sp = sub.add_parser("complex", help="cell structure summary")
     _add_common(sp)
+    _add_out(sp)
     sp.add_argument("--which", choices=sorted(_COMPLEXES), default="KP'")
     sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.set_defaults(func=cmd_complex)
 
     sp = sub.add_parser("pi1", help="fundamental groups per component")
     _add_common(sp)
+    _add_budget(sp)
+    _add_out(sp)
     sp.add_argument("--component", type=int)
     sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.set_defaults(func=cmd_pi1)
 
     sp = sub.add_parser("enumerate", help="list the chain semigroup")
     _add_common(sp)
+    _add_budget(sp)
+    _add_out(sp)
     sp.add_argument("--cap", type=int, default=100_000)
     sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.set_defaults(func=cmd_enumerate)
 
     sp = sub.add_parser("size", help="order of the chain semigroup")
     _add_common(sp)
+    _add_budget(sp)
     sp.set_defaults(func=cmd_size)
 
     sp = sub.add_parser("subgroup", help="maximal subgroup at a projection")
     _add_common(sp)
+    _add_budget(sp)
+    _add_out(sp)
     sp.add_argument("--projection", type=int, required=True)
     sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.set_defaults(func=cmd_subgroup)
 
     sp = sub.add_parser("presentations", help="emit a presentation")
     _add_common(sp)
+    _add_budget(sp)
+    _add_out(sp)
     sp.add_argument("--family", choices=("RP", "RE", "RE2", "tl"),
                     required=True)
     sp.add_argument("--format", choices=("text", "json"), default="text")
@@ -487,6 +507,7 @@ def build_parser():
     sp = sub.add_parser("verify", help="named example suites")
     sp.add_argument("suite", choices=sorted(_SUITES))
     _add_common(sp)
+    _add_budget(sp)
     sp.add_argument("--n", type=int, help="degree for tl/motzkin")
     sp.add_argument("--k", type=int, help="side for band")
     sp.add_argument("--family", choices=("RP", "RE", "RE2", "tl"),
@@ -498,6 +519,7 @@ def build_parser():
 
     sp = sub.add_parser("export", help="write a complex as DOT or JSON")
     _add_common(sp)
+    _add_out(sp)
     sp.add_argument("--which", choices=sorted(_COMPLEXES), default="KP'")
     sp.add_argument("--format", choices=("dot", "json"), default="dot")
     sp.set_defaults(func=cmd_export)

@@ -19,7 +19,14 @@ word from the BFS.
 
 from .errors import BudgetExceeded
 
-__all__ = ["MonoidEnumeration", "enumerate_monoid", "enumerate_group", "group_to_monoid_relations"]
+__all__ = [
+    "MonoidEnumeration",
+    "enumerate_monoid",
+    "enumerate_group",
+    "group_to_monoid_relations",
+    "to_doubled",
+    "from_doubled",
+]
 
 
 class MonoidEnumeration:
@@ -158,22 +165,28 @@ def enumerate_monoid(ngens, relations, budget=50_000):
     return MonoidEnumeration(ngens, out_table, out_reps)
 
 
-def group_to_monoid_relations(ngens, relators):
-    """Monoid presentation of a group on a doubled alphabet.
+def to_doubled(word):
+    """A word of signed indices (+-(i+1)) on the doubled alphabet:
+    generator i becomes letter 2i, its inverse 2i+1."""
+    return tuple(2 * (abs(l) - 1) + (l < 0) for l in word)
 
-    Generator i maps to letter 2i, its inverse to 2i+1.  A relator is a word
-    of signed indices (+-(i+1)); the result adds inverse relations and turns
-    each relator into (word, empty).
+
+def from_doubled(word):
+    """The inverse of :func:`to_doubled`."""
+    return tuple(-(x // 2 + 1) if x % 2 else x // 2 + 1 for x in word)
+
+
+def group_to_monoid_relations(ngens, relators):
+    """Monoid presentation of a group on the doubled alphabet of
+    :func:`to_doubled`: the result adds inverse relations and turns each
+    relator into (word, empty).
     """
     rels = []
     for i in range(ngens):
         rels.append(((2 * i, 2 * i + 1), ()))
         rels.append(((2 * i + 1, 2 * i), ()))
     for r in relators:
-        word = tuple(
-            2 * (abs(l) - 1) + (0 if l > 0 else 1) for l in r
-        )
-        rels.append((word, ()))
+        rels.append((to_doubled(r), ()))
     return 2 * ngens, rels
 
 

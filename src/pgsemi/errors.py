@@ -3,6 +3,7 @@
 __all__ = [
     "PgsemiError",
     "MalformedTable",
+    "InvalidAlgebra",
     "NotPartialOrder",
     "DegreeMismatch",
     "InfeasibleDegree",
@@ -24,6 +25,15 @@ class PgsemiError(Exception):
 
 class MalformedTable(PgsemiError, ValueError):
     """An operation table is not square, not integral, or out of range."""
+
+
+class InvalidAlgebra(PgsemiError, ValueError):
+    """A table fails the projection-algebra laws P1-P5; carries the first
+    failed law's Violation and names it in the message."""
+
+    def __init__(self, violation):
+        super().__init__(f"not a projection algebra: {violation}")
+        self.violation = violation
 
 
 class NotPartialOrder(PgsemiError, ValueError):

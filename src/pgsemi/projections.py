@@ -137,18 +137,6 @@ class ProjectionAlgebra:
         return f"ProjectionAlgebra(size={self.size})"
 
 
-def _collect(mask, law, decode=None):
-    """Build a Violation from a boolean failure mask (True = violated)."""
-    idx = np.argwhere(mask)
-    if idx.size == 0:
-        return None
-    count = idx.shape[0]
-    witnesses = [tuple(int(x) for x in row) for row in idx[:MAX_WITNESSES]]
-    if decode is not None:
-        witnesses = [decode(w) for w in witnesses]
-    return Violation(law, tuple(witnesses), count)
-
-
 def _chunks(total, width):
     """Consecutive (lo, hi) slices of range(total), each of at most
     CHUNK_CELLS cells when one index stands for ``width`` cells."""
@@ -158,23 +146,28 @@ def _chunks(total, width):
 
 
 class _Tally:
-    """One law's failures gathered over consecutive chunks of the first
-    axis of its mask: the same Violation as ``_collect`` on the whole mask,
-    without ever holding the whole mask."""
+    """One law's failures, from its boolean failure mask (True = violated)
+    given whole or over consecutive chunks of its first axis: the first
+    MAX_WITNESSES failing index tuples in row-major order, each passed
+    through ``decode`` when given, and the total count.  Every table-law
+    Violation is built here."""
 
-    def __init__(self, law):
+    def __init__(self, law, decode=None):
         self.law = law
+        self.decode = decode
         self.witnesses = []
         self.count = 0
 
-    def add(self, mask, lo):
+    def add(self, mask, lo=0):
         hits = int(np.count_nonzero(mask))
         room = MAX_WITNESSES - len(self.witnesses)
         if hits and room > 0:
             idx = np.argwhere(mask)[:room]
             idx[:, 0] += lo
-            self.witnesses.extend(tuple(int(x) for x in row) for row in idx)
+            ws = map(tuple, idx.tolist())
+            self.witnesses.extend(map(self.decode, ws) if self.decode else ws)
         self.count += hits
+        return self
 
     def report(self, out):
         if self.count:
@@ -193,21 +186,11 @@ def validate_axioms(P):
     rng = np.arange(n)
 
     # P1: p theta_p = p
-    v = _collect(T[rng, rng] != rng, "P1")
-    if v:
-        out.append(v)
-
-    # P2: theta_p is idempotent as a map
-    comp_pp = T[rng[:, None], T]          # [p, q] -> (q th_p) th_p
-    v = _collect(comp_pp != T, "P2")
-    if v:
-        out.append(v)
-
-    # P3: (p theta_q) theta_p = q theta_p
-    lhs = T[rng[:, None], T.T]            # [p, q] -> (p th_q) th_p
-    v = _collect(lhs != T, "P3")
-    if v:
-        out.append(v)
+    _Tally("P1").add(T[rng, rng] != rng).report(out)
+    # P2: theta_p is idempotent as a map; [p, q] -> (q th_p) th_p
+    _Tally("P2").add(T[rng[:, None], T] != T).report(out)
+    # P3: (p theta_q) theta_p = q theta_p; [p, q] -> (p th_q) th_p
+    _Tally("P3").add(T[rng[:, None], T.T] != T).report(out)
 
     p4, p5 = _Tally("P4"), _Tally("P5")
     for lo, hi in _chunks(n, n * n):
@@ -352,11 +335,8 @@ def check_derived_laws(P, max_chain=3, rel=None):
         rel = relations(P, check=False)
     leq, leqf, friendly = rel.leq, rel.leqf, rel.friendly
 
-    # A1: p th_q F q th_p
-    a = T.T  # [p, q] -> p th_q
-    v = _collect(~friendly[a, T], "A1")
-    if v:
-        out.append(v)
+    # A1: p th_q F q th_p; T.T[p, q] = p th_q
+    _Tally("A1").add(~friendly[T.T, T]).report(out)
 
     # A2 in both bracketings
     a2a, a2b = _Tally("A2a"), _Tally("A2b")
@@ -369,9 +349,7 @@ def check_derived_laws(P, max_chain=3, rel=None):
     a2b.report(out)
 
     # A3
-    v = _collect(leq & ~leqf, "A3")
-    if v:
-        out.append(v)
+    _Tally("A3").add(leq & ~leqf).report(out)
 
     # A4: rows compared as whole maps where p <= q;
     # A5: theta_p = theta_p theta_q theta_p where p <=F q

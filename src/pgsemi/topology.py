@@ -35,7 +35,7 @@ from .chains import (
     _with_midpoints,
     enumerate_linked_pairs,
 )
-from .cosets import enumerate_group
+from .cosets import enumerate_group, from_doubled, to_doubled
 from .errors import BudgetExceeded
 from .projections import relations
 
@@ -136,15 +136,13 @@ def _cyclic_dedup(walk):
     return out
 
 
-def complex_KP(P, rel=None, pairs=None):
+def complex_KP(P, rel=None):
     """The complex with a quad cell (e, e1, f, f1, e) per p-linked pair."""
     if rel is None:
         rel = relations(P)
     g = friendliness_graph(P, rel)
-    if pairs is None:
-        pairs = enumerate_linked_pairs(P, rel)
     cells = []
-    for lp in pairs:
+    for lp in enumerate_linked_pairs(P, rel):
         cyc = _cyclic_dedup([lp.e, lp.e1, lp.f, lp.f1])
         if len(cyc) < 3:
             continue
@@ -395,14 +393,7 @@ class Classification:
             return free_reduce(word)
         if self.kind == "finite":
             enum = self.enumeration
-            encoded = [
-                2 * (abs(l) - 1) + (0 if l > 0 else 1) for l in word
-            ]
-            c = enum.act(0, encoded)
-            rep = enum.reps[c]
-            return tuple(
-                x // 2 + 1 if x % 2 == 0 else -(x // 2 + 1) for x in rep
-            )
+            return from_doubled(enum.reps[enum.act(0, to_doubled(word))])
         return None
 
 

@@ -6,6 +6,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import pgsemi.chainsemigroup as chainsemigroup
 from pgsemi.catalog import parse_source
@@ -26,11 +28,13 @@ from pgsemi.chainsemigroup import (
 )
 from pgsemi.errors import (
     CapExceeded,
+    InvalidAlgebra,
+    MalformedTable,
     NotAMorphism,
     PgsemiError,
     UndecidedEquality,
 )
-from pgsemi.projections import ProjectionAlgebra, relations
+from pgsemi.projections import ProjectionAlgebra, relations, validate_axioms
 from pgsemi.semigroups import (
     StarSemigroup,
     projection_algebra_of,
@@ -245,10 +249,17 @@ def test_product_matches_path_reference_on_streams(src):
         seen.append(out)
 
 
-def test_product_on_random_tables_matches_path_reference():
+def _without_boundary_check(monkeypatch):
+    """Let handles build on tables that fail P1-P5, so that tests reach the
+    internal paths such tables take."""
+    monkeypatch.setattr(chainsemigroup, "validate_axioms", lambda P: [])
+
+
+def test_product_on_random_tables_matches_path_reference(monkeypatch):
     # Tables that pass relations(P) but need not be projection algebras:
     # products of projection chains fail with NotBelow or NotFriendly, and
     # must fail with the same type as the reference.
+    _without_boundary_check(monkeypatch)
     rng = random.Random(0)
     outcomes = Counter()
     for _ in range(600):
@@ -393,6 +404,8 @@ def test_extend_morphism_rejects_a_broken_identification():
 def test_handle_errors_match_the_per_pair_reference(monkeypatch):
     # random 3-5 element tables: the array classification must fail where
     # and how the per-pair routine fails, with the same message
+    _without_boundary_check(monkeypatch)
+
     def outcome(P):
         try:
             ChainSemigroupHandle(P)
@@ -415,6 +428,63 @@ def test_handle_errors_match_the_per_pair_reference(monkeypatch):
         counts[got[0]] += 1
     assert counts == {"NotPartialOrder": 1837, "NotFriendly": 599,
                       "InconsistentClassification": 6, "ok": 558}
+
+
+def test_handle_refuses_every_non_algebra_at_the_boundary():
+    # the sweep above, with the boundary check on: every table that fails
+    # P1-P5 raises InvalidAlgebra naming its first failed law
+    rng = random.Random(0)
+    counts = Counter()
+    for _ in range(3000):
+        n = rng.randint(3, 5)
+        T = np.array([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
+        T[np.arange(n), np.arange(n)] = np.arange(n)
+        P = ProjectionAlgebra(T)
+        bad = validate_axioms(P)
+        if not bad:
+            ChainSemigroupHandle(P)
+            counts["algebra"] += 1
+            continue
+        with pytest.raises(InvalidAlgebra) as info:
+            ChainSemigroupHandle(P)
+        assert info.value.violation == bad[0]
+        assert str(bad[0]) in str(info.value)
+        counts[bad[0].law] += 1
+    assert counts["algebra"] > 0 and sum(counts.values()) == 3000
+
+
+@st.composite
+def small_tables(draw):
+    """A 1-4 element integer table, entries out of range a quarter of the
+    time, with the diagonal p theta_p = p imposed half the time."""
+    n = draw(st.integers(1, 4))
+    top = draw(st.sampled_from([n - 1, n - 1, n - 1, n]))
+    T = np.array(draw(st.lists(st.integers(0, top), min_size=n * n,
+                               max_size=n * n))).reshape(n, n)
+    if draw(st.booleans()):
+        T[np.arange(n), np.arange(n)] = np.arange(n)
+    return T.tolist()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(small_tables())
+@example(bundle("kinyon").algebra.theta.tolist())
+@example(bundle("band:2").algebra.theta.tolist())
+def test_fuzzed_tables_are_refused_or_give_a_star_semigroup(T):
+    # a table is refused as malformed or as no projection algebra, or its
+    # handle builds and satisfies (cd)* = d*c* and c** = c; any other
+    # exception fails the test
+    try:
+        h = ChainSemigroupHandle(ProjectionAlgebra(T))
+    except (InvalidAlgebra, MalformedTable):
+        return
+    chains = [h.projection_chain(p) for p in range(h.algebra.size)]
+    chains += [h.product(c, d) for c in chains for d in chains]
+    for c in chains:
+        assert h.star(h.star(c)) == c
+    for c in chains[::3]:
+        for d in chains:
+            assert h.star(h.product(c, d)) == h.product(h.star(d), h.star(c))
 
 
 @pytest.mark.parametrize("src", ["kinyon", "tl:4"])

@@ -260,3 +260,45 @@ def test_enumerate_cap_exit(capsys):
                        "--cap", "20")
     assert code == 3
     assert "inconclusive:" in err
+
+
+def test_size_refuses_a_non_algebra_naming_the_law(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(dumps({
+        "size": 3, "theta": [[0, 0, 0], [2, 1, 0], [2, 2, 2]]}))
+    code, out, err = run(capsys, "size", "--source", str(path))
+    assert code == 2 and out == ""
+    assert err == ("error: not a projection algebra: "
+                   "P2: (1, 0), (1, 2)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("complex", "--source", "kinyon", "--which", "KP"),
+    ("pi1", "--source", "band:4"),
+    ("enumerate", "--source", "kinyon"),
+    ("subgroup", "--source", "band:3", "--projection", "1"),
+])
+def test_out_writes_the_text_form(capsys, tmp_path, argv):
+    _, plain, _ = run(capsys, *argv)
+    path = tmp_path / "out.txt"
+    code, out, _ = run(capsys, *argv, "--out", str(path))
+    assert code == 0
+    assert out == f"wrote {path}\n"
+    assert path.read_text() == plain
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate", "--source", "kinyon", "--out", "x"),
+    ("size", "--source", "kinyon", "--out", "x"),
+    ("verify", "kinyon", "--out", "x"),
+    ("validate", "--source", "kinyon", "--budget", "2"),
+    ("build", "--source", "kinyon", "--budget", "2"),
+    ("relations", "--source", "kinyon", "--budget", "2"),
+    ("complex", "--source", "kinyon", "--budget", "2"),
+    ("export", "--source", "kinyon", "--budget", "2"),
+])
+def test_verbs_reject_options_they_do_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

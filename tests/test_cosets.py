@@ -7,7 +7,9 @@ import pytest
 from pgsemi.cosets import (
     enumerate_group,
     enumerate_monoid,
+    from_doubled,
     group_to_monoid_relations,
+    to_doubled,
 )
 from pgsemi.errors import BudgetExceeded
 
@@ -106,3 +108,11 @@ def test_group_table_multiplication_matches_words():
         for l in w:
             step = enum.act(step, (l,))
         assert step == a
+
+
+def test_doubled_alphabet_roundtrip():
+    word = (1, -1, 2, -3, 3)
+    assert to_doubled(word) == (0, 1, 2, 5, 4)
+    assert from_doubled(to_doubled(word)) == word
+    _, rels = group_to_monoid_relations(3, [word])
+    assert rels[-1] == (to_doubled(word), ())
