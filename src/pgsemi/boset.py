@@ -11,7 +11,7 @@ import numpy as np
 
 from .chainsemigroup import ChainSemigroupHandle, ReducedChain
 from .errors import PgsemiError
-from .projections import ProjectionAlgebra, validate_axioms
+from .projections import ProjectionAlgebra, require_algebra
 from .semigroups import projection_algebra_of
 
 __all__ = [
@@ -191,7 +191,8 @@ def projection_algebra_of_boset(b):
     Carrier: the star-fixed (diagonal) elements.  q th_p is the left
     factor of the basic product p * e(p, q), with e(p, q) located as the
     unique sandwich element whose side products are projections.  The
-    result must pass the axiom checks.
+    result must be a projection algebra: InvalidAlgebra names the first
+    failed law otherwise.
     """
     diag = [e for e in b.elements if e[0] == e[1]]
     idx = {e[0]: i for i, e in enumerate(diag)}
@@ -206,9 +207,7 @@ def projection_algebra_of_boset(b):
     if b.algebra is not None and n == b.algebra.size:
         labels = [b.algebra.label(e[0]) for e in diag]
     out = ProjectionAlgebra(theta, labels=labels)
-    bad = validate_axioms(out)
-    if bad:
-        raise PgsemiError(f"extracted table violates {bad[0].law}")
+    require_algebra(out)
     return out
 
 

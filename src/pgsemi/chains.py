@@ -282,7 +282,7 @@ def _classify_pairs(P, p, e, f, e1, f1):
 def enumerate_linked_pairs(P, rel=None):
     """All p-linked pairs, ordered by (p, e, f)."""
     if rel is None:
-        rel = relations(P, check=False)
+        rel = relations(P)
     p, e, f, _, _ = _linked_pairs(P, rel)
     return [LinkedPair(P, *t) for t in zip(p.tolist(), e.tolist(), f.tolist())]
 

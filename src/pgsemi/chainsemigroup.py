@@ -30,8 +30,8 @@ from .chains import (
     _restrict,
     reduce_path,
 )
-from .errors import InvalidAlgebra, NotAMorphism, UndecidedEquality
-from .projections import is_morphism, relations, validate_axioms
+from .errors import NotAMorphism, UndecidedEquality
+from .projections import is_morphism, relations, require_algebra
 from .semigroups import (
     cayley_semigroup,
     projection_algebra_of,
@@ -101,9 +101,7 @@ class ChainSemigroupHandle:
     can fail on a lemma that only holds for projection algebras."""
 
     def __init__(self, P, budget=50_000):
-        bad = validate_axioms(P)
-        if bad:
-            raise InvalidAlgebra(bad[0])
+        require_algebra(P)
         self.algebra = P
         self.budget = budget
         self.rel = relations(P)

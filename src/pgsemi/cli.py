@@ -24,7 +24,8 @@ from .errors import BudgetExceeded, CapExceeded, PgsemiError, \
     UndecidedEquality
 from .presentations import presentation_RE, presentation_RE2, \
     presentation_RP, tl_presentation, verify_presentation
-from .projections import check_derived_laws, relations, validate_axioms
+from .projections import check_derived_laws, relations, require_algebra, \
+    validate_axioms
 from .semigroups import subsemigroup_closure
 from .serialize import algebra_to_dict, chain_to_dict, complex_to_dict, \
     complex_to_dot, dumps, presentation_to_dict
@@ -46,10 +47,17 @@ _FAMILIES = {
 }
 
 
-def _bundle(args):
+def _source(args):
     if not getattr(args, "source", None):
         raise PgsemiError("this command needs --source")
     return parse_source(args.source, allow_large=args.allow_large)
+
+
+def _bundle(args):
+    """The --source bundle, refused unless it is a projection algebra."""
+    bundle = _source(args)
+    require_algebra(bundle.algebra)
+    return bundle
 
 
 def _lines(lines):
@@ -58,12 +66,14 @@ def _lines(lines):
 
 
 def _emit(args, text):
+    """Write text, ended by a newline, to --out when given, else stdout."""
+    text = text if text.endswith("\n") else text + "\n"
     if getattr(args, "out", None):
         with open(args.out, "w") as fh:
             fh.write(text)
         print(f"wrote {args.out}")
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
 
 
 def _group_text(pres, cls):
@@ -101,7 +111,7 @@ class _Suite:
 # -- verbs ----------------------------------------------------------------
 
 def cmd_validate(args):
-    bundle = _bundle(args)
+    bundle = _source(args)
     P = bundle.algebra
     axioms = validate_axioms(P)
     derived = check_derived_laws(P, max_chain=args.max_chain)
@@ -118,7 +128,7 @@ def cmd_validate(args):
 
 
 def cmd_build(args):
-    bundle = _bundle(args)
+    bundle = _source(args)
     _emit(args, dumps(algebra_to_dict(bundle.algebra)))
     return 0
 

@@ -4,7 +4,6 @@ __all__ = [
     "PgsemiError",
     "MalformedTable",
     "InvalidAlgebra",
-    "NotPartialOrder",
     "DegreeMismatch",
     "InfeasibleDegree",
     "CapExceeded",
@@ -34,10 +33,6 @@ class InvalidAlgebra(PgsemiError, ValueError):
     def __init__(self, violation):
         super().__init__(f"not a projection algebra: {violation}")
         self.violation = violation
-
-
-class NotPartialOrder(PgsemiError, ValueError):
-    """A relation expected to be a partial order fails one of the order laws."""
 
 
 class DegreeMismatch(PgsemiError, ValueError):

@@ -25,13 +25,14 @@ import hashlib
 
 import numpy as np
 
-from .errors import MalformedTable, NotAMorphism, NotPartialOrder
+from .errors import InvalidAlgebra, MalformedTable, NotAMorphism
 
 __all__ = [
     "ProjectionAlgebra",
     "Violation",
     "ProjectionRelations",
     "validate_axioms",
+    "require_algebra",
     "relations",
     "theta_chain",
     "check_derived_laws",
@@ -70,7 +71,7 @@ class ProjectionAlgebra:
     for the laws.
     """
 
-    __slots__ = ("theta", "labels", "_digest", "_rows")
+    __slots__ = ("theta", "labels", "_digest", "_rows", "_verdict")
 
     def __init__(self, theta, labels=None):
         arr = np.asarray(theta)
@@ -91,6 +92,7 @@ class ProjectionAlgebra:
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_digest", None)
         object.__setattr__(self, "_rows", None)
+        object.__setattr__(self, "_verdict", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ProjectionAlgebra is immutable")
@@ -220,30 +222,30 @@ class ProjectionRelations:
     friendly: np.ndarray
 
 
-def relations(P, check=True):
+def require_algebra(P):
+    """Raise InvalidAlgebra naming the first failed law unless P passes
+    P1-P5.  Every entry that needs a projection algebra calls this; the
+    verdict is kept on the immutable table, so each is checked once."""
+    if P._verdict is None:
+        object.__setattr__(P, "_verdict", tuple(validate_axioms(P)[:1]))
+    if P._verdict:
+        raise InvalidAlgebra(P._verdict[0])
+
+
+def relations(P):
     """Compute <=, <=F and F for the algebra.
 
-    With ``check=True`` (default) verifies that <= is a partial order and
-    that both relations are reflexive, raising NotPartialOrder otherwise.
+    Nothing is checked: on a projection algebra <= is a partial order (P1,
+    P1 with P3, and A4) and <=F is reflexive (P1), and every entry that
+    relies on that calls require_algebra first.
     """
     T = P.theta.astype(np.intp)
-    n = P.size
-    rng = np.arange(n)
+    rng = np.arange(P.size)
     # p <= q iff p theta_q = p;  T[q, p] = p theta_q
     leq = T.T == rng[:, None]
     # p <=F q iff q theta_p = p
     leqf = T == rng[:, None]
-    friendly = leqf & leqf.T
-    if check and n:
-        if not leq[rng, rng].all() or not leqf[rng, rng].all():
-            raise NotPartialOrder("comparison relations are not reflexive")
-        antisym = leq & leq.T
-        if antisym.sum() != n:
-            raise NotPartialOrder("<= is not antisymmetric")
-        closure = (leq.astype(np.int64) @ leq.astype(np.int64)) > 0
-        if (closure & ~leq).any():
-            raise NotPartialOrder("<= is not transitive")
-    return ProjectionRelations(leq=leq, leqf=leqf, friendly=friendly)
+    return ProjectionRelations(leq=leq, leqf=leqf, friendly=leqf & leqf.T)
 
 
 def theta_chain(P, q, ps):
@@ -332,7 +334,7 @@ def check_derived_laws(P, max_chain=3, rel=None):
     out = []
     rng = np.arange(n)
     if rel is None:
-        rel = relations(P, check=False)
+        rel = relations(P)
     leq, leqf, friendly = rel.leq, rel.leqf, rel.friendly
 
     # A1: p th_q F q th_p; T.T[p, q] = p th_q

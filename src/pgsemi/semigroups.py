@@ -9,6 +9,7 @@ and ``cayley_semigroup`` gathers their tables from its Cayley graph.
 """
 
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
@@ -17,7 +18,7 @@ from .projections import (
     ProjectionAlgebra,
     _chunks,
     _Tally,
-    validate_axioms,
+    require_algebra,
 )
 
 __all__ = [
@@ -195,8 +196,8 @@ def projection_algebra_of(S):
 
     Returns ``(P, embed)`` where ``embed[i]`` is the semigroup element id of
     the i-th projection (ascending element order).  Raises InvalidSemigroup
-    if some p q p is not itself a projection, or if the resulting table
-    fails the projection-algebra axioms.
+    if some p q p is not itself a projection, and InvalidAlgebra naming the
+    first failed law if the resulting table fails P1-P5.
     """
     plist = S.projections()
     P = np.array(plist, dtype=np.intp)
@@ -214,11 +215,7 @@ def projection_algebra_of(S):
     if S.labels is not None:
         labels = [S.label(p) for p in plist]
     alg = ProjectionAlgebra(theta, labels=labels)
-    report = validate_axioms(alg)
-    if report:
-        raise InvalidSemigroup(
-            f"extracted table fails the axioms: {report[0]}"
-        )
+    require_algebra(alg)
     return alg, plist
 
 
@@ -303,13 +300,16 @@ class AdjacencyGraph:
     __slots__ = ("n", "edges")
 
     def __init__(self, n, edges=()):
-        if n < 0:
-            raise MalformedTable("vertex count must be nonnegative")
-        self.n = int(n)
+        if not isinstance(n, (int, np.integer)) or n < 0:
+            raise MalformedTable(f"vertex count {n!r} is not an integer >= 0")
+        self.n = n = int(n)
         es = set()
         for e in edges:
-            u, v = e
-            u, v = int(u), int(v)
+            try:
+                u, v = map(index, e)
+            except (TypeError, ValueError):
+                raise MalformedTable(
+                    f"edge {e!r} is not a pair of integers") from None
             if not (0 <= u < n and 0 <= v < n):
                 raise MalformedTable(f"edge {e!r} out of range")
             es.add((min(u, v), max(u, v)))

@@ -54,13 +54,22 @@ def algebra_to_dict(P):
     return d
 
 
+def _array(value, name):
+    """A JSON list as an array of the dtype it holds, so that the table
+    constructors' own integer and range checks see non-integer entries."""
+    try:
+        return np.asarray(value)
+    except ValueError as exc:
+        raise MalformedTable(f"{name} is not a rectangular array") from exc
+
+
 def algebra_from_dict(d):
     try:
         theta = d["theta"]
         size = d["size"]
     except (KeyError, TypeError) as exc:
         raise MalformedTable(f"missing field: {exc}") from exc
-    arr = np.asarray(theta, dtype=np.int64)
+    arr = _array(theta, "theta")
     if arr.shape != (size, size):
         raise MalformedTable(
             f"theta shape {arr.shape} does not match size {size}"
@@ -104,11 +113,10 @@ def semigroup_from_dict(d):
         size = d["size"]
     except (KeyError, TypeError) as exc:
         raise MalformedTable(f"missing field: {exc}") from exc
-    m = np.asarray(mult, dtype=np.int64)
+    m = _array(mult, "mult")
     if m.shape != (size, size):
         raise MalformedTable(f"mult shape {m.shape} does not match size {size}")
-    return StarSemigroup(m, np.asarray(star, dtype=np.int64),
-                         labels=d.get("labels"))
+    return StarSemigroup(m, _array(star, "star"), labels=d.get("labels"))
 
 
 def load_semigroup(path):

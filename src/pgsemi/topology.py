@@ -37,7 +37,7 @@ from .chains import (
 )
 from .cosets import enumerate_group, from_doubled, to_doubled
 from .errors import BudgetExceeded
-from .projections import relations
+from .projections import relations, require_algebra
 
 __all__ = [
     "Cell",
@@ -138,6 +138,7 @@ def _cyclic_dedup(walk):
 
 def complex_KP(P, rel=None):
     """The complex with a quad cell (e, e1, f, f1, e) per p-linked pair."""
+    require_algebra(P)
     if rel is None:
         rel = relations(P)
     g = friendliness_graph(P, rel)
@@ -159,6 +160,7 @@ def complex_KP_prime(P, rel=None, pairs=None):
     (f, e) describe the same triangle with opposite orientation: the first
     one in pair order is kept.
     """
+    require_algebra(P)
     if rel is None:
         rel = relations(P)
     g = friendliness_graph(P, rel)

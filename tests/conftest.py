@@ -11,6 +11,8 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+import pgsemi.chainsemigroup as chainsemigroup
+import pgsemi.topology as topology
 from pgsemi.catalog import parse_source
 from pgsemi.chains import LinkedPair, Path, classify_linked_pair
 from pgsemi.chainsemigroup import ChainSemigroupHandle, INFINITE
@@ -74,6 +76,14 @@ def chain_pool(src, seed=0, size=48):
 
 
 @pytest.fixture
+def without_boundary_check(monkeypatch):
+    """Let handles and complexes build on tables that fail P1-P5, so that a
+    test reaches the internal paths such tables take."""
+    for module in (chainsemigroup, topology):
+        monkeypatch.setattr(module, "require_algebra", lambda P: None)
+
+
+@pytest.fixture
 def path_count(monkeypatch):
     """A one-item list holding the number of Path constructions (each one a
     friendliness check of a whole walk) since the test started."""
@@ -98,7 +108,7 @@ def path_count(monkeypatch):
 def reference_linked_pairs(P, rel=None):
     T = P.rows
     if rel is None:
-        rel = relations(P, check=False)
+        rel = relations(P)
     out = []
     for p in range(P.size):
         Tp = T[p]

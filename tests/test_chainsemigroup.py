@@ -10,6 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pgsemi.chainsemigroup as chainsemigroup
+import pgsemi.projections as projections
+from pgsemi.boset import boset_of
 from pgsemi.catalog import parse_source
 from pgsemi.chains import (
     Path,
@@ -40,6 +42,7 @@ from pgsemi.semigroups import (
     projection_algebra_of,
     validate_star_semigroup,
 )
+from pgsemi.topology import complex_KP_prime
 
 from conftest import (
     FINITE_SIZES,
@@ -249,31 +252,40 @@ def test_product_matches_path_reference_on_streams(src):
         seen.append(out)
 
 
-def _without_boundary_check(monkeypatch):
-    """Let handles build on tables that fail P1-P5, so that tests reach the
-    internal paths such tables take."""
-    monkeypatch.setattr(chainsemigroup, "validate_axioms", lambda P: [])
-
-
-def test_product_on_random_tables_matches_path_reference(monkeypatch):
-    # Tables that pass relations(P) but need not be projection algebras:
-    # products of projection chains fail with NotBelow or NotFriendly, and
-    # must fail with the same type as the reference.
-    _without_boundary_check(monkeypatch)
+def _random_tables(count):
+    """The seeded sweep: ``count`` random 3-5 element tables with
+    p theta_p = p, the other entries uniform."""
     rng = random.Random(0)
-    outcomes = Counter()
-    for _ in range(600):
+    for _ in range(count):
         n = rng.randint(3, 5)
         T = np.array([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
         T[np.arange(n), np.arange(n)] = np.arange(n)
-        P = ProjectionAlgebra(T)
+        yield ProjectionAlgebra(T)
+
+
+def _assert_order_laws(P):
+    """The order laws relations(P) relies on without checking them: <=
+    reflexive, antisymmetric and transitive, and <=F reflexive."""
+    rel = relations(P)
+    leq = rel.leq
+    assert rel.leqf.diagonal().all()
+    assert ((leq & leq.T) == np.eye(P.size, dtype=bool)).all()
+    assert not (leq[:, :, None] & leq[None] & ~leq[:, None, :]).any()
+
+
+@pytest.mark.usefixtures("without_boundary_check")
+def test_product_on_random_tables_matches_path_reference():
+    # Tables that need not be projection algebras: products of projection
+    # chains fail with NotBelow or NotFriendly, and must fail with the same
+    # type as the reference.
+    outcomes = Counter()
+    for P in _random_tables(600):
         try:
-            relations(P)
             h = ChainSemigroupHandle(P)
         except PgsemiError:
             continue
-        for p in range(n):
-            for q in range(n):
+        for p in range(P.size):
+            for q in range(P.size):
                 c, d = h.projection_chain(p), h.projection_chain(q)
                 try:
                     want = _product_uncached(h, c, d)
@@ -401,10 +413,10 @@ def test_extend_morphism_rejects_a_broken_identification():
         h.extend_morphism(broken, phi)
 
 
+@pytest.mark.usefixtures("without_boundary_check")
 def test_handle_errors_match_the_per_pair_reference(monkeypatch):
     # random 3-5 element tables: the array classification must fail where
     # and how the per-pair routine fails, with the same message
-    _without_boundary_check(monkeypatch)
 
     def outcome(P):
         try:
@@ -413,33 +425,23 @@ def test_handle_errors_match_the_per_pair_reference(monkeypatch):
             return type(exc).__name__, str(exc)
         return "ok", ""
 
-    rng = random.Random(0)
     counts = Counter()
-    for _ in range(3000):
-        n = rng.randint(3, 5)
-        T = np.array([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
-        T[np.arange(n), np.arange(n)] = np.arange(n)
-        P = ProjectionAlgebra(T)
+    for P in _random_tables(3000):
         got = outcome(P)
         with monkeypatch.context() as m:
             m.setattr(chainsemigroup, "complex_KP_prime",
                       reference_complex_KP_prime)
             assert outcome(P) == got
         counts[got[0]] += 1
-    assert counts == {"NotPartialOrder": 1837, "NotFriendly": 599,
-                      "InconsistentClassification": 6, "ok": 558}
+    assert counts == {"NotFriendly": 1288, "InconsistentClassification": 9,
+                      "ok": 1703}
 
 
 def test_handle_refuses_every_non_algebra_at_the_boundary():
     # the sweep above, with the boundary check on: every table that fails
     # P1-P5 raises InvalidAlgebra naming its first failed law
-    rng = random.Random(0)
     counts = Counter()
-    for _ in range(3000):
-        n = rng.randint(3, 5)
-        T = np.array([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
-        T[np.arange(n), np.arange(n)] = np.arange(n)
-        P = ProjectionAlgebra(T)
+    for P in _random_tables(3000):
         bad = validate_axioms(P)
         if not bad:
             ChainSemigroupHandle(P)
@@ -451,6 +453,32 @@ def test_handle_refuses_every_non_algebra_at_the_boundary():
         assert str(bad[0]) in str(info.value)
         counts[bad[0].law] += 1
     assert counts["algebra"] > 0 and sum(counts.values()) == 3000
+
+
+def test_order_laws_hold_on_every_algebra_of_the_sweep():
+    # on a projection algebra the order laws are lemmas (P1, P1 with P3,
+    # A4), and every other table is refused at a boundary before relations
+    # is relied on; they hold on the fleet and every algebra of the sweep
+    for src in FLEET:
+        _assert_order_laws(bundle(src).algebra)
+    algebras = [P for P in _random_tables(3000) if not validate_axioms(P)]
+    assert algebras
+    for P in algebras:
+        _assert_order_laws(P)
+
+
+def test_each_table_is_checked_against_the_laws_once(monkeypatch):
+    # the source, the handle, the complex and the boset each need an
+    # algebra; the verdict is kept on the table, so P1-P5 run once
+    calls = []
+    check = projections.validate_axioms
+    monkeypatch.setattr(projections, "validate_axioms",
+                        lambda P: calls.append(P) or check(P))
+    P = parse_source("motzkin:4").algebra
+    ChainSemigroupHandle(P)
+    complex_KP_prime(P)
+    boset_of(P)
+    assert calls == [P]
 
 
 @st.composite
@@ -485,6 +513,21 @@ def test_fuzzed_tables_are_refused_or_give_a_star_semigroup(T):
     for c in chains[::3]:
         for d in chains:
             assert h.star(h.product(c, d)) == h.product(h.star(d), h.star(c))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(small_tables())
+@example(bundle("kinyon").algebra.theta.tolist())
+@example(bundle("band:2").algebra.theta.tolist())
+def test_fuzzed_algebras_keep_the_order_laws(T):
+    # as on the sweep: every fuzzed table that passes P1-P5 keeps the
+    # order laws
+    try:
+        P = ProjectionAlgebra(T)
+    except MalformedTable:
+        return
+    if not validate_axioms(P):
+        _assert_order_laws(P)
 
 
 @pytest.mark.parametrize("src", ["kinyon", "tl:4"])
@@ -538,3 +581,4 @@ def test_chain_repr_mentions_endpoints():
     h = handle("kinyon")
     c = h.idempotent_chain(2, 1)
     assert "2" in repr(c) and "1" in repr(c)
+

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pgsemi.cli import main
+from pgsemi.projections import ProjectionAlgebra, validate_axioms
 from pgsemi.serialize import dumps, load_algebra
 
 from conftest import bundle
@@ -234,11 +235,23 @@ def test_missing_file(capsys, tmp_path):
 
 
 def test_bad_json_file(capsys, tmp_path):
+    # broken JSON, and well-formed JSON that is not a table or a graph:
+    # each is refused as malformed input, never cast or crashed on
     path = tmp_path / "junk.json"
-    path.write_text("{]")
-    code, _, err = run(capsys, "validate", "--source", str(path))
-    assert code == 2
-    assert "error:" in err
+    for prefix, text in [
+        ("", "{]"),
+        ("", dumps({"size": 2, "theta": [[0.9, 0], [1, 1.2]]})),
+        ("", dumps({"size": 2, "theta": [["0", "0"], ["1", "1"]]})),
+        ("", dumps({"size": 2, "theta": [[0, 0], [1]]})),
+        ("adjacency:", dumps({"vertices": 2.5, "edges": []})),
+        ("adjacency:", dumps({"vertices": 2, "edges": [[0]]})),
+        ("adjacency:", dumps({"vertices": 2, "edges": [[0, 1.5]]})),
+    ]:
+        path.write_text(text)
+        code, out, err = run(capsys, "validate", "--source",
+                             prefix + str(path))
+        assert (code, out) == (2, ""), text
+        assert err.startswith("error:") and "Traceback" not in err, text
 
 
 def test_bad_component_index(capsys):
@@ -272,11 +285,72 @@ def test_size_refuses_a_non_algebra_naming_the_law(capsys, tmp_path):
                    "P2: (1, 0), (1, 2)\n")
 
 
+# Tables that are not projection algebras: the first fails only P4, the
+# second would give a KP cell whose boundary uses a missing edge, and the
+# third fails P2-P5 although its <= is a partial order
+NON_ALGEBRAS = [
+    [[0, 0, 0], [1, 1, 1], [0, 2, 2]],
+    [[0, 3, 3, 1], [0, 1, 2, 3], [1, 2, 2, 2], [0, 0, 1, 3]],
+    [[0, 3, 3, 2], [0, 1, 2, 1], [3, 2, 2, 0], [2, 3, 2, 3]],
+]
+
+
+@pytest.mark.parametrize("argv", [
+    ("relations",),
+    ("relations", "--format", "json"),
+    ("complex", "--which", "GP"),
+    ("complex", "--which", "KP"),
+    ("complex", "--which", "KP'"),
+    ("export",),
+    ("export", "--format", "json"),
+    ("pi1",),
+    ("enumerate",),
+    ("size",),
+    ("subgroup", "--projection", "0"),
+    ("presentations", "--family", "RP"),
+    ("presentations", "--family", "RE"),
+    ("presentations", "--family", "RE2"),
+    ("verify", "boset"),
+])
+def test_every_verb_but_validate_and_build_refuses_a_non_algebra(
+        capsys, tmp_path, argv):
+    path = tmp_path / "bad.json"
+    for theta in NON_ALGEBRAS:
+        path.write_text(dumps({"size": len(theta), "theta": theta}))
+        first = validate_axioms(ProjectionAlgebra(theta))[0]
+        code, out, err = run(capsys, *argv, "--source", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: not a projection algebra: {first}\n"
+
+
+def test_validate_and_build_read_a_non_algebra(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    for theta in NON_ALGEBRAS:
+        d = {"size": len(theta), "theta": theta}
+        path.write_text(dumps(d))
+        code, out, _ = run(capsys, "validate", "--source", str(path))
+        assert code == 1
+        for v in validate_axioms(ProjectionAlgebra(theta)):
+            assert f"FAIL {v}\n" in out
+        assert run(capsys, "build", "--source", str(path)) == \
+            (0, dumps(d) + "\n", "")
+
+
 @pytest.mark.parametrize("argv", [
     ("complex", "--source", "kinyon", "--which", "KP"),
     ("pi1", "--source", "band:4"),
     ("enumerate", "--source", "kinyon"),
     ("subgroup", "--source", "band:3", "--projection", "1"),
+    ("relations", "--source", "kinyon"),
+    ("relations", "--source", "kinyon", "--format", "json"),
+    ("build", "--source", "kinyon"),
+    ("complex", "--source", "kinyon", "--format", "json"),
+    ("pi1", "--source", "band:4", "--format", "json"),
+    ("enumerate", "--source", "kinyon", "--format", "json"),
+    ("subgroup", "--source", "band:3", "--projection", "1",
+     "--format", "json"),
+    ("presentations", "--source", "band:2", "--family", "RP",
+     "--format", "json"),
 ])
 def test_out_writes_the_text_form(capsys, tmp_path, argv):
     _, plain, _ = run(capsys, *argv)

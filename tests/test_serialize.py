@@ -87,6 +87,12 @@ def test_malformed_algebra_dicts():
         algebra_from_dict({"size": 2, "theta": [[0, 0]]})
     with pytest.raises(MalformedTable):
         semigroup_from_dict({"size": 1, "mult": [[0]]})  # star missing
+    # entries are not cast: floats, strings and ragged rows are malformed
+    for mult, star in (([[0.5]], [0]), ([["0"]], [0]), ([[0]], [0.0]),
+                       ([[0, 1], [1]], [0, 1])):
+        with pytest.raises(MalformedTable):
+            semigroup_from_dict({"size": len(mult), "mult": mult,
+                                 "star": star})
 
 
 def test_malformed_json_file(tmp_path):

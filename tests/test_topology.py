@@ -128,11 +128,12 @@ _ONE_CHECK_FAILS = {
 }
 
 
+@pytest.mark.usefixtures("without_boundary_check")
 @pytest.mark.parametrize("check", sorted(_ONE_CHECK_FAILS))
 def test_kp_prime_runs_every_check_on_every_pair(check):
     theta, pef = _ONE_CHECK_FAILS[check]
     P = ProjectionAlgebra(theta)
-    rel = relations(P, check=False)
+    rel = relations(P)
     lp = LinkedPair(P, *pef)
     with pytest.raises(PgsemiError) as want:
         classify_linked_pair(lp)
