@@ -63,6 +63,15 @@ class Violation:
         return f"{self.law}: {shown}{more}"
 
 
+def _labels(labels, n):
+    """``labels`` as a tuple of n strings; None stays None."""
+    if labels is None:
+        return None
+    if not isinstance(labels, (list, tuple)) or len(labels) != n:
+        raise MalformedTable(f"labels must be a list of {n} names")
+    return tuple(map(str, labels))
+
+
 class ProjectionAlgebra:
     """Immutable wrapper around a unary-operation table.
 
@@ -85,11 +94,7 @@ class ProjectionAlgebra:
             raise MalformedTable("theta entries must lie in 0..n-1")
         arr.setflags(write=False)
         object.__setattr__(self, "theta", arr)
-        if labels is not None:
-            labels = tuple(str(x) for x in labels)
-            if len(labels) != n:
-                raise MalformedTable("labels length must equal the carrier size")
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", _labels(labels, n))
         object.__setattr__(self, "_digest", None)
         object.__setattr__(self, "_rows", None)
         object.__setattr__(self, "_verdict", None)
@@ -142,7 +147,7 @@ class ProjectionAlgebra:
 def _chunks(total, width):
     """Consecutive (lo, hi) slices of range(total), each of at most
     CHUNK_CELLS cells when one index stands for ``width`` cells."""
-    step = max(1, CHUNK_CELLS // width)
+    step = max(1, CHUNK_CELLS // max(width, 1))
     for lo in range(0, total, step):
         yield lo, min(lo + step, total)
 
@@ -176,35 +181,41 @@ class _Tally:
             out.append(Violation(self.law, tuple(self.witnesses), self.count))
 
 
+def _gather(M, rows, cols):
+    """M[rows, cols] for broadcastable index arrays, as one take on the flat
+    table (numpy's broadcast fancy indexing is slower); ``rows`` is intp."""
+    return np.take(M.ravel(), rows * M.shape[1] + cols)
+
+
 def validate_axioms(P):
-    """Check P1-P5 on the full table.  Returns a list of Violations, empty
-    iff the table is a projection algebra.  The three-variable laws run in
-    chunks over p, so memory stays bounded on large tables."""
-    T = P.theta.astype(np.intp)
+    """Check P1-P5 on the full table, keeping the verdict for require_algebra.
+    Returns a list of Violations, empty iff the table is a projection algebra.
+    The three-variable laws run in chunks over p, so memory stays bounded."""
+    T = P.theta
     n = P.size
-    if n == 0:
-        return []
     out = []
     rng = np.arange(n)
 
     # P1: p theta_p = p
-    _Tally("P1").add(T[rng, rng] != rng).report(out)
+    _Tally("P1").add(T.diagonal() != rng).report(out)
     # P2: theta_p is idempotent as a map; [p, q] -> (q th_p) th_p
-    _Tally("P2").add(T[rng[:, None], T] != T).report(out)
+    _Tally("P2").add(_gather(T, rng[:, None], T) != T).report(out)
     # P3: (p theta_q) theta_p = q theta_p; [p, q] -> (p th_q) th_p
-    _Tally("P3").add(T[rng[:, None], T.T] != T).report(out)
+    _Tally("P3").add(_gather(T, rng[:, None], T.T) != T).report(out)
 
     p4, p5 = _Tally("P4"), _Tally("P5")
     for lo, hi in _chunks(n, n * n):
-        # B[p, q, r] = (r th_p) th_q ; C[p, q, r] = ((r th_p) th_q) th_p
-        B = T[rng[None, :, None], T[lo:hi, None, :]]
-        C = T[rng[lo:hi, None, None], B]
+        # [q, p, r]: B = (r th_p) th_q, C = ((r th_p) th_q) th_p
+        B = np.take(T, T[lo:hi], axis=1)
+        C = _gather(T, rng[lo:hi, None], B)
         # P4: ((r th_p) th_q) th_p = r th_{q th_p}
-        p4.add(C != T[T[lo:hi]], lo)
+        p4.add((C != np.take(T, T[lo:hi].T, axis=0)).swapaxes(0, 1), lo)
         # P5: (((r th_p) th_q) th_p) th_q = (r th_p) th_q
-        p5.add(T[rng[None, :, None], C] != B, lo)
+        p5.add((_gather(T, rng[:, None, None], C) != B).swapaxes(0, 1), lo)
     p4.report(out)
     p5.report(out)
+    if P._verdict is None:
+        object.__setattr__(P, "_verdict", tuple(out[:1]))
     return out
 
 
@@ -227,7 +238,7 @@ def require_algebra(P):
     P1-P5.  Every entry that needs a projection algebra calls this; the
     verdict is kept on the immutable table, so each is checked once."""
     if P._verdict is None:
-        object.__setattr__(P, "_verdict", tuple(validate_axioms(P)[:1]))
+        validate_axioms(P)
     if P._verdict:
         raise InvalidAlgebra(P._verdict[0])
 
@@ -265,11 +276,10 @@ def _chain_classes(T, max_chain):
     n = T.shape[0]
     cls = np.zeros(1, dtype=np.intp)              # the empty tuple
     L = R = np.arange(n, dtype=T.dtype)[None, :]
-    rng = np.arange(n)
     row = np.dtype((np.void, 2 * n * T.itemsize))
     for k in range(1, max_chain + 1):
-        fwd = T[rng[None, :, None], L[:, None, :]]  # [c, p, r] = r L th_p
-        rev = R[:, T]                               # [c, p, r] = r th_p R
+        fwd = np.take(T, L, axis=1).transpose(1, 0, 2)  # [c, p, r] = r L th_p
+        rev = np.take(R, T, axis=1)                     # [c, p, r] = r th_p R
         pairs = np.concatenate([fwd, rev], axis=2).reshape(-1, 2 * n)
         # distinct rows, each compared as one block of bytes: much faster
         # than np.unique(axis=0), which sorts field by field
@@ -283,14 +293,24 @@ def _chain_classes(T, max_chain):
 
 def _chain_mismatch(T, L, R):
     """C1 and C2 failure masks, [c, q, r], for composites L[c], R[c]."""
-    n = T.shape[0]
-    rng = np.arange(n)
-    X = T[rng[None, :, None], R[:, None, :]]        # [c, q, r] = r R th_q
-    rhs_c1 = L[np.arange(len(L))[:, None, None], X]  # r R th_q L
-    lhs_c1 = T[L]                                    # r th_{q L}
-    lhs_c2 = T[rng[None, None, :], rhs_c1]           # apply th_r
-    rhs_c2 = T[rng[None, None, :], L[:, :, None]]    # q L th_r
-    return lhs_c1 != rhs_c1, lhs_c2 != rhs_c2
+    X = np.take(T, R, axis=1)                            # [q, c, r] = r R th_q
+    rhs_c1 = _gather(L, np.arange(len(L))[:, None], X)   # r R th_q L
+    lhs_c1 = np.take(T, L.T, axis=0)                     # r th_{q L}
+    lhs_c2 = _gather(T, np.arange(len(T)), rhs_c1)       # apply th_r
+    rhs_c2 = np.take(T.T, L.T, axis=0)                   # q L th_r
+    return (lhs_c1 != rhs_c1).swapaxes(0, 1), (lhs_c2 != rhs_c2).swapaxes(0, 1)
+
+
+def _premise_failures(T, premise, steps):
+    """[p, q] fails iff premise and th_p != th_{steps[0]} th_{steps[1]} ..."""
+    pairs, mask = np.argwhere(premise), np.zeros_like(premise)
+    for lo, hi in _chunks(len(pairs), len(T)):
+        pq = pairs[lo:hi].T                       # pq[0] = p, pq[1] = q
+        M = T[pq[steps[0]]]                       # [i, r]: r through pair i
+        for s in steps[1:]:
+            M = _gather(T, pq[s][:, None], M)
+        mask[pq[0], pq[1]] = (M != T[pq[0]]).any(axis=1)
+    return mask
 
 
 def check_derived_laws(P, max_chain=3, rel=None):
@@ -324,15 +344,15 @@ def check_derived_laws(P, max_chain=3, rel=None):
     failing class is expanded back to its tuples, which are reported over
     consecutive chunks of tuples of at most CHUNK_CELLS cells, one Violation
     per law per chunk that fails, with witnesses (tuple, q, r) and counts of
-    failing cells exactly as a check of every tuple would give them.  The
-    pairwise laws with three variables run in chunks over p.
+    failing cells exactly as a check of every tuple would give them.  A2
+    runs in chunks over p.  A4 and A5 compare maps only on the pairs where
+    their premise holds, in chunks of pairs, and report as a check of all.
     """
-    T = P.theta.astype(np.intp)
+    T = P.theta
     n = P.size
     if n == 0:
         return []
     out = []
-    rng = np.arange(n)
     if rel is None:
         rel = relations(P)
     leq, leqf, friendly = rel.leq, rel.leqf, rel.friendly
@@ -353,27 +373,19 @@ def check_derived_laws(P, max_chain=3, rel=None):
     # A3
     _Tally("A3").add(leq & ~leqf).report(out)
 
-    # A4: rows compared as whole maps where p <= q;
-    # A5: theta_p = theta_p theta_q theta_p where p <=F q
-    a4a, a4b, a5 = _Tally("A4a"), _Tally("A4b"), _Tally("A5")
-    for lo, hi in _chunks(n, n * n):
-        Tp = T[lo:hi, None, :]                       # [p, ., r] = r th_p
-        m1 = T[rng[None, :, None], Tp]               # [p, q, r] = r th_p th_q
-        a4a.add((m1 != Tp).any(axis=2) & leq[lo:hi], lo)
-        m2 = T[rng[lo:hi, None, None], T[None]]      # [p, q, r] = r th_q th_p
-        a4b.add((m2 != Tp).any(axis=2) & leq[lo:hi], lo)
-        C = T[rng[lo:hi, None, None], m1]            # r th_p th_q th_p
-        a5.add((C != Tp).any(axis=2) & leqf[lo:hi], lo)
-    a4a.report(out)
-    a4b.report(out)
-    a5.report(out)
+    # A4: p <= q implies theta_p = theta_p theta_q = theta_q theta_p;
+    # A5: p <=F q implies theta_p = theta_p theta_q theta_p
+    for law, premise, steps in (("A4a", leq, (0, 1)), ("A4b", leq, (1, 0)),
+                                ("A5", leqf, (0, 1, 0))):
+        _Tally(law).add(_premise_failures(T, premise, steps)).report(out)
 
     # chain laws, once per class of tuples with equal composites
-    for k, cls, L, R in _chain_classes(P.theta, max_chain):
+    for k, cls, L, R in _chain_classes(T, max_chain):
         counts = np.zeros((2, len(L)), dtype=np.int64)
         for lo, hi in _chunks(len(L), n * n):
             for i, mism in enumerate(_chain_mismatch(T, L[lo:hi], R[lo:hi])):
-                counts[i, lo:hi] = np.count_nonzero(mism, axis=(1, 2))
+                if mism.any():
+                    counts[i, lo:hi] = np.count_nonzero(mism, axis=(1, 2))
         if not counts.any():
             continue
         for lo, hi in _chunks(n**k, n * n):

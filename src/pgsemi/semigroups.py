@@ -17,6 +17,7 @@ from .errors import CapExceeded, InvalidSemigroup, MalformedTable
 from .projections import (
     ProjectionAlgebra,
     _chunks,
+    _labels,
     _Tally,
     require_algebra,
 )
@@ -57,11 +58,7 @@ class StarSemigroup:
         self.star = star.astype(np.int32, copy=True)
         self.mult.setflags(write=False)
         self.star.setflags(write=False)
-        if labels is not None:
-            labels = tuple(str(x) for x in labels)
-            if len(labels) != n:
-                raise MalformedTable("labels length must equal the carrier size")
-        self.labels = labels
+        self.labels = _labels(labels, n)
 
     @property
     def size(self):
@@ -300,12 +297,14 @@ class AdjacencyGraph:
     __slots__ = ("n", "edges")
 
     def __init__(self, n, edges=()):
-        if not isinstance(n, (int, np.integer)) or n < 0:
+        if type(n) is bool or not isinstance(n, (int, np.integer)) or n < 0:
             raise MalformedTable(f"vertex count {n!r} is not an integer >= 0")
         self.n = n = int(n)
         es = set()
         for e in edges:
             try:
+                if bool in map(type, e):
+                    raise TypeError("a bool is not a vertex")
                 u, v = map(index, e)
             except (TypeError, ValueError):
                 raise MalformedTable(

@@ -54,13 +54,16 @@ def algebra_to_dict(P):
     return d
 
 
-def _array(value, name):
+def _array(value, name, size=None):
     """A JSON list as an array of the dtype it holds, so that the table
-    constructors' own integer and range checks see non-integer entries."""
+    constructors' checks see non-integer entries; ``size`` fixes its shape."""
     try:
-        return np.asarray(value)
+        arr = np.asarray(value)
     except ValueError as exc:
         raise MalformedTable(f"{name} is not a rectangular array") from exc
+    if size is not None and (type(size) is bool or arr.shape != (size, size)):
+        raise MalformedTable(f"{name} shape {arr.shape} is not {size}x{size}")
+    return arr
 
 
 def algebra_from_dict(d):
@@ -69,12 +72,8 @@ def algebra_from_dict(d):
         size = d["size"]
     except (KeyError, TypeError) as exc:
         raise MalformedTable(f"missing field: {exc}") from exc
-    arr = _array(theta, "theta")
-    if arr.shape != (size, size):
-        raise MalformedTable(
-            f"theta shape {arr.shape} does not match size {size}"
-        )
-    return ProjectionAlgebra(arr, labels=d.get("labels"))
+    return ProjectionAlgebra(_array(theta, "theta", size),
+                             labels=d.get("labels"))
 
 
 def _load_json(path):
@@ -113,10 +112,8 @@ def semigroup_from_dict(d):
         size = d["size"]
     except (KeyError, TypeError) as exc:
         raise MalformedTable(f"missing field: {exc}") from exc
-    m = _array(mult, "mult")
-    if m.shape != (size, size):
-        raise MalformedTable(f"mult shape {m.shape} does not match size {size}")
-    return StarSemigroup(m, _array(star, "star"), labels=d.get("labels"))
+    return StarSemigroup(_array(mult, "mult", size), _array(star, "star"),
+                         labels=d.get("labels"))
 
 
 def load_semigroup(path):
@@ -136,6 +133,8 @@ def graph_from_dict(d):
         edges = d["edges"]
     except (KeyError, TypeError) as exc:
         raise MalformedTable(f"missing field: {exc}") from exc
+    if not isinstance(edges, list):
+        raise MalformedTable(f"edges {edges!r} is not a list")
     return AdjacencyGraph(n, edges)
 
 

@@ -479,6 +479,11 @@ def test_each_table_is_checked_against_the_laws_once(monkeypatch):
     complex_KP_prime(P)
     boset_of(P)
     assert calls == [P]
+    # an explicit check leaves its verdict for the handle
+    Q = ProjectionAlgebra(P.theta)
+    assert projections.validate_axioms(Q) == []
+    ChainSemigroupHandle(Q)
+    assert calls == [P, Q]
 
 
 @st.composite

@@ -246,6 +246,12 @@ def test_bad_json_file(capsys, tmp_path):
         ("adjacency:", dumps({"vertices": 2.5, "edges": []})),
         ("adjacency:", dumps({"vertices": 2, "edges": [[0]]})),
         ("adjacency:", dumps({"vertices": 2, "edges": [[0, 1.5]]})),
+        # a list that is a number, and JSON true read as the integer 1
+        ("adjacency:", dumps({"vertices": 2, "edges": 5})),
+        ("", dumps({"size": 1, "theta": [[0]], "labels": 5})),
+        ("adjacency:", dumps({"vertices": True, "edges": []})),
+        ("adjacency:", dumps({"vertices": 2, "edges": [[0, True]]})),
+        ("", dumps({"size": True, "theta": [[0]]})),
     ]:
         path.write_text(text)
         code, out, err = run(capsys, "validate", "--source",

@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -294,3 +295,39 @@ def test_large_table_reports_span_chunks_over_p():
     assert got == _oracle_derived(theta, 1)
     a4a = [w for law, w, _ in got if law == "A4a"][0]
     assert [p for p, _ in a4a] == [3, 70, 89]
+
+
+def test_premise_laws_span_chunks_of_pairs():
+    # on a square band of 90, p <=F q holds for all 8,100 pairs, so A5 runs
+    # over two chunks of pairs, cut after pair 5,555 = (61, 65); each
+    # planted row p is constant at c except at p and a few q, where theta_p
+    # gives p: A5 fails at those q, and fails unreported where p <=F q fails
+    theta = square_band_algebra(90).theta.astype(np.int64)
+    for p, c, qs in ((5, 7, (1,)), (61, 0, (60, 62, 70, 80)),
+                     (89, 3, (88,))):
+        theta[p] = c
+        theta[p, (p,) + qs] = p
+    P = ProjectionAlgebra(theta)
+    got = _reports(check_derived_laws(P, max_chain=1))
+    assert got == _oracle_derived(theta, 1)
+    a5 = [(w, count) for law, w, count in got if law == "A5"][0]
+    assert a5 == (((5, 1), (61, 60), (61, 62), (61, 70), (61, 80),
+                   (89, 88)), 6)
+    # the same composite without the premise fails on whole rows
+    T = P.theta.astype(np.intp)
+    B = T[:, T]                                   # [q, p, r] = r th_p th_q
+    C = T[np.arange(90)[None, :, None], B]        # r th_p th_q th_p
+    assert (C != T[None]).any(axis=2).sum() > 200
+
+
+def test_law_checks_keep_memory_bounded():
+    P = square_band_algebra(200)
+    for check in (validate_axioms,
+                  functools.partial(check_derived_laws, max_chain=1)):
+        tracemalloc.start()
+        try:
+            assert check(P) == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6, (check, peak)

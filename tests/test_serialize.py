@@ -93,6 +93,17 @@ def test_malformed_algebra_dicts():
         with pytest.raises(MalformedTable):
             semigroup_from_dict({"size": len(mult), "mult": mult,
                                  "star": star})
+    # a number where a list belongs, and JSON true where an integer does
+    for bad in ({"size": 1, "theta": [[0]], "labels": 5},
+                {"size": True, "theta": [[0]]}):
+        with pytest.raises(MalformedTable):
+            algebra_from_dict(bad)
+    with pytest.raises(MalformedTable):
+        semigroup_from_dict({"size": True, "mult": [[0]], "star": [0]})
+    for bad in ({"vertices": 2, "edges": 5}, {"vertices": True, "edges": []},
+                {"vertices": 2, "edges": [[0, True]]}):
+        with pytest.raises(MalformedTable):
+            graph_from_dict(bad)
 
 
 def test_malformed_json_file(tmp_path):
