@@ -30,7 +30,7 @@ from .chains import (
     _restrict,
     reduce_path,
 )
-from .errors import NotAMorphism, UndecidedEquality
+from .errors import InvalidArgument, NotAMorphism, UndecidedEquality
 from .projections import is_morphism, relations, require_algebra
 from .semigroups import (
     cayley_semigroup,
@@ -252,7 +252,7 @@ class ChainSemigroupHandle:
 
     def _closure(self, cap):
         if cap < self.algebra.size:
-            raise ValueError("cap smaller than the projection count")
+            raise InvalidArgument("cap smaller than the projection count")
         gens = [self.projection_chain(p) for p in range(self.algebra.size)]
         return right_cayley_closure(gens, gens, self.product, cap=cap)
 

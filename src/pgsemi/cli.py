@@ -201,7 +201,8 @@ def cmd_pi1(args):
             out.append(f"component {i}: vertices {comps[i]}")
             out.append("  " + _group_text(pres, cls).replace("\n", "\n  "))
     _emit(args, dumps(out) if args.format == "json" else _lines(out))
-    return 0
+    kinds = [handle.components[i].classification.kind for i in picked]
+    return 3 if "unknown" in kinds else 0
 
 
 def cmd_enumerate(args):

@@ -17,7 +17,7 @@ Algebra 2011), with the elements sorted by blocks.
 
 import itertools
 
-from .errors import DegreeMismatch, InfeasibleDegree
+from .errors import DegreeMismatch, InfeasibleDegree, InvalidArgument
 from .semigroups import cayley_semigroup, right_cayley_closure
 
 __all__ = [
@@ -189,7 +189,7 @@ def generate_monoid(gens, cap=100_000):
     elements sorted by blocks; raises CapExceeded past the cap."""
     gens = list(gens)
     if cap < 1:
-        raise ValueError("cap must be >= 1")
+        raise InvalidArgument("cap must be >= 1")
     degrees = {g.n for g in gens}
     if len(degrees) > 1:
         raise DegreeMismatch(f"mixed degrees {sorted(degrees)}")

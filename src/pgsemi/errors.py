@@ -3,6 +3,7 @@
 __all__ = [
     "PgsemiError",
     "MalformedTable",
+    "InvalidArgument",
     "InvalidAlgebra",
     "DegreeMismatch",
     "InfeasibleDegree",
@@ -24,6 +25,10 @@ class PgsemiError(Exception):
 
 class MalformedTable(PgsemiError, ValueError):
     """An operation table is not square, not integral, or out of range."""
+
+
+class InvalidArgument(PgsemiError, ValueError):
+    """An argument is outside what the requested operation supports."""
 
 
 class InvalidAlgebra(PgsemiError, ValueError):

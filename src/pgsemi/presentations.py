@@ -16,7 +16,8 @@ from .boset import boset_of, sandwich_set
 from .chains import Path
 from .chainsemigroup import ChainSemigroupHandle
 from .cosets import enumerate_monoid
-from .errors import BudgetExceeded, UndecidedEquality
+from .errors import BudgetExceeded, InfeasibleDegree, InvalidArgument, \
+    UndecidedEquality
 
 __all__ = [
     "SemigroupPresentation",
@@ -165,7 +166,7 @@ def tl_presentation(n):
     """Monoid-convention presentation of the planar matching monoid on n
     strands: identity letter e plus t_1 .. t_{n-1}."""
     if n < 2:
-        raise ValueError("need n >= 2")
+        raise InfeasibleDegree("need n >= 2")
     letters = [("id",)] + [("tl", i) for i in range(1, n)]
     names = ["e"] + [f"t{i}" for i in range(1, n)]
     t = {i: i for i in range(1, n)}       # letter index of t_i
@@ -279,13 +280,13 @@ def verify_presentation(P, pres, mode, handle=None, seed=0, samples=200,
         return _verify_size(handle, pres, budget)
     if mode == "normal-form":
         return _verify_normal_form(handle, pres, seed, samples, budget)
-    raise ValueError(f"unknown mode {mode!r}")
+    raise InvalidArgument(f"unknown mode {mode!r}")
 
 
 def _verify_soundness(handle, pres):
     chains = [_letter_chain(handle, tag) for tag in pres.letters]
     if any(c is None for c in chains):
-        raise ValueError("presentation letters have no chain evaluation")
+        raise InvalidArgument("presentation letters have no chain evaluation")
     failures = []
     try:
         for lhs, rhs, tag in pres.relations:
@@ -303,7 +304,7 @@ def _verify_soundness(handle, pres):
 def _verify_size(handle, pres, budget):
     expected = handle.size()
     if not isinstance(expected, int):
-        raise ValueError("size mode needs a finite chain semigroup")
+        raise InvalidArgument("size mode needs a finite chain semigroup")
     try:
         enum = enumerate_monoid(len(pres.letters), pres.word_pairs(),
                                 budget=budget or 50_000)
@@ -333,7 +334,7 @@ def _verify_size(handle, pres, budget):
 
 def _verify_normal_form(handle, pres, seed, samples, budget):
     if any(tag[0] != "proj" for tag in pres.letters):
-        raise ValueError("normal-form mode works on projection letters")
+        raise InvalidArgument("normal-form mode works on projection letters")
     P = handle.algebra
     if budget is None:
         if isinstance(handle.size(), int):

@@ -313,7 +313,7 @@ def _premise_failures(T, premise, steps):
     return mask
 
 
-def check_derived_laws(P, max_chain=3, rel=None):
+def check_derived_laws(P, max_chain=3):
     """Check consequences of P1-P5: the five pairwise laws below plus the
     two operation-composite laws at every chain length up to ``max_chain``.
 
@@ -353,8 +353,7 @@ def check_derived_laws(P, max_chain=3, rel=None):
     if n == 0:
         return []
     out = []
-    if rel is None:
-        rel = relations(P)
+    rel = relations(P)
     leq, leqf, friendly = rel.leq, rel.leqf, rel.friendly
 
     # A1: p th_q F q th_p; T.T[p, q] = p th_q

@@ -56,11 +56,14 @@ def algebra_to_dict(P):
 
 def _array(value, name, size=None):
     """A JSON list as an array of the dtype it holds, so that the table
-    constructors' checks see non-integer entries; ``size`` fixes its shape."""
+    constructors' checks see non-integer entries; a bool is refused even
+    among ints, which numpy reads as 0 or 1.  ``size`` fixes its shape."""
     try:
         arr = np.asarray(value)
     except ValueError as exc:
         raise MalformedTable(f"{name} is not a rectangular array") from exc
+    if any(type(x) is bool for x in np.asarray(value, dtype=object).flat):
+        raise MalformedTable(f"{name} holds a boolean")
     if size is not None and (type(size) is bool or arr.shape != (size, size)):
         raise MalformedTable(f"{name} shape {arr.shape} is not {size}x{size}")
     return arr

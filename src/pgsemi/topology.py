@@ -23,10 +23,9 @@ generator.
 import heapq
 from collections import Counter
 from dataclasses import dataclass, field
+from math import gcd
 
 import numpy as np
-import sympy
-from sympy.matrices.normalforms import smith_normal_form
 
 from .chains import (
     LinkedPair,
@@ -361,10 +360,10 @@ def pi1_presentation(c, component, basepoint=None):
 class Classification:
     """Group classification report.
 
-    kind: 'trivial' | 'free' | 'finite' | 'unknown'.  ``abelian`` is
-    (free rank, torsion invariants) from the Smith normal form and is
-    filled in for every kind.  ``enumeration`` holds the completed coset
-    table for finite groups.
+    kind: 'trivial' | 'free' | 'finite' | 'unknown'.  ``abelian`` is the
+    abelianization as (free rank, invariant factors above 1) from
+    ``abelian_invariants``, filled in for every kind.  ``enumeration``
+    holds the completed coset table for finite groups.
     """
 
     kind: str
@@ -400,21 +399,43 @@ class Classification:
 
 
 def abelian_invariants(ngens, relators):
-    """(free rank, torsion tuple) of the abelianized group via Smith
-    normal form of the exponent matrix."""
-    if ngens == 0:
-        return (0, ())
-    if not relators:
-        return (ngens, ())
-    M = np.zeros((len(relators), ngens), dtype=np.int64)
-    for i, r in enumerate(relators):
+    """(free rank, torsion tuple) of the abelianized group.
+
+    The exponent-sum matrix, one row per relator, is diagonalized by exact
+    integer elimination (Sims 1994, ch. 8): a smallest nonzero entry
+    reduces its column and its row, a smaller remainder becomes the next
+    pivot, and a pivot left alone in its row and column is a diagonal
+    entry.  Pairwise gcd and lcm turn the diagonal into the invariant
+    factors d1 | d2 | ...; the torsion is those above 1, in that order.
+    """
+    rows = [[0] * ngens for _ in relators]
+    for row, r in zip(rows, relators):
         for l in r:
-            M[i, abs(l) - 1] += 1 if l > 0 else -1
-    sm = smith_normal_form(sympy.Matrix(M.tolist()), domain=sympy.ZZ)
-    diag = [abs(int(sm[i, i])) for i in range(min(sm.shape))]
-    nonzero = [d for d in diag if d != 0]
-    torsion = tuple(d for d in nonzero if d != 1)
-    return (ngens - len(nonzero), torsion)
+            row[abs(l) - 1] += 1 if l > 0 else -1
+    diag = []
+    while any(map(any, rows)):
+        _, i, j = min((abs(x), i, j) for i, row in enumerate(rows)
+                      for j, x in enumerate(row) if x)
+        prow = rows.pop(i)
+        piv = prow[j]
+        for row in rows:                  # row operations on column j
+            q = row[j] // piv
+            row[:] = [a - q * b for a, b in zip(row, prow)]
+        for c in range(len(prow)):        # column operations on row i
+            q = prow[c] // piv if c != j else 0
+            for row in rows + [prow]:
+                row[c] -= q * row[j]
+        if any(row[j] for row in rows) or any(prow[:j] + prow[j + 1:]):
+            rows.append(prow)
+            continue
+        diag.append(abs(piv))
+        for row in rows:
+            del row[j]
+    for a in range(len(diag)):
+        for b in range(a + 1, len(diag)):
+            g = gcd(diag[a], diag[b])
+            diag[a], diag[b] = g, diag[a] * diag[b] // g
+    return (ngens - len(diag), tuple(d for d in diag if d != 1))
 
 
 def _substitute(word, defs):

@@ -252,6 +252,8 @@ def test_bad_json_file(capsys, tmp_path):
         ("adjacency:", dumps({"vertices": True, "edges": []})),
         ("adjacency:", dumps({"vertices": 2, "edges": [[0, True]]})),
         ("", dumps({"size": True, "theta": [[0]]})),
+        ("", dumps({"size": 2, "theta": [[0, True], [1, 1]]})),
+        ("", dumps({"size": 1, "theta": [[False]]})),
     ]:
         path.write_text(text)
         code, out, err = run(capsys, "validate", "--source",
@@ -272,6 +274,25 @@ def test_inconclusive_budget_exit(capsys):
                        "--family", "RP", "--mode", "size", "--budget", "3")
     assert code == 3
     assert "inconclusive:" in err
+
+
+def test_pi1_unknown_group_exit(capsys):
+    # an undecided group exits 3 and still prints what is known of it
+    code, out, _ = run(capsys, "pi1", "--source", "brauer:5", "--budget", "1")
+    assert code == 3
+    assert "classification: unknown(abelianization (0, (2,)))" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--source", "kinyon", "--cap", "2"),
+    ("presentations", "--source", "tl:1", "--family", "tl"),
+    ("verify", "presentation", "--source", "tl:3", "--family", "RE",
+     "--mode", "normal-form"),
+])
+def test_usage_errors_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_enumerate_cap_exit(capsys):

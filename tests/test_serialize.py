@@ -104,6 +104,16 @@ def test_malformed_algebra_dicts():
                 {"vertices": 2, "edges": [[0, True]]}):
         with pytest.raises(MalformedTable):
             graph_from_dict(bad)
+    # JSON true among the integers of a table, which numpy would read as 1;
+    # each table is valid with a 1 in its place
+    algebra_from_dict({"size": 2, "theta": [[0, 1], [1, 1]]})
+    semigroup_from_dict({"size": 2, "mult": [[0, 1], [1, 1]], "star": [0, 1]})
+    with pytest.raises(MalformedTable, match="theta holds a boolean"):
+        algebra_from_dict({"size": 2, "theta": [[0, True], [1, 1]]})
+    for mult, star in (([[0, 1], [True, 1]], [0, 1]),
+                       ([[0, 1], [1, 1]], [0, True])):
+        with pytest.raises(MalformedTable, match="holds a boolean"):
+            semigroup_from_dict({"size": 2, "mult": mult, "star": star})
 
 
 def test_malformed_json_file(tmp_path):
@@ -111,6 +121,10 @@ def test_malformed_json_file(tmp_path):
     path.write_text("{not json")
     with pytest.raises(MalformedTable):
         load_algebra(path)
+    path.write_text(dumps({"size": 2, "mult": [[0, 1], [True, 1]],
+                           "star": [0, 1]}))
+    with pytest.raises(MalformedTable):
+        load_semigroup(path)
 
 
 def test_chain_to_dict():

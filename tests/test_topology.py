@@ -6,6 +6,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from sympy.matrices.normalforms import smith_normal_form
 
 from pgsemi.catalog import adjacency_algebra, kinyon_algebra, \
     random_adjacency_graph
@@ -327,6 +331,55 @@ def test_abelian_invariants():
     assert abelian_invariants(2, [(1, 2)]) == (1, ())
     # commutator contributes nothing
     assert abelian_invariants(2, [(1, 2, -1, -2)]) == (2, ())
+
+
+def _sympy_abelian_invariants(ngens, relators):
+    """The oracle: free rank and torsion read off sympy's Smith normal form
+    of the exponent-sum matrix."""
+    if ngens == 0:
+        return (0, ())
+    if not relators:
+        return (ngens, ())
+    M = np.zeros((len(relators), ngens), dtype=np.int64)
+    for i, r in enumerate(relators):
+        for l in r:
+            M[i, abs(l) - 1] += 1 if l > 0 else -1
+    sm = smith_normal_form(sympy.Matrix(M.tolist()), domain=sympy.ZZ)
+    diag = [abs(int(sm[i, i])) for i in range(min(sm.shape))]
+    nonzero = [d for d in diag if d != 0]
+    torsion = tuple(d for d in nonzero if d != 1)
+    return (ngens - len(nonzero), torsion)
+
+
+@st.composite
+def _presentations(draw):
+    """0-8 generators and 0-10 relators, each a shuffled word with the
+    drawn exponent sums, up to +-12 per generator.  Half the sums are 0, so
+    sparse, nearly diagonal matrices are common and their diagonals need
+    the gcd/lcm pass."""
+    ngens = draw(st.integers(0, 8))
+    exponent = st.one_of(st.just(0), st.integers(-12, 12))
+    sums = draw(st.lists(st.lists(exponent, min_size=ngens, max_size=ngens),
+                         max_size=10))
+    relators = []
+    for row in sums:
+        word = [a if e > 0 else -a
+                for a, e in enumerate(row, 1) for _ in range(abs(e))]
+        relators.append(tuple(draw(st.permutations(word))))
+    return ngens, relators
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_presentations())
+@example((3, [(1, -1), (), (2, 3, -2, -3)]))             # zero rows
+@example((2, [(1, 1), (2, 2), (1, 2, 2), (1,) * 4]))      # relators > gens
+@example((6, [(1,) * 12 + (2,) * 8, (3, 3, -4)]))         # gens > relators
+@example((3, [(1,) * 4 + (2,) * 6, (2,) * 6 + (3,) * 10, (-1,) * 12]))
+@example((3, [(1,) * 4, (2,) * 6, (-3,) * 10]))           # 4, 6, 10 -> 2, 2, 60
+def test_abelian_invariants_match_smith_normal_form(presentation):
+    ngens, relators = presentation
+    assert abelian_invariants(ngens, relators) == \
+        _sympy_abelian_invariants(ngens, relators)
 
 
 def test_tietze_single_relator_kills_generator():
