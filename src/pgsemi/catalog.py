@@ -49,7 +49,6 @@ class AlgebraBundle:
     algebra: ProjectionAlgebra
     semigroup: object = None
     embed: list = None
-    elements: list = None
 
 
 def kinyon_algebra():
@@ -83,12 +82,10 @@ _FAMILIES = {
 
 def diagram_algebra(family, n, allow_large=False):
     """Bundle for the projection algebra of a diagram monoid."""
-    S, elements = _FAMILIES[family](n, allow_large=allow_large)
+    S, _ = _FAMILIES[family](n, allow_large=allow_large)
     P, embed = projection_algebra_of(S)
-    return AlgebraBundle(
-        name=f"{family}:{n}", algebra=P, semigroup=S, embed=embed,
-        elements=elements,
-    )
+    return AlgebraBundle(name=f"{family}:{n}", algebra=P, semigroup=S,
+                         embed=embed)
 
 
 def adjacency_algebra(G, name="adjacency"):

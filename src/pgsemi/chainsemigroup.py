@@ -30,9 +30,11 @@ from .chains import (
     _restrict,
     reduce_path,
 )
+from .cosets import BUDGET
 from .errors import InvalidArgument, NotAMorphism, UndecidedEquality
 from .projections import is_morphism, relations, require_algebra
 from .semigroups import (
+    CAP,
     cayley_semigroup,
     projection_algebra_of,
     right_cayley_closure,
@@ -100,7 +102,7 @@ class ChainSemigroupHandle:
     InvalidAlgebra naming the first failed law, before any construction
     can fail on a lemma that only holds for projection algebras."""
 
-    def __init__(self, P, budget=50_000):
+    def __init__(self, P, budget=BUDGET):
         require_algebra(P)
         self.algebra = P
         self.budget = budget
@@ -256,7 +258,7 @@ class ChainSemigroupHandle:
         gens = [self.projection_chain(p) for p in range(self.algebra.size)]
         return right_cayley_closure(gens, gens, self.product, cap=cap)
 
-    def enumerate(self, cap=100_000):
+    def enumerate(self, cap=CAP):
         """All chains, in canonical sort order.  PG(P) is generated by its
         projections, so this is the right Cayley closure of the projection
         chains under right multiplication by them (see
@@ -281,7 +283,7 @@ class ChainSemigroupHandle:
         return StarMorphism(self, S, phi)
 
 
-def star_semigroup_of(handle, cap=100_000):
+def star_semigroup_of(handle, cap=CAP):
     """Concrete multiplication and star tables of a finite chain semigroup,
     gathered from the right Cayley graph of the projection chains (see
     :func:`~pgsemi.semigroups.cayley_semigroup`).

@@ -20,13 +20,14 @@ from .boset import boset_of, compare_with_semigroup_boset, \
     projection_algebra_of_boset
 from .catalog import parse_source
 from .chainsemigroup import ChainSemigroupHandle, INFINITE, UNKNOWN
+from .cosets import BUDGET
 from .errors import BudgetExceeded, CapExceeded, PgsemiError, \
     UndecidedEquality
 from .presentations import presentation_RE, presentation_RE2, \
     presentation_RP, tl_presentation, verify_presentation
 from .projections import check_derived_laws, relations, require_algebra, \
     validate_axioms
-from .semigroups import subsemigroup_closure
+from .semigroups import CAP, subsemigroup_closure
 from .serialize import algebra_to_dict, chain_to_dict, complex_to_dict, \
     complex_to_dot, dumps, presentation_to_dict
 from .topology import complex_KP, complex_KP_prime, components, \
@@ -243,7 +244,7 @@ def cmd_subgroup(args):
     return code
 
 
-def _presentation_for(args, bundle):
+def _presentation_for(args, bundle, handle=None):
     if args.family == "tl":
         head, _, arg = (args.source or "").partition(":")
         if head != "tl" or not arg:
@@ -251,7 +252,8 @@ def _presentation_for(args, bundle):
         return tl_presentation(int(arg))
     if args.family == "RP":
         return presentation_RP(bundle.algebra)
-    handle = ChainSemigroupHandle(bundle.algebra, budget=args.budget)
+    if handle is None:
+        handle = ChainSemigroupHandle(bundle.algebra, budget=args.budget)
     return _FAMILIES[args.family](bundle.algebra, handle=handle)
 
 
@@ -307,8 +309,6 @@ def _verify_kinyon(args, suite):
 
 
 def _verify_band(args, suite):
-    if args.k is None:
-        raise PgsemiError("verify band needs --k")
     bundle = parse_source(f"band:{args.k}")
     handle = ChainSemigroupHandle(bundle.algebra, budget=args.budget)
     k = args.k
@@ -324,8 +324,6 @@ def _verify_band(args, suite):
 
 
 def _verify_tl(args, suite):
-    if args.n is None:
-        raise PgsemiError("verify tl needs --n")
     bundle = parse_source(f"tl:{args.n}", allow_large=args.allow_large)
     handle = ChainSemigroupHandle(bundle.algebra, budget=args.budget)
     for comp in handle.components:
@@ -350,8 +348,6 @@ def _verify_tl(args, suite):
 
 
 def _verify_motzkin(args, suite):
-    if args.n is None:
-        raise PgsemiError("verify motzkin needs --n")
     bundle = parse_source(f"motzkin:{args.n}", allow_large=args.allow_large)
     handle = ChainSemigroupHandle(bundle.algebra, budget=args.budget)
     if args.n == 3:
@@ -368,20 +364,16 @@ def _verify_motzkin(args, suite):
         suite.check(sorted(set(images)) == gen,
                     "image is the idempotent-generated subsemigroup")
         return
-    if args.n == 4:
-        suite.check(handle.complex.n == 35, "35 vertices")
-        suite.check(len(handle.comps) == 11, "11 components")
-        twelve = [c for c in handle.components if len(c.vertices) == 12]
-        suite.check(len(twelve) == 1, "a single 12-vertex component")
-        if twelve:
-            cls = twelve[0].classification
-            suite.check(cls.abelian == (1, ()),
-                        "its abelianization is Z")
-            suite.check(cls.kind == "free" and cls.rank == 1,
-                        "it simplifies to free of rank 1")
-        suite.check(handle.size() is INFINITE, "size is Infinite")
-        return
-    raise PgsemiError("verify motzkin supports --n 3 or 4")
+    suite.check(handle.complex.n == 35, "35 vertices")  # --n 4 (choices 3, 4)
+    suite.check(len(handle.comps) == 11, "11 components")
+    twelve = [c for c in handle.components if len(c.vertices) == 12]
+    suite.check(len(twelve) == 1, "a single 12-vertex component")
+    if twelve:
+        cls = twelve[0].classification
+        suite.check(cls.abelian == (1, ()), "its abelianization is Z")
+        suite.check(cls.kind == "free" and cls.rank == 1,
+                    "it simplifies to free of rank 1")
+    suite.check(handle.size() is INFINITE, "size is Infinite")
 
 
 def _verify_boset(args, suite):
@@ -405,8 +397,8 @@ def _verify_boset(args, suite):
 
 def _verify_presentation(args, suite):
     bundle = _bundle(args)
-    pres = _presentation_for(args, bundle)
     handle = ChainSemigroupHandle(bundle.algebra, budget=args.budget)
+    pres = _presentation_for(args, bundle, handle)
     report = verify_presentation(
         bundle.algebra, pres, args.mode, handle=handle, seed=args.seed,
         budget=args.budget)
@@ -415,32 +407,30 @@ def _verify_presentation(args, suite):
     suite.check(report.ok, f"{pres.name} {report.summary()}")
 
 
-_SUITES = {
-    "kinyon": _verify_kinyon,
-    "band": _verify_band,
-    "tl": _verify_tl,
-    "motzkin": _verify_motzkin,
-    "boset": _verify_boset,
-    "presentation": _verify_presentation,
-}
-
-
 def cmd_verify(args):
     suite = _Suite()
-    _SUITES[args.suite](args, suite)
+    args.run(args, suite)
     return suite.finish()
 
 
 # -- wiring ---------------------------------------------------------------
 
-def _add_common(sp):
-    sp.add_argument("--source", help="algebra source spec")
+def count(text):
+    """An integer of at least 0; argparse refuses a negative one."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return int(text)
+
+
+def _add_common(sp, source=True):
+    if source:
+        sp.add_argument("--source", help="algebra source spec")
     sp.add_argument("--allow-large", action="store_true",
                     help="lift the diagram degree guards")
 
 
 def _add_budget(sp):
-    sp.add_argument("--budget", type=int, default=50_000,
+    sp.add_argument("--budget", type=count, default=BUDGET,
                     help="class/search budget")
 
 
@@ -456,7 +446,7 @@ def build_parser():
 
     sp = sub.add_parser("validate", help="axioms and derived laws")
     _add_common(sp)
-    sp.add_argument("--max-chain", type=int, default=3)
+    sp.add_argument("--max-chain", type=count, default=3)
     sp.set_defaults(func=cmd_validate)
 
     sp = sub.add_parser("build", help="emit the algebra as JSON")
@@ -489,7 +479,7 @@ def build_parser():
     _add_common(sp)
     _add_budget(sp)
     _add_out(sp)
-    sp.add_argument("--cap", type=int, default=100_000)
+    sp.add_argument("--cap", type=int, default=CAP)
     sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.set_defaults(func=cmd_enumerate)
 
@@ -515,18 +505,32 @@ def build_parser():
     sp.add_argument("--format", choices=("text", "json"), default="text")
     sp.set_defaults(func=cmd_presentations)
 
-    sp = sub.add_parser("verify", help="named example suites")
-    sp.add_argument("suite", choices=sorted(_SUITES))
+    suites = sub.add_parser("verify", help="named example suites") \
+        .add_subparsers(dest="suite", required=True)
+
+    def add_suite(name, run, about):
+        sp = suites.add_parser(name, help=about)
+        _add_budget(sp)
+        sp.set_defaults(func=cmd_verify, run=run)
+        return sp
+
+    add_suite("kinyon", _verify_kinyon, "the 10-element example")
+    sp = add_suite("band", _verify_band, "square bands")
+    sp.add_argument("--k", type=int, required=True, help="side")
+    sp = add_suite("tl", _verify_tl, "TL_n rebuilt from its projections")
+    sp.add_argument("--n", type=int, required=True, help="degree")
+    _add_common(sp, source=False)
+    sp = add_suite("motzkin", _verify_motzkin, "the Motzkin embedding")
+    sp.add_argument("--n", type=int, choices=(3, 4), required=True)
+    _add_common(sp, source=False)
+    _add_common(add_suite("boset", _verify_boset, "the boset roundtrip"))
+    sp = add_suite("presentation", _verify_presentation, "RP, RE or RE2")
     _add_common(sp)
-    _add_budget(sp)
-    sp.add_argument("--n", type=int, help="degree for tl/motzkin")
-    sp.add_argument("--k", type=int, help="side for band")
     sp.add_argument("--family", choices=("RP", "RE", "RE2", "tl"),
                     default="RP")
     sp.add_argument("--mode", choices=("soundness", "size", "normal-form"),
                     default="soundness")
     sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("export", help="write a complex as DOT or JSON")
     _add_common(sp)

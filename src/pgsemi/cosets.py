@@ -20,6 +20,7 @@ word from the BFS.
 from .errors import BudgetExceeded
 
 __all__ = [
+    "BUDGET",
     "MonoidEnumeration",
     "enumerate_monoid",
     "enumerate_group",
@@ -27,6 +28,8 @@ __all__ = [
     "to_doubled",
     "from_doubled",
 ]
+
+BUDGET = 50_000          # default class budget of enumerations and Tietze
 
 
 class MonoidEnumeration:
@@ -52,7 +55,7 @@ class MonoidEnumeration:
         return c
 
 
-def enumerate_monoid(ngens, relations, budget=50_000):
+def enumerate_monoid(ngens, relations, budget=BUDGET):
     """Enumerate the monoid <x_0..x_{k-1} | relations>.
 
     ``relations`` is a list of pairs of words (tuples over 0..ngens-1); a
@@ -190,7 +193,7 @@ def group_to_monoid_relations(ngens, relators):
     return 2 * ngens, rels
 
 
-def enumerate_group(ngens, relators, budget=50_000):
+def enumerate_group(ngens, relators, budget=BUDGET):
     """Coset enumeration of a group given by signed-index relators.
 
     Returns a MonoidEnumeration over the doubled alphabet; its size is the

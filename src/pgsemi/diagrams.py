@@ -18,7 +18,7 @@ Algebra 2011), with the elements sorted by blocks.
 import itertools
 
 from .errors import DegreeMismatch, InfeasibleDegree, InvalidArgument
-from .semigroups import cayley_semigroup, right_cayley_closure
+from .semigroups import CAP, cayley_semigroup, right_cayley_closure
 
 __all__ = [
     "PartitionDiagram",
@@ -181,7 +181,7 @@ def _cut(n, i):
     return _local(n, [i], [n + i])
 
 
-def generate_monoid(gens, cap=100_000):
+def generate_monoid(gens, cap=CAP):
     """The monoid generated by gens and their stars: the right Cayley
     closure of the identity under right multiplication by gens + stars (see
     :func:`~pgsemi.semigroups.right_cayley_closure`), with the table

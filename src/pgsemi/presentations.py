@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .boset import boset_of, sandwich_set
 from .chains import Path
 from .chainsemigroup import ChainSemigroupHandle
-from .cosets import enumerate_monoid
+from .cosets import BUDGET, enumerate_monoid
 from .errors import BudgetExceeded, InfeasibleDegree, InvalidArgument, \
     UndecidedEquality
 
@@ -307,7 +307,7 @@ def _verify_size(handle, pres, budget):
         raise InvalidArgument("size mode needs a finite chain semigroup")
     try:
         enum = enumerate_monoid(len(pres.letters), pres.word_pairs(),
-                                budget=budget or 50_000)
+                                budget=BUDGET if budget is None else budget)
     except BudgetExceeded as exc:
         return VerificationReport("size", False, inconclusive=True,
                                   details={"reason": str(exc)})

@@ -23,6 +23,7 @@ from .projections import (
 )
 
 __all__ = [
+    "CAP",
     "StarSemigroup",
     "AdjacencyGraph",
     "adjacency_semigroup",
@@ -216,7 +217,10 @@ def projection_algebra_of(S):
     return alg, plist
 
 
-def right_cayley_closure(seeds, gens, multiply, cap=100_000):
+CAP = 100_000                           # default element cap of a closure
+
+
+def right_cayley_closure(seeds, gens, multiply, cap=CAP):
     """Breadth-first closure of ``seeds`` under right multiplication by
     ``gens``, recording the right Cayley graph (Froidure & Pin, "Algorithms
     for computing finite semigroups", 1997).

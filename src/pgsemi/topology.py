@@ -32,9 +32,8 @@ from .chains import (
     _classify_pairs,
     _linked_pairs,
     _with_midpoints,
-    enumerate_linked_pairs,
 )
-from .cosets import enumerate_group, from_doubled, to_doubled
+from .cosets import BUDGET, enumerate_group, from_doubled, to_doubled
 from .errors import BudgetExceeded
 from .projections import relations, require_algebra
 
@@ -142,11 +141,12 @@ def complex_KP(P, rel=None):
         rel = relations(P)
     g = friendliness_graph(P, rel)
     cells = []
-    for lp in enumerate_linked_pairs(P, rel):
-        cyc = _cyclic_dedup([lp.e, lp.e1, lp.f, lp.f1])
+    for p, e, f, e1, f1 in zip(*(a.tolist() for a in _linked_pairs(P, rel))):
+        cyc = _cyclic_dedup([e, e1, f, f1])
         if len(cyc) < 3:
             continue
-        cells.append(Cell(tuple(cyc) + (cyc[0],), pair=lp, kind="quad"))
+        cells.append(Cell(tuple(cyc) + (cyc[0],), pair=LinkedPair(P, p, e, f),
+                          kind="quad"))
     return Complex2(P.size, g.edges, cells, algebra=P)
 
 
@@ -451,7 +451,7 @@ def _substitute(word, defs):
     return out
 
 
-def tietze_simplify(g, budget=50_000):
+def tietze_simplify(g, budget=BUDGET):
     """Simplify a presentation and classify its group.
 
     Relators are held by input position and kept clean by ``place``: each

@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
 
+from pgsemi.chainsemigroup import ChainSemigroupHandle
 from pgsemi.cli import main
 from pgsemi.projections import ProjectionAlgebra, validate_axioms
 from pgsemi.serialize import dumps, load_algebra
@@ -137,6 +139,29 @@ STDOUT_DIGESTS = {
         "cdb4b80794685e3ad7d091afe0bcf5072c9cc9c3109ea60b0dba13b1ec41bd5d",
     ("subgroup", "--source", "brauer:5", "--projection", "3"):
         "da6a6e63eea307d89d9f1a3c7c18d8474faac0b65d10b54c4905fd1665a1dce3",
+    # one run of every verify suite, and the quad complex K
+    ("verify", "kinyon"):
+        "e47016ac6773872c1c07af07c215aaf0d9b02bd000ff275c7784ee61f18053db",
+    ("verify", "band", "--k", "3"):
+        "fed8ac8e5c2b3fe8d6b6acdafeffeb6adfbaa61c031abcf9ba338c4df7db0987",
+    ("verify", "tl", "--n", "4"):
+        "a5dd526d5f217f7188fcec84581482d6ff1c5880b1a2e6aef803363f6258e3a6",
+    ("verify", "motzkin", "--n", "3"):
+        "255922909f157b742781ee2cfb6a76d56176c67d9b13cae5d038f70b25e253a2",
+    ("verify", "motzkin", "--n", "4"):
+        "0349d5d4547557bc84e17740ff787ea418bdff259796e6bad44a59ce55c10ab5",
+    ("verify", "boset", "--source", "tl:4"):
+        "1bf0c8036e219bb07c906b77851111b3dd7867d448a958327c40ef4deab7e846",
+    ("verify", "presentation", "--source", "tl:4", "--family", "RE2",
+     "--mode", "size"):
+        "427dffd78deddf34a0e35389e743cd7c064b85b02598c8e8bf92f306e6cfa756",
+    ("verify", "presentation", "--source", "tl:3", "--family", "RP",
+     "--mode", "normal-form"):
+        "275c60aee51687ab0e6071ee3c369588e65f894cdb5c50a0da9ac9ffac53d9b3",
+    ("complex", "--source", "tl:5", "--which", "KP", "--format", "json"):
+        "01395dea7f251cabf4d988f867df20f4e33c0f8b28016d4b4342d54dea7cb301",
+    ("complex", "--source", "brauer:4", "--which", "KP"):
+        "8a33e0c8206be8f4b7281cd77235e8f40ffc3181ea6054fa6204c514228302cb",
 }
 
 
@@ -216,9 +241,10 @@ def test_verify_tl_suite(capsys):
 
 
 def test_verify_band_requires_k(capsys):
-    code, _, err = run(capsys, "verify", "band")
-    assert code == 2
-    assert "error:" in err
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "band"])
+    assert info.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_unknown_source(capsys):
@@ -269,9 +295,11 @@ def test_bad_component_index(capsys):
     assert "no component 7" in err
 
 
-def test_inconclusive_budget_exit(capsys):
+@pytest.mark.parametrize("budget", ["3", "0"])
+def test_inconclusive_budget_exit(capsys, budget):
+    # a budget of 0 is honoured, not read as "no budget"
     code, _, err = run(capsys, "verify", "presentation", "--source", "tl:4",
-                       "--family", "RP", "--mode", "size", "--budget", "3")
+                       "--family", "RP", "--mode", "size", "--budget", budget)
     assert code == 3
     assert "inconclusive:" in err
 
@@ -388,6 +416,29 @@ def test_out_writes_the_text_form(capsys, tmp_path, argv):
     assert path.read_text() == plain
 
 
+# every option of a verify suite, with a value to pass; the options each
+# suite reads; and the arguments a suite requires before the rest is read
+VERIFY_OPTIONS = {"--source": "kinyon", "--allow-large": None,
+                  "--budget": "2", "--n": "3", "--k": "3", "--family": "RP",
+                  "--mode": "size", "--seed": "0"}
+VERIFY_READS = {
+    "kinyon": {"--budget"},
+    "band": {"--k", "--budget"},
+    "tl": {"--n", "--allow-large", "--budget"},
+    "motzkin": {"--n", "--allow-large", "--budget"},
+    "boset": {"--source", "--allow-large", "--budget"},
+    "presentation": {"--source", "--allow-large", "--budget", "--family",
+                     "--mode", "--seed"},
+}
+VERIFY_NEEDS = {"band": ("--k", "3"), "tl": ("--n", "3"),
+                "motzkin": ("--n", "3")}
+
+
+def _option(name):
+    value = VERIFY_OPTIONS[name]
+    return (name,) if value is None else (name, value)
+
+
 @pytest.mark.parametrize("argv", [
     ("validate", "--source", "kinyon", "--out", "x"),
     ("size", "--source", "kinyon", "--out", "x"),
@@ -397,9 +448,52 @@ def test_out_writes_the_text_form(capsys, tmp_path, argv):
     ("relations", "--source", "kinyon", "--budget", "2"),
     ("complex", "--source", "kinyon", "--budget", "2"),
     ("export", "--source", "kinyon", "--budget", "2"),
+] + [
+    ("verify", suite, *VERIFY_NEEDS.get(suite, ()), *_option(name))
+    for suite, reads in VERIFY_READS.items()
+    for name in VERIFY_OPTIONS if name not in reads
 ])
 def test_verbs_reject_options_they_do_not_read(capsys, argv):
     with pytest.raises(SystemExit) as info:
         main(list(argv))
     assert info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", list(VERIFY_READS))
+def test_verify_suite_help_lists_only_its_options(capsys, suite):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", suite, "--help"])
+    assert info.value.code == 0
+    listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    assert listed == VERIFY_READS[suite] | {"--help"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("size", "--source", "kinyon", "--budget", "-1"),
+    ("pi1", "--source", "kinyon", "--budget", "-1"),
+    ("verify", "kinyon", "--budget", "-1"),
+    ("validate", "--source", "kinyon", "--max-chain", "-1"),
+])
+def test_negative_counts_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "must be >= 0" in err
+
+
+@pytest.mark.parametrize("family", ["RP", "RE", "RE2"])
+def test_verify_presentation_builds_one_handle(capsys, monkeypatch, family):
+    built = []
+    init = ChainSemigroupHandle.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(family)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ChainSemigroupHandle, "__init__", counted)
+    code, out, _ = run(capsys, "verify", "presentation", "--source", "tl:3",
+                       "--family", family)
+    assert code == 0 and out.startswith("ok - ")
+    assert len(built) == 1
