@@ -16,9 +16,12 @@ their classification (special / degenerate / type 1-3) drives which 2-cells
 the complexes carry.
 
 Each walk is checked for friendliness once, where it is formed: the public
-functions return checked ``Path`` objects, while callers that chain several
-steps (the chain product) pass plain vertex tuples between them through
-``_reduce`` and ``_restrict`` and check only the walk they end with.
+functions return checked ``Path`` objects, and internal callers pass plain
+vertex tuples through ``_reduce`` and ``_restrict`` and check each walk
+they form.  The chain product checks each one-sided restriction as a
+``Path`` once, when it first needs it, and on every product only the
+junction step between two restrictions, which fails with the same
+``NotFriendly`` text as ``Path`` (see ``_not_friendly``).
 
 Linked pairs are found and classified as arrays: ``_linked_pairs`` lists
 every pair as int arrays in (p, e, f) order, and ``_classify_pairs`` runs
@@ -71,9 +74,7 @@ class Path:
         for a, b in zip(verts, verts[1:]):
             # a F b iff b th_a = a and a th_b = b
             if T[a][b] != a or T[b][a] != b:
-                raise NotFriendly(
-                    f"consecutive vertices {a}, {b} are not friendly"
-                )
+                raise _not_friendly(a, b)
         self.algebra = algebra
         self.verts = verts
 
@@ -112,6 +113,11 @@ class Path:
 
     def __repr__(self):
         return f"Path{self.verts}"
+
+
+def _not_friendly(a, b):
+    """The error for a step a -> b of a walk that is not friendly."""
+    return NotFriendly(f"consecutive vertices {a}, {b} are not friendly")
 
 
 def _reduce(verts):

@@ -11,7 +11,11 @@ lives in the component's fundamental group and spells the loop
     tree-path(base -> dom)^-1 . path . tree-path(base -> cod)^-1-complement
 
 so equality of chains is endpoint equality plus a group word problem.  The
-product is restriction + concatenation; the involution reverses.
+product is restriction + concatenation; the involution reverses.  Each
+one-sided restriction of a chain is built, checked and encoded once and
+kept as endpoints plus word, so a product checks only the junction step
+and free-reduces only where the two words and the junction's edge word
+meet.
 
 Whenever a component group fails to classify as trivial, free, or finite,
 equality there is refused with UndecidedEquality rather than approximated.
@@ -26,6 +30,7 @@ from .chains import (
     LinkedPair,
     Path,
     _linked_pairs,
+    _not_friendly,
     _reduce,
     _restrict,
     reduce_path,
@@ -85,6 +90,18 @@ class ReducedChain(NamedTuple):
         return f"<{self.dom}->{self.cod} w={list(self.word)}>"
 
 
+def _join(a, b):
+    """The free reduction of a . b for freely reduced words a and b: only
+    letters where the two meet can cancel."""
+    if not a or not b:
+        return a + b
+    k = 0
+    n = min(len(a), len(b))
+    while k < n and a[-1 - k] == -b[k]:
+        k += 1
+    return a[:len(a) - k] + b[k:]
+
+
 class _Component:
     __slots__ = ("index", "vertices", "simplified", "classification")
 
@@ -126,6 +143,9 @@ class ChainSemigroupHandle:
         self._prod_cache = {}
         self._star_cache = {}
         self._expand_cache = {}
+        # (chain, q) -> (comp, dom, cod, word) of the chain restricted to
+        # end at q ("right") or to start at q ("left")
+        self._restricted = {"right": {}, "left": {}}
 
     # -- encoding ---------------------------------------------------------
 
@@ -147,18 +167,21 @@ class ChainSemigroupHandle:
             )
         return canon
 
-    def _chain(self, verts):
-        """The chain of a checked friendly walk, given as a vertex tuple."""
+    def _encode(self, verts):
+        """(comp, dom, cod, word) of a checked friendly walk, given as a
+        vertex tuple: its reduced form's endpoints and freely reduced
+        word."""
         verts = _reduce(verts)
         ci = self.comp_of[verts[0]]
         word = self.components[ci].simplified.word_of(verts)
-        return ReducedChain(ci, verts[0], verts[-1], self._canonical(ci, word))
+        return ci, verts[0], verts[-1], word
 
     def normalize(self, path):
         """Canonical ReducedChain of a path; raises UndecidedEquality when
         the component group is not classified."""
         self._check_path(path)
-        return self._chain(path.verts)
+        ci, dom, cod, word = self._encode(path.verts)
+        return ReducedChain(ci, dom, cod, self._canonical(ci, word))
 
     def projection_chain(self, p):
         return ReducedChain(self.comp_of[p], int(p), int(p), ())
@@ -185,10 +208,29 @@ class ChainSemigroupHandle:
 
     # -- semigroup operations --------------------------------------------
 
+    def _restriction(self, c, q, side):
+        """(comp, dom, cod, word) of c's representative path restricted to
+        end at q (side "right") or to start at q (side "left"), reduced.
+        Memoized per side; each step of the restricted walk is checked
+        once, as a Path, when the entry is built."""
+        cache = self._restricted[side]
+        hit = cache.get((c, q))
+        if hit is not None:
+            return hit
+        verts = self.expand(c).verts
+        if side == "right":
+            verts = _restrict(self.algebra.rows, verts[::-1], q, side)[::-1]
+        else:
+            verts = _restrict(self.algebra.rows, verts, q, side)
+        out = cache[(c, q)] = self._encode(Path(self.algebra, verts).verts)
+        return out
+
     def product(self, c, d):
-        """c (*) d: restrict both sides to the linking projections and
-        concatenate.  The restrictions stay vertex tuples; the joined walk
-        is checked once, which checks every step of both and the junction."""
+        """c (*) d: restrict c to end at p1 = q theta_p and d to start at
+        q1 = p theta_q (p = cod c, q = dom d) and concatenate.  The two
+        restrictions are memoized, already checked and freely reduced, so
+        only the junction step p1 -> q1 is checked here, and the words
+        cancel only where they meet."""
         hit = self._prod_cache.get((c, d))
         if hit is not None:
             return hit
@@ -197,9 +239,15 @@ class ChainSemigroupHandle:
         q = d.dom
         p1 = T[p][q]               # q theta_p
         q1 = T[q][p]               # p theta_q
-        left = _restrict(T, self.expand(c).verts[::-1], p1, "right")
-        right = _restrict(T, self.expand(d).verts, q1, "left")
-        out = self._chain(Path(self.algebra, left[::-1] + right).verts)
+        ci, dom, _, left = self._restriction(c, p1, "right")
+        _, _, cod, right = self._restriction(d, q1, "left")
+        if T[p1][q1] != p1 or T[q1][p1] != q1:
+            raise _not_friendly(p1, q1)
+        if p1 != q1:
+            edge = self.components[ci].simplified.edge_words[(p1, q1)]
+            left = _join(left, edge)
+        word = self._canonical(ci, _join(left, right))
+        out = ReducedChain(ci, dom, cod, word)
         self._prod_cache[(c, d)] = out
         return out
 

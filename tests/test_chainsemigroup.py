@@ -214,8 +214,9 @@ def _product_uncached(h, c, d):
     return h.normalize(Path(h.algebra, left.verts + right.verts))
 
 
-@pytest.mark.parametrize("src", ["kinyon", "band:3", "tl:4"])
+@pytest.mark.parametrize("src", ["kinyon", "band:3", "tl:4", "tl:6"])
 def test_product_matches_uncached_reference(src):
+    # every pair of the pool: on tl:6 all 132^2 pairs of the closure
     h = ChainSemigroupHandle(bundle(src).algebra)   # empty caches
     pool = chain_pool(src)
     first = [h.expand(c) for c in pool]
@@ -226,18 +227,29 @@ def test_product_matches_uncached_reference(src):
     assert [h.expand(c) for c in pool] == first
 
 
-def test_uncached_product_builds_one_path(path_count):
-    # both expansions are memoized, so the product itself checks one walk
+def test_product_builds_one_path_per_new_restriction(path_count):
+    # both expansions are memoized, so a product checks one walk for each
+    # one-sided restriction it has not met before and none for the others
     for src in ("kinyon", "band:3", "tl:4"):
         h = ChainSemigroupHandle(bundle(src).algebra)   # empty caches
         pool = list(dict.fromkeys(chain_pool(src)))[:12]   # distinct pairs
         for c in pool:
             h.expand(c)
+        T = h.algebra.rows
+        keys = set()
+        both_cached = 0
+        path_count[0] = 0
         for c in pool:
             for d in pool:
-                path_count[0] = 0
+                new = {(c, T[c.cod][d.dom], "right"),
+                       (d, T[d.dom][c.cod], "left")} - keys
+                before = path_count[0]
                 h.product(c, d)
-                assert path_count[0] == 1
+                assert path_count[0] - before == len(new)
+                both_cached += not new
+                keys |= new
+        assert path_count[0] == len(keys)
+        assert both_cached > 0
 
 
 @pytest.mark.parametrize("src", FLEET + ["tl:6", "brauer:5", "band:8"])
@@ -250,6 +262,44 @@ def test_product_matches_path_reference_on_streams(src):
         out = h.product(c, d)
         assert out == _product_uncached(h, c, d)
         seen.append(out)
+
+
+@pytest.mark.parametrize("src", ["band:8", "brauer:5"])
+def test_product_matches_path_reference_on_free_word_streams(src):
+    # the pool keeps every product that lands in a free component, so the
+    # words grow long (up to 314 letters on band:8, 106 on brauer:5)
+    h = ChainSemigroupHandle(bundle(src).algebra)   # empty caches
+    free = {comp.index for comp in h.components
+            if comp.classification.kind == "free"}
+    rng = random.Random(7)
+    seen = [h.projection_chain(p) for p in range(h.algebra.size)
+            if h.comp_of[p] in free]
+    for _ in range(1000):
+        c, d = rng.choice(seen), rng.choice(seen)
+        out = h.product(c, d)
+        assert out == _product_uncached(h, c, d)
+        if out.comp in free:
+            seen.append(out)
+    assert max(len(c.word) for c in seen) > 100
+
+
+@pytest.mark.parametrize("d, side", [
+    (ReducedChain(0, 7, 3, (-6, 4, -13)), "left"),
+    (ReducedChain(0, 4, 0, (17, -10)), "right"),
+])
+def test_product_cancels_the_junction_word_into_either_side(d, side):
+    # on band:8 the junction of c (*) d spells one letter, which cancels
+    # against the end of c's restricted word (side "left") or against the
+    # start of d's (side "right")
+    h = ChainSemigroupHandle(bundle("band:8").algebra)   # empty caches
+    c = ReducedChain(0, 6, 6, (18, -21))
+    T = h.algebra.rows
+    p1, q1 = T[c.cod][d.dom], T[d.dom][c.cod]
+    left = h._restriction(c, p1, "right")[3]
+    right = h._restriction(d, q1, "left")[3]
+    (edge,) = h.components[0].simplified.edge_words[(p1, q1)]
+    assert (left[-1] if side == "left" else right[0]) == -edge
+    assert h.product(c, d) == _product_uncached(h, c, d)
 
 
 def _random_tables(count):

@@ -240,6 +240,36 @@ def test_verify_tl_suite(capsys):
     assert "ok - identity extension is a bijection" in out
 
 
+# the whole stdout of two suites that drive the chain product through the
+# CLI: verify tl multiplies all 132^2 pairs of the tl:6 closure, and verify
+# boset checks every basic product and sandwich set by chain products
+VERIFY_STDOUT = {
+    ("verify", "tl", "--n", "6"): """\
+ok - component 0 trivial
+ok - component 1 trivial
+ok - component 2 trivial
+ok - component 3 trivial
+ok - size is 132
+ok - identity extension is a bijection
+ok - products preserved on all pairs
+ok - star preserved
+""",
+    ("verify", "boset", "--source", "tl:6"): """\
+ok - projection algebra roundtrip is exact
+ok - star is involutory
+ok - star maps basic pairs to basic pairs, (ef)* = f*e*
+ok - matches the semigroup boset
+""",
+}
+
+
+@pytest.mark.parametrize("argv", list(VERIFY_STDOUT))
+def test_verify_stdout_on_tl6(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == VERIFY_STDOUT[argv]
+
+
 def test_verify_band_requires_k(capsys):
     with pytest.raises(SystemExit) as info:
         main(["verify", "band"])
