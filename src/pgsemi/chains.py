@@ -7,7 +7,8 @@ flipping.  The rewriting rules
     (p, p)    -> (p)
     (p, q, p) -> (p)      for p F q
 
-are confluent and terminating, so every path has a unique reduced form.
+are confluent and terminating, so every path has a unique reduced form,
+which ``_reduce`` finds in one stack pass.
 
 A pair of projections (e, f) is p-linked when f = e th_p th_f and
 e = f th_p th_e.  Each such pair sources two paths lambda = (e, e th_p, f)
@@ -18,10 +19,12 @@ the complexes carry.
 Each walk is checked for friendliness once, where it is formed: the public
 functions return checked ``Path`` objects, and internal callers pass plain
 vertex tuples through ``_reduce`` and ``_restrict`` and check each walk
-they form.  The chain product checks each one-sided restriction as a
-``Path`` once, when it first needs it, and on every product only the
-junction step between two restrictions, which fails with the same
-``NotFriendly`` text as ``Path`` (see ``_not_friendly``).
+they form (a chain's representative walk is reduced before it is checked:
+the steps reduction cancels are tree and generator edges).  The chain
+product checks each one-sided restriction as a ``Path`` once, when it
+first needs it, and on every product only the junction step between two
+restrictions, which fails with the same ``NotFriendly`` text as ``Path``
+(see ``_not_friendly``).
 
 Linked pairs are found and classified as arrays: ``_linked_pairs`` lists
 every pair as int arrays in (p, e, f) order, and ``_classify_pairs`` runs
@@ -124,21 +127,20 @@ def _reduce(verts):
     """The reduced vertex tuple of a walk: no p_i = p_{i+1} and no
     p_i = p_{i+2}.
 
-    Scans left to right applying the first available rule, restarting just
-    behind the edit, until no redex remains.
+    One stack pass, as :func:`~pgsemi.topology.free_reduce` reduces words:
+    a vertex equal to the top is dropped, one equal to the vertex under the
+    top pops the top.  The stack stays reduced and the rules are confluent,
+    so it ends as the unique reduced form.
     """
-    v = list(verts)
-    i = 0
-    while i < len(v) - 1:
-        if v[i] == v[i + 1]:
-            del v[i + 1]
-            i = max(i - 1, 0)
-        elif i < len(v) - 2 and v[i] == v[i + 2]:
-            del v[i + 1 : i + 3]
-            i = max(i - 1, 0)
+    out = []
+    for v in verts:
+        if out and out[-1] == v:
+            continue
+        if len(out) > 1 and out[-2] == v:
+            out.pop()
         else:
-            i += 1
-    return tuple(v)
+            out.append(v)
+    return tuple(out)
 
 
 def reduce_path(path):

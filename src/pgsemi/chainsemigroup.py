@@ -33,7 +33,6 @@ from .chains import (
     _not_friendly,
     _reduce,
     _restrict,
-    reduce_path,
 )
 from .cosets import BUDGET
 from .errors import InvalidArgument, NotAMorphism, UndecidedEquality
@@ -183,8 +182,16 @@ class ChainSemigroupHandle:
         ci, dom, cod, word = self._encode(path.verts)
         return ReducedChain(ci, dom, cod, self._canonical(ci, word))
 
+    def _projection(self, p):
+        """p as an int; raises InvalidArgument unless it names a
+        projection."""
+        if not 0 <= p < self.algebra.size:
+            raise InvalidArgument(f"no projection {p}")
+        return int(p)
+
     def projection_chain(self, p):
-        return ReducedChain(self.comp_of[p], int(p), int(p), ())
+        p = self._projection(p)
+        return ReducedChain(self.comp_of[p], p, p, ())
 
     def idempotent_chain(self, p, q):
         """The chain of the friendly pair (p, q); equals [[p]] when p = q."""
@@ -197,12 +204,12 @@ class ChainSemigroupHandle:
 
     def expand(self, c):
         """A representative path: tree walk to dom, the word's loop, tree
-        walk back to cod, reduced.  Memoized per chain."""
+        walk back to cod, reduced and checked once.  Memoized per chain."""
         hit = self._expand_cache.get(c)
         if hit is not None:
             return hit
         pres = self.components[c.comp].simplified
-        out = reduce_path(Path(self.algebra, pres.walk(c.dom, c.word, c.cod)))
+        out = Path(self.algebra, _reduce(pres.walk(c.dom, c.word, c.cod)))
         self._expand_cache[c] = out
         return out
 
@@ -271,7 +278,8 @@ class ChainSemigroupHandle:
     # -- global structure --------------------------------------------------
 
     def component_group(self, p):
-        return self.components[self.comp_of[p]].classification
+        ci = self.comp_of[self._projection(p)]
+        return self.components[ci].classification
 
     def size(self):
         """|PG(P)| as int, or Infinite, or Unknown; finite answers are
@@ -321,8 +329,8 @@ class ChainSemigroupHandle:
     def maximal_subgroup(self, p):
         """(presentation, classification) of the group at p: pi1 of p's
         component re-based at p, simplified."""
-        ci = self.comp_of[p]
-        raw = pi1_presentation(self.complex, ci, basepoint=int(p))
+        p = self._projection(p)
+        raw = pi1_presentation(self.complex, self.comp_of[p], basepoint=p)
         return tietze_simplify(raw, budget=self.budget)
 
     def extend_morphism(self, S, phi):

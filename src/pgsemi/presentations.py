@@ -141,7 +141,11 @@ def presentation_RE(P, handle=None):
 def presentation_RE2(P, handle=None):
     """Idempotent letters: basic products (R1''), sandwich insertions
     x_e x_f = x_e x_g x_f for g in S(e, f) (R2''), and products of
-    friendly projection pairs only (R3'')."""
+    friendly projection pairs only (R3'').
+
+    An idempotent e = [[p, q]] is L-related to [[q]] and f = [[r, s]] is
+    R-related to [[r]], so S(e, f) = S(q, r) (Howie 1995, section 2.5):
+    the sandwich set is scanned once per pair of projections."""
     if handle is None:
         handle = ChainSemigroupHandle(P)
     b = boset_of(P, handle=handle)
@@ -149,10 +153,12 @@ def presentation_RE2(P, handle=None):
     rels = []
     for (e, f), val in b.basic_items():
         rels.append(((index[e], index[f]), (index[val],), "R1''"))
+    sets = {(q, r): sandwich_set(handle, q, r)
+            for q in range(P.size) for r in range(P.size)}
     for e in pairs:
         for f in pairs:
             ie, jf = index[e], index[f]
-            for g in sandwich_set(handle, e, f):
+            for g in sets[(e[1], f[0])]:
                 rels.append(((ie, jf), (ie, index[g], jf), "R2''"))
     for p, q in pairs:
         pq = handle.product(handle.projection_chain(p),

@@ -257,25 +257,23 @@ class GroupPresentation:
 
     Letters are 1-based and signed: +i / -i refer to generator i-1.  Each
     generator names a non-tree edge (u, v), oriented u -> v with u < v.
-    Tree metadata (basepoint, parent map) stays attached so words can be
-    decoded back into walks; ``edge_words[(a, b)]`` is the word the step
-    a -> b spells, for every directed edge of the component.
+    The spanning tree stays attached so words can be decoded back into
+    walks: ``tree_paths[v]`` is the vertex tuple from the basepoint to v
+    along the tree.  ``edge_words[(a, b)]`` is the word the step a -> b
+    spells, for every directed edge of the component.
     """
 
     ngens: int
     relators: tuple
     gen_edges: tuple = ()
     basepoint: int = None
-    tree_parent: dict = field(default_factory=dict)
+    tree_paths: dict = field(default_factory=dict)
     vertices: tuple = ()
     edge_words: dict = field(default_factory=dict)
 
     def tree_path(self, v):
-        """Vertex sequence from the basepoint to v along the tree."""
-        path = [v]
-        while path[-1] != self.basepoint:
-            path.append(self.tree_parent[path[-1]])
-        return path[::-1]
+        """Vertex tuple from the basepoint to v along the tree."""
+        return self.tree_paths[v]
 
     def word_of(self, verts):
         """The freely reduced word a walk spells; raises KeyError on a step
@@ -287,16 +285,17 @@ class GroupPresentation:
     def walk(self, dom, word, cod):
         """A walk from dom to cod spelling ``word``: tree walk to the
         basepoint, one loop through each letter's edge, tree walk to cod."""
-        verts = self.tree_path(dom)[::-1]              # dom -> base
+        paths = self.tree_paths
+        verts = list(paths[dom][::-1])                 # dom -> base
         for l in word:
             u, v = self.gen_edges[abs(l) - 1]
             if l < 0:
                 u, v = v, u
             # walk base -> u, cross to v, walk v -> base
-            verts.extend(self.tree_path(u)[1:])
+            verts += paths[u][1:]
             verts.append(v)
-            verts.extend(self.tree_path(v)[::-1][1:])
-        verts.extend(self.tree_path(cod)[1:])
+            verts += paths[v][-2::-1]
+        verts += paths[cod][1:]
         return verts
 
 
@@ -319,24 +318,21 @@ def pi1_presentation(c, component, basepoint=None):
     if basepoint not in comp:
         raise ValueError(f"basepoint {basepoint} not in component")
     adj = c.adjacency()
-    parent = {basepoint: None}
+    paths = {basepoint: (basepoint,)}
     order = [basepoint]
-    qi = 0
-    while qi < len(order):
-        v = order[qi]
-        qi += 1
+    for v in order:                 # grows as the search reaches vertices
         for w in adj[v]:
-            if w not in parent:
-                parent[w] = v
+            if w not in paths:
+                paths[w] = paths[v] + (w,)
                 order.append(w)
-    tree_parent = {v: p for v, p in parent.items() if p is not None}
-    tree_edges = {(min(v, p), max(v, p)) for v, p in tree_parent.items()}
+    steps = [path[-2:] for path in paths.values() if len(path) > 1]
+    tree_edges = {(min(step), max(step)) for step in steps}
     comp_set = set(comp)
     nontree = [
         e for e in c.edges if e[0] in comp_set and e not in tree_edges
     ]
     edge_words = {}
-    for v, p in tree_parent.items():
+    for p, v in steps:
         edge_words[(v, p)] = edge_words[(p, v)] = ()
     for i, (u, v) in enumerate(nontree):
         edge_words[(u, v)] = (i + 1,)
@@ -346,7 +342,7 @@ def pi1_presentation(c, component, basepoint=None):
         relators=(),
         gen_edges=tuple(nontree),
         basepoint=basepoint,
-        tree_parent=tree_parent,
+        tree_paths=paths,
         vertices=tuple(comp),
         edge_words=edge_words,
     )
@@ -535,7 +531,7 @@ def tietze_simplify(g, budget=BUDGET):
         relators=tuple(rename(rels[p]) for p in sorted(rels)),
         gen_edges=tuple(g.gen_edges[a - 1] for a in kept) if g.gen_edges else (),
         basepoint=g.basepoint,
-        tree_parent=g.tree_parent,
+        tree_paths=g.tree_paths,
         vertices=g.vertices,
         edge_words={e: rename(free_reduce(_substitute(w, defs)))
                     for e, w in g.edge_words.items()},

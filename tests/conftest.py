@@ -98,6 +98,24 @@ def path_count(monkeypatch):
     return count
 
 
+def reference_reduce(verts):
+    """The reduced vertex tuple of a walk by the earlier restart scan, kept
+    verbatim: apply the first available rule left to right, restarting
+    just behind the edit, until no redex remains."""
+    v = list(verts)
+    i = 0
+    while i < len(v) - 1:
+        if v[i] == v[i + 1]:
+            del v[i + 1]
+            i = max(i - 1, 0)
+        elif i < len(v) - 2 and v[i] == v[i + 2]:
+            del v[i + 1 : i + 3]
+            i = max(i - 1, 0)
+        else:
+            i += 1
+    return tuple(v)
+
+
 # -- per-pair reference for the array-level linked pairs and K' ------------
 #
 # The earlier object-per-pair routines, kept verbatim: every linked pair is

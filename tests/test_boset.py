@@ -89,6 +89,23 @@ def test_sandwich_set_of_friendly_pair_contains_it():
     assert (1, 0) in sandwich_set(h, 0, 1)
 
 
+@pytest.mark.parametrize("src", [
+    "kinyon", "band:2", "band:3", "tl:3", "tl:4", "tl:5", "motzkin:3",
+    "brauer:3", "brauer:4", "partition:2", "partial_brauer:2",
+])
+def test_sandwich_set_depends_only_on_the_inner_projections(src):
+    # e = [[p, q]] is L-related to [[q]] and f = [[r, s]] R-related to
+    # [[r]], so S(e, f) = S(q, r); presentation_RE2 reads it that way
+    h = handle(src)
+    inner = {}
+    for e in h.friendly_pairs:
+        for f in h.friendly_pairs:
+            key = (e[1], f[0])
+            if key not in inner:
+                inner[key] = sandwich_set(h, *key)
+            assert sandwich_set(h, e, f) == inner[key]
+
+
 def test_e_of_closed_form_and_uniqueness():
     for src in ("kinyon", "band:2", "tl:3"):
         P = bundle(src).algebra

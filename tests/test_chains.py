@@ -24,7 +24,14 @@ from pgsemi.chains import (
 from pgsemi.errors import NotBelow, NotFriendly, NotLinked
 from pgsemi.projections import relations
 
-from conftest import FLEET, bundle, chain_pool, handle, reference_linked_pairs
+from conftest import (
+    FLEET,
+    bundle,
+    chain_pool,
+    handle,
+    reference_linked_pairs,
+    reference_reduce,
+)
 
 
 @pytest.fixture(scope="module")
@@ -214,6 +221,21 @@ def test_square_band_pairs_all_degenerate():
     B = square_band_algebra(3)
     for lp in enumerate_linked_pairs(B):
         assert classify_linked_pair(lp)["degenerate"]
+
+
+def test_reduce_matches_the_restart_scan_on_dense_redexes():
+    # 100,000 seeded walks over 1-4 symbols, up to 300 long: with so few
+    # symbols redexes are dense and cancellations cascade
+    rng = np.random.default_rng(5)
+    shrunk = 0
+    for k in range(1, 5):
+        lengths = rng.integers(0, 301, size=25_000)
+        for n in lengths.tolist():
+            w = rng.integers(0, k, size=n).tolist()
+            got = _reduce(w)
+            assert got == reference_reduce(w)
+            shrunk += len(got) < n
+    assert shrunk > 90_000
 
 
 # -- linked pairs as arrays -----------------------------------------------

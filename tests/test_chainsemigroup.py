@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import pgsemi.chainsemigroup as chainsemigroup
 import pgsemi.projections as projections
-from pgsemi.boset import boset_of
+from pgsemi.boset import boset_of, sandwich_set
 from pgsemi.catalog import parse_source
 from pgsemi.chains import (
     Path,
@@ -31,6 +31,7 @@ from pgsemi.chainsemigroup import (
 from pgsemi.errors import (
     CapExceeded,
     InvalidAlgebra,
+    InvalidArgument,
     MalformedTable,
     NotAMorphism,
     PgsemiError,
@@ -252,6 +253,21 @@ def test_product_builds_one_path_per_new_restriction(path_count):
         assert both_cached > 0
 
 
+def test_expand_builds_one_path(path_count):
+    # the tree walk is reduced first and checked once, as one Path
+    for src in ("kinyon", "band:3", "tl:4", "brauer:4", "band:8"):
+        h = ChainSemigroupHandle(bundle(src).algebra)   # empty caches
+        pool = list(dict.fromkeys(chain_pool(src)))
+        for c in pool:
+            before = path_count[0]
+            out = h.expand(c)
+            assert path_count[0] - before == 1
+            assert out == _expand_uncached(h, c)
+            before = path_count[0]
+            assert h.expand(c) is out
+            assert path_count[0] == before
+
+
 @pytest.mark.parametrize("src", FLEET + ["tl:6", "brauer:5", "band:8"])
 def test_product_matches_path_reference_on_streams(src):
     h = ChainSemigroupHandle(bundle(src).algebra)   # empty caches
@@ -381,6 +397,21 @@ def test_normalize_rejects_foreign_paths():
     other = bundle("tl:3").algebra
     with pytest.raises(ValueError):
         h.normalize(Path(other, (0, 1)))
+
+
+@pytest.mark.parametrize("call", [
+    lambda h, p: h.projection_chain(p),
+    lambda h, p: h.maximal_subgroup(p),
+    lambda h, p: h.component_group(p),
+    lambda h, p: sandwich_set(h, p, 0),
+], ids=["projection_chain", "maximal_subgroup", "component_group",
+        "sandwich_set"])
+@pytest.mark.parametrize("side", ["below", "above"])
+def test_out_of_range_projections_are_refused(call, side):
+    h = handle("kinyon")
+    p = -1 if side == "below" else h.algebra.size
+    with pytest.raises(InvalidArgument, match=f"^no projection {p}$"):
+        call(h, p)
 
 
 def test_band_maximal_subgroups():

@@ -162,6 +162,13 @@ STDOUT_DIGESTS = {
         "01395dea7f251cabf4d988f867df20f4e33c0f8b28016d4b4342d54dea7cb301",
     ("complex", "--source", "brauer:4", "--which", "KP"):
         "8a33e0c8206be8f4b7281cd77235e8f40ffc3181ea6054fa6204c514228302cb",
+    # RE2 reads each sandwich set S(e, f) as S(q, r) for e = [[p, q]],
+    # f = [[r, s]]
+    ("presentations", "--source", "tl:5", "--family", "RE2"):
+        "a9b0c921625c3b0032d61e4021d36393892fd0f63b2645dc70d6b4c6e34120f0",
+    ("presentations", "--source", "brauer:4", "--family", "RE2",
+     "--format", "json"):
+        "89af634e19d08fd834e4c464183a9f5ba6409044383e79fe50654b228cd8b771",
 }
 
 

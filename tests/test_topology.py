@@ -13,7 +13,7 @@ from sympy.matrices.normalforms import smith_normal_form
 
 from pgsemi.catalog import adjacency_algebra, kinyon_algebra, \
     random_adjacency_graph
-from pgsemi.chains import LinkedPair, classify_linked_pair, \
+from pgsemi.chains import LinkedPair, _reduce, classify_linked_pair, \
     enumerate_linked_pairs
 from pgsemi.errors import PgsemiError
 from pgsemi.projections import ProjectionAlgebra, relations
@@ -37,6 +37,7 @@ from conftest import (
     handle,
     reference_complex_KP_prime,
     reference_linked_pairs,
+    reference_reduce,
 )
 
 
@@ -242,7 +243,8 @@ def test_pi1_rejects_non_component_vertex_sets():
 
 def test_walks_spell_their_words():
     # decoding a word into a walk and encoding it back gives the freely
-    # reduced word, over the raw and the simplified generators alike
+    # reduced word, over the raw and the simplified generators alike; the
+    # stack reduction of each walk matches the restart scan
     rng = random.Random(11)
     negative = 0
     for src in FLEET + ["brauer:5"]:
@@ -261,7 +263,58 @@ def test_walks_spell_their_words():
                     verts = pres.walk(dom, word, cod)
                     assert verts[0] == dom and verts[-1] == cod
                     assert pres.word_of(verts) == free_reduce(word)
+                    assert _reduce(verts) == reference_reduce(verts)
     assert negative > 0
+
+
+def _reference_parents(c, basepoint):
+    """The breadth-first search of pi1_presentation as it ran before tree
+    paths were tabled, kept verbatim: each vertex's tree parent."""
+    adj = c.adjacency()
+    parent = {basepoint: None}
+    order = [basepoint]
+    qi = 0
+    while qi < len(order):
+        v = order[qi]
+        qi += 1
+        for w in adj[v]:
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+    return {v: p for v, p in parent.items() if p is not None}
+
+
+def _reference_tree_path(parent, basepoint, v):
+    """Vertex list from the basepoint to v, chasing parent links."""
+    path = [v]
+    while path[-1] != basepoint:
+        path.append(parent[path[-1]])
+    return path[::-1]
+
+
+def test_tree_paths_follow_the_breadth_first_parents():
+    # at the default basepoint of every fleet component, and at the
+    # basepoint of every maximal subgroup of motzkin:4
+    cases = [(src, i, None) for src in FLEET
+             for i in range(len(handle(src).comps))]
+    h = handle("motzkin:4")
+    cases += [("motzkin:4", h.comp_of[p], p) for p in range(h.algebra.size)]
+    for src, i, basepoint in cases:
+        h = handle(src)
+        raw = pi1_presentation(h.complex, i, basepoint=basepoint)
+        base = raw.basepoint
+        parent = _reference_parents(h.complex, base)
+        assert sorted(raw.tree_paths) == list(h.comps[i])
+        assert raw.tree_paths[base] == (base,)
+        for v, path in raw.tree_paths.items():
+            assert path[0] == base and path[-1] == v
+            if v != base:
+                assert path[-2] == parent[v]
+            assert list(raw.tree_path(v)) == \
+                _reference_tree_path(parent, base, v)
+        if basepoint is not None:
+            pres, _ = h.maximal_subgroup(basepoint)
+            assert pres.tree_paths == raw.tree_paths
 
 
 def test_raw_relators_are_the_cell_boundary_words():
@@ -592,7 +645,7 @@ def _reference_tietze(g, budget=50_000, max_steps=10_000, stats=None):
         relators=tuple(out_relators),
         gen_edges=tuple(g.gen_edges[i] for i in kept) if g.gen_edges else (),
         basepoint=g.basepoint,
-        tree_parent=g.tree_parent,
+        tree_paths=g.tree_paths,
         vertices=g.vertices,
         edge_words={e: free_reduce(rename(substitute(w, defs)))
                     for e, w in g.edge_words.items()},
