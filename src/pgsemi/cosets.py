@@ -2,10 +2,15 @@
 
 The core enumerator works on a monoid presentation: generators 0..k-1 and
 relations (u, v) between words.  It builds the right Cayley graph of the
-presented monoid by scanning every relation at every live class, defining
-classes as needed and merging on coincidences.  If the monoid is finite and
-the budget suffices, the result is its complete multiplication action with
-class 0 the identity (empty word).
+presented monoid by scanning every relation at every live class (HLT; Holt,
+Eick & O'Brien, Handbook of Computational Group Theory, 2005, ch. 5).  The
+scan traces the longer side of a relation, defining classes as needed, and
+the shorter side up to its last letter; a missing last entry is deduced to
+be the longer side's endpoint, and only a conflicting one queues a
+coincidence.  The coincidence pass runs only when something is queued.  If
+the monoid is finite and the budget suffices, the result is its complete
+multiplication action with class 0 the identity (empty word).  The budget
+bounds the classes created in total, identity included, not the live ones.
 
 Groups go through the standard doubling: each generator g gets a formal
 inverse G, with relations gG = Gg = empty; relators become relations
@@ -60,7 +65,9 @@ def enumerate_monoid(ngens, relations, budget=BUDGET):
 
     ``relations`` is a list of pairs of words (tuples over 0..ngens-1); a
     word may be empty (monoid convention: empty = identity).  Raises
-    BudgetExceeded if more than ``budget`` classes get created in total.
+    BudgetExceeded if more than ``budget`` classes get created in total;
+    its message names the classes created and the live classes fully
+    scanned.
     """
     for u, v in relations:
         for w in (u, v):
@@ -71,6 +78,13 @@ def enumerate_monoid(ngens, relations, budget=BUDGET):
     parent = [0]          # union-find over classes
     table = [[-1] * ngens]
     pending = []          # coincidence queue
+    # each relation as (long, short[:-1], short[-1]); the last step of the
+    # shorter side is deduced, so its letter is kept apart (-1: empty side)
+    plans = []
+    for u, v in relations:
+        if len(u) < len(v):
+            u, v = v, u
+        plans.append((u, v[:-1], v[-1]) if v else (u, (), -1))
 
     def find(x):
         while parent[x] != x:
@@ -80,7 +94,11 @@ def enumerate_monoid(ngens, relations, budget=BUDGET):
 
     def new_class():
         if len(parent) >= budget:
-            raise BudgetExceeded(f"coset budget {budget} exhausted")
+            # classes are created only while class scanned - 1 is scanned
+            full = sum(parent[x] == x for x in range(scanned - 1))
+            raise BudgetExceeded(
+                f"coset budget {budget} exhausted (classes created "
+                f"{len(parent)}, live classes fully scanned {full})")
         c = len(parent)
         parent.append(c)
         table.append([-1] * ngens)
@@ -111,38 +129,50 @@ def enumerate_monoid(ngens, relations, budget=BUDGET):
                 else:
                     merge(ta, tb)
 
-    def trace_define(c, word):
-        """Walk word from c, defining missing steps; returns endpoint."""
-        cur = find(c)
+    def trace_define(cur, word):
+        """Walk word from the live class cur, defining missing steps;
+        returns the endpoint.  No merge happens on the way, so every class
+        met is live unless a table entry is stale."""
         for g in word:
-            cur = find(cur)
-            nxt = table[cur][g]
+            row = table[cur]
+            nxt = row[g]
             if nxt == -1:
-                nxt = new_class()
-                table[cur][g] = nxt
-            cur = find(nxt)
+                nxt = row[g] = new_class()
+            elif parent[nxt] != nxt:
+                nxt = row[g] = find(nxt)
+            cur = nxt
         return cur
 
     scanned = 0
     while True:
         # pick the next live class in numeric order
         c = scanned
-        while c < len(parent) and find(c) != c:
+        while c < len(parent) and parent[c] != c:
             c += 1
         if c >= len(parent):
             break
         scanned = c + 1
         # ensure every generator entry is defined (right Cayley totality)
+        row = table[c]
         for g in range(ngens):
-            if table[c][g] == -1:
-                table[c][g] = new_class()
-        for u, v in relations:
-            cu = trace_define(c, u)
-            cv = trace_define(c, v)
-            merge(cu, cv)
-            process_coincidences()
-            if find(c) != c:
-                break
+            if row[g] == -1:
+                row[g] = new_class()
+        for long, head, last in plans:
+            end = trace_define(c, long)
+            if last == -1:
+                if end != c:
+                    merge(c, end)
+            else:
+                row = table[trace_define(c, head)]
+                x = row[last]
+                if x == -1:
+                    row[last] = end      # deduction: (c * head) * last = end
+                elif x != end:
+                    merge(x, end)
+            if pending:
+                process_coincidences()
+                if parent[c] != c:
+                    break
 
     # compress and standardize by BFS from the identity class
     order = []

@@ -338,6 +338,55 @@ def _verify_size(handle, pres, budget):
     return VerificationReport("size", True, details=details)
 
 
+def _index_moves(pres):
+    """Each relation read both ways as a move (lhs, rhs), and the move
+    indices by left side, grouped by its length."""
+    moves = []
+    for lhs, rhs in pres.word_pairs():
+        moves.append((lhs, rhs))
+        moves.append((rhs, lhs))
+    by_lhs = {}                          # |lhs| -> lhs -> move indices
+    for i, (l, _r) in enumerate(moves):
+        by_lhs.setdefault(len(l), {}).setdefault(l, []).append(i)
+    return moves, by_lhs
+
+
+ORBIT_CAP = 256                          # words explored per sample word
+
+
+def _rewrite_orbit(w, moves, by_lhs, budget):
+    """The first ORBIT_CAP words reached from w by the moves, breadth first,
+    among words of length at most budget.
+
+    At each word the moves are applied in (move, position) order, the
+    order of a scan of every move at every position: it decides which
+    words make the cap.  The result is a set, read in its iteration order,
+    which its insertion order fixes."""
+    seen = {w}
+    frontier = [w]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            hits = []
+            for size, index in by_lhs.items():
+                for pos in range(len(u) - size + 1):
+                    for i in index.get(u[pos:pos + size], ()):
+                        hits.append((i, pos))
+            hits.sort()
+            for i, pos in hits:
+                l, r = moves[i]
+                if len(u) - len(l) + len(r) > budget:
+                    continue
+                v = u[:pos] + r + u[pos + len(l):]
+                if v not in seen:
+                    seen.add(v)
+                    if len(seen) == ORBIT_CAP:
+                        return seen
+                    nxt.append(v)
+        frontier = nxt
+    return seen
+
+
 def _verify_normal_form(handle, pres, seed, samples, budget):
     if any(tag[0] != "proj" for tag in pres.letters):
         raise InvalidArgument("normal-form mode works on projection letters")
@@ -347,13 +396,7 @@ def _verify_normal_form(handle, pres, seed, samples, budget):
             budget = _default_word_budget(handle)
         else:
             budget = 10
-    moves = []
-    for lhs, rhs in pres.word_pairs():
-        moves.append((lhs, rhs))
-        moves.append((rhs, lhs))
-    by_first = {}                        # first letter of lhs -> move indices
-    for i, (l, _r) in enumerate(moves):
-        by_first.setdefault(l[0], []).append(i)
+    moves, by_lhs = _index_moves(pres)
     rng = random.Random(seed)
     checked = 0
     try:
@@ -361,25 +404,7 @@ def _verify_normal_form(handle, pres, seed, samples, budget):
             k = rng.randint(1, 6)
             w = tuple(rng.randrange(P.size) for _ in range(k))
             target = handle.normalize(word_to_friendly_path(P, w))
-            seen = {w}
-            frontier = [w]
-            while frontier and len(seen) < 256:
-                nxt = []
-                for u in frontier:
-                    # sorted (move, pos) keeps the order of a scan of every
-                    # move at every position, which matters once seen is full
-                    hits = sorted(
-                        (i, pos) for pos, x in enumerate(u)
-                        for i in by_first.get(x, ())
-                        if u[pos:pos + len(moves[i][0])] == moves[i][0])
-                    for i, pos in hits:
-                        l, r = moves[i]
-                        v = u[:pos] + r + u[pos + len(l):]
-                        if len(v) <= budget and v not in seen \
-                                and len(seen) < 256:
-                            seen.add(v)
-                            nxt.append(v)
-                frontier = nxt
+            seen = _rewrite_orbit(w, moves, by_lhs, budget)
             for u in seen:
                 checked += 1
                 if handle.normalize(word_to_friendly_path(P, u)) != target:

@@ -244,11 +244,33 @@ def _cyclic_reduce(word):
     return w[i:len(w) - i]
 
 
+def _least_rotation(word):
+    """The least rotation of a word, in O(len) steps (Booth 1980): f is the
+    failure function of the doubled word read from the best start k."""
+    s = word + word
+    f = [-1] * len(s)
+    k = 0
+    for j in range(1, len(s)):
+        x = s[j]
+        i = f[j - k - 1]
+        while i != -1 and x != s[k + i + 1]:
+            if x < s[k + i + 1]:
+                k = j - i - 1
+            i = f[i]
+        if x == s[k + i + 1]:
+            f[j - k] = i + 1
+        else:                        # here i == -1
+            if x < s[k]:
+                k = j
+            f[j - k] = -1
+    return s[k:k + len(word)]
+
+
 def _canonical_cyclic(word):
     """Smallest rotation over a non-empty word and its inverse, for
     dedup."""
     inv = tuple(-l for l in reversed(word))
-    return min(w[i:] + w[:i] for w in (word, inv) for i in range(len(w)))
+    return min(_least_rotation(word), _least_rotation(inv))
 
 
 @dataclass

@@ -339,6 +339,11 @@ def test_inconclusive_budget_exit(capsys, budget):
                        "--family", "RP", "--mode", "size", "--budget", budget)
     assert code == 3
     assert "inconclusive:" in err
+    # the message says how far the enumeration got; the identity class
+    # exists before any budget check
+    created = max(int(budget), 1)
+    assert (f"coset budget {budget} exhausted (classes created {created}, "
+            "live classes fully scanned 0)") in err
 
 
 def test_pi1_unknown_group_exit(capsys):

@@ -1,6 +1,7 @@
 """Coset/class enumeration for presented monoids and groups."""
 
 import itertools
+import random
 
 import pytest
 
@@ -12,6 +13,13 @@ from pgsemi.cosets import (
     to_doubled,
 )
 from pgsemi.errors import BudgetExceeded
+from pgsemi.presentations import (
+    presentation_RE,
+    presentation_RE2,
+    presentation_RP,
+)
+
+from conftest import handle
 
 
 def test_free_monogenic_with_collapse():
@@ -116,3 +124,174 @@ def test_doubled_alphabet_roundtrip():
     assert from_doubled(to_doubled(word)) == word
     _, rels = group_to_monoid_relations(3, [word])
     assert rels[-1] == (to_doubled(word), ())
+
+
+# A frozen copy of the enumerator before it deduced the last step of a
+# relation and skipped idle coincidence passes: it traces both sides of
+# every relation in full, defining a class for each missing step, merges
+# the endpoints and runs the coincidence pass after every relation.  It
+# also returns how many classes it created.
+
+
+def _reference_enumerate(ngens, relations, budget):
+    parent = [0]
+    table = [[-1] * ngens]
+    pending = []
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def new_class():
+        if len(parent) >= budget:
+            raise BudgetExceeded(f"coset budget {budget} exhausted")
+        c = len(parent)
+        parent.append(c)
+        table.append([-1] * ngens)
+        return c
+
+    def merge(a, b):
+        a, b = find(a), find(b)
+        if a == b:
+            return
+        if a > b:
+            a, b = b, a
+        parent[b] = a
+        pending.append((a, b))
+
+    def process_coincidences():
+        while pending:
+            a, b = pending.pop()
+            a = find(a)
+            rowb = table[b]
+            for g in range(ngens):
+                tb = rowb[g]
+                if tb == -1:
+                    continue
+                ta = table[a][g]
+                if ta == -1:
+                    table[a][g] = find(tb)
+                else:
+                    merge(ta, tb)
+
+    def trace_define(c, word):
+        cur = find(c)
+        for g in word:
+            cur = find(cur)
+            nxt = table[cur][g]
+            if nxt == -1:
+                nxt = new_class()
+                table[cur][g] = nxt
+            cur = find(nxt)
+        return cur
+
+    scanned = 0
+    while True:
+        c = scanned
+        while c < len(parent) and find(c) != c:
+            c += 1
+        if c >= len(parent):
+            break
+        scanned = c + 1
+        for g in range(ngens):
+            if table[c][g] == -1:
+                table[c][g] = new_class()
+        for u, v in relations:
+            cu = trace_define(c, u)
+            cv = trace_define(c, v)
+            merge(cu, cv)
+            process_coincidences()
+            if find(c) != c:
+                break
+
+    order = []
+    number = {}
+    root = find(0)
+    number[root] = 0
+    order.append(root)
+    reps = {root: ()}
+    qi = 0
+    while qi < len(order):
+        c = order[qi]
+        qi += 1
+        for g in range(ngens):
+            d = find(table[c][g])
+            if d not in number:
+                number[d] = len(order)
+                order.append(d)
+                reps[d] = reps[c] + (g,)
+    out_table = [
+        [number[find(table[c][g])] for g in range(ngens)] for c in order
+    ]
+    return out_table, [reps[c] for c in order], len(parent)
+
+
+# the groups of the tests above, as (ngens, relators, budget)
+GROUPS = [
+    (1, [(1,) * 6], 50_000),
+    (2, [(1, 1), (2, 2), (1, 2) * 3], 50_000),
+    (1, [(1,)], 50_000),
+    (2, [(1, 1), (2, 2), (1, 2, -1, -2)], 50_000),
+    (2, [(1, 1, 1, 1), (1, 1, -2, -2), (2, 1, -2, 1)], 50_000),
+    (2, [(1, 2, -1, -2)], 500),
+]
+
+
+def _random_monoids(seed, count):
+    """Small monoid presentations: each generator gets x^(a+b) = x^a, so
+    many close, plus a few random relations (sides may be empty)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        k = rng.randint(1, 3)
+        rels = [((g,) * (a + rng.randint(1, 2)), (g,) * a)
+                for g in range(k) for a in [rng.randint(1, 4)]]
+        for _ in range(rng.randint(0, 4)):
+            rels.append((
+                tuple(rng.randrange(k) for _ in range(rng.randint(1, 4))),
+                tuple(rng.randrange(k) for _ in range(rng.randint(0, 3)))))
+        yield k, rels, 3_000
+
+
+def _corpus():
+    for src in ("kinyon", "band:2", "tl:3", "tl:4", "tl:5"):
+        h = handle(src)
+        for pres in (presentation_RP(h.algebra), presentation_RE(h.algebra, h),
+                     presentation_RE2(h.algebra, h)):
+            yield (src, pres.name), len(pres.letters), pres.word_pairs(), \
+                50_000, enumerate_monoid
+    for k, relators, budget in GROUPS:
+        n2, rels = group_to_monoid_relations(k, relators)
+        yield (k, relators), n2, rels, budget, \
+            lambda _n, _r, b, k=k, relators=relators: \
+            enumerate_group(k, relators, budget=b)
+    for i, (k, rels, budget) in enumerate(_random_monoids(16, 200)):
+        yield ("random", i), k, rels, budget, enumerate_monoid
+
+
+def test_enumerator_matches_its_frozen_reference():
+    closed = raised = 0
+    for name, ngens, rels, budget, run in _corpus():
+        try:
+            table, reps, created = _reference_enumerate(ngens, rels, budget)
+        except BudgetExceeded:
+            with pytest.raises(BudgetExceeded):
+                run(ngens, rels, budget)
+            raised += 1
+            continue
+        enum = run(ngens, rels, budget)
+        assert (enum.table, enum.reps) == (table, reps), name
+        # the same enumeration fits in the classes the reference created
+        assert run(ngens, rels, created).table == table, name
+        closed += 1
+    assert closed > 100 and raised > 10
+
+
+def test_budget_message_says_how_far_it_got():
+    with pytest.raises(BudgetExceeded) as info:
+        enumerate_monoid(2, [], budget=100)
+    # the free monoid: class c has children 2c+1 and 2c+2, so the scan of
+    # class 49 creates class 100, and classes 0..48 were fully scanned
+    assert str(info.value) == ("coset budget 100 exhausted (classes "
+                               "created 100, live classes fully scanned 49)")

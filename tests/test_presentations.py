@@ -8,6 +8,9 @@ import pytest
 from pgsemi.chains import Path
 from pgsemi.presentations import (
     SemigroupPresentation,
+    _default_word_budget,
+    _index_moves,
+    _rewrite_orbit,
     presentation_RE,
     presentation_RE2,
     presentation_RP,
@@ -164,7 +167,91 @@ def test_normal_form_mode():
     r = verify_presentation(h.algebra, pres, "normal-form", handle=h,
                             seed=5, samples=40)
     assert r.ok
-    assert r.details["checked"] >= r.details["words"]
+    assert r.details == {"words": 40, "checked": 9496}
+
+
+# A frozen copy of the normal-form search before it indexed moves by their
+# whole left side and stopped at the cap: it matches moves by first letter
+# and scans every frontier word and every hit after the cap is reached.
+
+
+def _reference_orbit(w, pres, budget):
+    moves = []
+    for lhs, rhs in pres.word_pairs():
+        moves.append((lhs, rhs))
+        moves.append((rhs, lhs))
+    by_first = {}
+    for i, (l, _r) in enumerate(moves):
+        by_first.setdefault(l[0], []).append(i)
+    seen = {w}
+    frontier = [w]
+    while frontier and len(seen) < 256:
+        nxt = []
+        for u in frontier:
+            hits = sorted(
+                (i, pos) for pos, x in enumerate(u)
+                for i in by_first.get(x, ())
+                if u[pos:pos + len(moves[i][0])] == moves[i][0])
+            for i, pos in hits:
+                l, r = moves[i]
+                v = u[:pos] + r + u[pos + len(l):]
+                if len(v) <= budget and v not in seen and len(seen) < 256:
+                    seen.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    return seen
+
+
+def _start_words(P, seed, samples):
+    rng = random.Random(seed)
+    for _ in range(samples):
+        k = rng.randint(1, 6)
+        yield tuple(rng.randrange(P.size) for _ in range(k))
+
+
+def _reference_normal_form(h, pres, seed, samples, budget):
+    P = h.algebra
+    checked = 0
+    for w in _start_words(P, seed, samples):
+        target = h.normalize(word_to_friendly_path(P, w))
+        for u in _reference_orbit(w, pres, budget):
+            checked += 1
+            if h.normalize(word_to_friendly_path(P, u)) != target:
+                return {"word": list(w), "variant": list(u)}
+    return {"words": samples, "checked": checked}
+
+
+@pytest.mark.parametrize("src,budget", [
+    ("kinyon", None), ("tl:3", None), ("tl:4", None), ("tl:5", None),
+    ("band:3", 10),
+])
+def test_rewrite_orbit_matches_its_frozen_reference(src, budget):
+    h = handle(src)
+    pres = presentation_RP(h.algebra)
+    if budget is None:
+        budget = _default_word_budget(h)
+    moves, by_lhs = _index_moves(pres)
+    for w in _start_words(h.algebra, 0, 40):
+        # a set's iteration order, which the checker reads, is fixed by
+        # the order its words were inserted in
+        assert list(_rewrite_orbit(w, moves, by_lhs, budget)) \
+            == list(_reference_orbit(w, pres, budget)), w
+
+
+def test_normal_form_reports_a_wrong_relation_like_its_reference():
+    h = handle("kinyon")
+    P = h.algebra
+    pres = presentation_RP(P)
+    bad = pres.relations + (((0,), (1,), "bogus"),)
+    corrupt = SemigroupPresentation(pres.name, pres.letters, pres.names, bad)
+    budget = _default_word_budget(h)
+    for seed in (0, 5):
+        r = verify_presentation(P, corrupt, "normal-form", handle=h,
+                                seed=seed)
+        assert not r.ok and not r.inconclusive
+        assert r.details == _reference_normal_form(h, corrupt, seed, 200,
+                                                   budget)
+        assert set(r.details) == {"word", "variant"}
 
 
 def test_normal_form_mode_needs_projection_letters():

@@ -21,6 +21,7 @@ from pgsemi.serialize import presentation_to_dict
 from pgsemi.topology import (
     Cell,
     Complex2,
+    _canonical_cyclic,
     abelian_invariants,
     complex_KP,
     complex_KP_prime,
@@ -743,6 +744,28 @@ def test_tietze_matches_reference_on_random_presentations():
     assert stats["inverse_eliminations"] > 100
     for kind in ("trivial", "free", "finite", "unknown"):
         assert stats[kind] > 0
+
+
+def test_canonical_cyclic_matches_all_rotations():
+    # Booth's least rotation gives the key of the minimum over all 2L
+    # rotations of the word and of its inverse
+    def inverse(w):
+        return tuple(-l for l in reversed(w))
+
+    rng = random.Random(16)
+    letters = (1, -1, 2, -2, 3, -3)
+    words = [(1, 2, 1, 2), (1, 1, 1), (-2, 1, -2, 1, -2, 1), (3,), (1, -1)]
+    for _ in range(3_000):
+        w = tuple(rng.choice(letters) for _ in range(rng.randint(1, 12)))
+        own = w + inverse(w)                          # its own inverse
+        i = rng.randrange(len(own))
+        words += [w, w * rng.randint(2, 4), own, own[i:] + own[:i]]
+    self_inverse = 0
+    for w in words:
+        assert _canonical_cyclic(w) == _ref_canonical_cyclic(w), w
+        rotations = {w[i:] + w[:i] for i in range(len(w))}
+        self_inverse += inverse(w) in rotations
+    assert self_inverse > 5_000
 
 
 def test_tietze_elimination_cap(monkeypatch):
