@@ -183,15 +183,28 @@ class _Tally:
 
 def _gather(M, rows, cols):
     """M[rows, cols] for broadcastable index arrays, as one take on the flat
-    table (numpy's broadcast fancy indexing is slower); ``rows`` is intp."""
+    table (numpy's broadcast fancy indexing is slower).  ``rows`` is intp,
+    so the flat index is intp even when ``cols`` is a narrow table."""
     return np.take(M.ravel(), rows * M.shape[1] + cols)
+
+
+def _narrow(P):
+    """The law checks' working copy of theta, in the narrowest unsigned
+    type that holds 0..n-1: uint8 for n <= 256, uint16 above.  Gathers on
+    it move a quarter or half of the bytes of the int32 ``P.theta``, which
+    stays as it is; every index computed from it is intp, so none wraps."""
+    return P.theta.astype(np.min_scalar_type(max(P.size - 1, 0)))
 
 
 def validate_axioms(P):
     """Check P1-P5 on the full table, keeping the verdict for require_algebra.
     Returns a list of Violations, empty iff the table is a projection algebra.
-    The three-variable laws run in chunks over p, so memory stays bounded."""
-    T = P.theta
+
+    The laws read a narrow working copy of theta (see _narrow).  The
+    three-variable laws run in chunks over p, so memory stays bounded, and
+    build B = (r th_p) th_q as one row gather of the transposed table."""
+    T = _narrow(P)
+    TT = np.ascontiguousarray(T.T)
     n = P.size
     out = []
     rng = np.arange(n)
@@ -201,17 +214,21 @@ def validate_axioms(P):
     # P2: theta_p is idempotent as a map; [p, q] -> (q th_p) th_p
     _Tally("P2").add(_gather(T, rng[:, None], T) != T).report(out)
     # P3: (p theta_q) theta_p = q theta_p; [p, q] -> (p th_q) th_p
-    _Tally("P3").add(_gather(T, rng[:, None], T.T) != T).report(out)
+    _Tally("P3").add(_gather(T, rng[:, None], TT) != T).report(out)
 
     p4, p5 = _Tally("P4"), _Tally("P5")
     for lo, hi in _chunks(n, n * n):
-        # [q, p, r]: B = (r th_p) th_q, C = ((r th_p) th_q) th_p
-        B = np.take(T, T[lo:hi], axis=1)
-        C = _gather(T, rng[lo:hi, None], B)
-        # P4: ((r th_p) th_q) th_p = r th_{q th_p}
-        p4.add((C != np.take(T, T[lo:hi].T, axis=0)).swapaxes(0, 1), lo)
+        # [p, r, q]: B = (r th_p) th_q, C = ((r th_p) th_q) th_p, applying
+        # th_p by lookups in its single row
+        B = np.take(TT, T[lo:hi], axis=0)
+        C = np.empty_like(B)
+        for i, p in enumerate(range(lo, hi)):
+            C[i] = np.take(T[p], B[i])
+        # P4: ((r th_p) th_q) th_p = r th_{q th_p}; [q, p, r] on the right
+        rhs = np.take(T, T[lo:hi].T, axis=0)
+        p4.add((C.transpose(2, 0, 1) != rhs).swapaxes(0, 1), lo)
         # P5: (((r th_p) th_q) th_p) th_q = (r th_p) th_q
-        p5.add((_gather(T, rng[:, None, None], C) != B).swapaxes(0, 1), lo)
+        p5.add((_gather(T, rng, C) != B).transpose(0, 2, 1), lo)
     p4.report(out)
     p5.report(out)
     if P._verdict is None:
@@ -266,16 +283,17 @@ def theta_chain(P, q, ps):
 
 
 def _chain_classes(T, max_chain):
-    """Yield (k, cls, L, R) for k = 1..max_chain.  Tuple t = (p1, ..., pk),
-    encoded in base n with p1 most significant, lies in class ``cls[t]``;
-    class c has forward composite ``L[c, r] = r th_{p1} ... th_{pk}`` and
-    reversed composite ``R[c, r] = r th_{pk} ... th_{p1}``, and no two
-    classes share both maps.  Since L_{t.p} = L_t th_p and
-    R_{t.p} = th_p R_t, the classes of length k+1 are the distinct rows
-    (L th_p, th_p R) over the classes of length k and every p."""
+    """Yield (k, step, L, R) for k = 1..max_chain.  The tuples
+    t = (p1, ..., pk) fall into classes: class c has forward composite
+    ``L[c, r] = r th_{p1} ... th_{pk}`` and reversed composite
+    ``R[c, r] = r th_{pk} ... th_{p1}``, and no two classes share both
+    maps.  Since L_{t.p} = L_t th_p and R_{t.p} = th_p R_t, the classes of
+    length k are the distinct rows (L th_p, th_p R) over the classes c of
+    length k-1 and every p, and ``step[c, p]`` is the class of t.p for
+    every t in c.  Only these tables are kept, never a class per tuple
+    (see _tuple_classes)."""
     n = T.shape[0]
-    cls = np.zeros(1, dtype=np.intp)              # the empty tuple
-    L = R = np.arange(n, dtype=T.dtype)[None, :]
+    L = R = np.arange(n, dtype=T.dtype)[None, :]    # the empty tuple
     row = np.dtype((np.void, 2 * n * T.itemsize))
     for k in range(1, max_chain + 1):
         fwd = np.take(T, L, axis=1).transpose(1, 0, 2)  # [c, p, r] = r L th_p
@@ -286,31 +304,42 @@ def _chain_classes(T, max_chain):
         _, first, inv = np.unique(pairs.view(row).reshape(-1),
                                   return_index=True, return_inverse=True)
         pairs = pairs[first]
-        cls = inv.reshape(-1, n)[cls].reshape(-1)
         L, R = pairs[:, :n], pairs[:, n:]
-        yield k, cls, L, R
+        yield k, inv.reshape(-1, n), L, R
 
 
-def _chain_mismatch(T, L, R):
-    """C1 and C2 failure masks, [c, q, r], for composites L[c], R[c]."""
+def _tuple_classes(steps, lo, hi, n):
+    """Classes of the tuples lo..hi-1 of length k = len(steps), encoded in
+    base n with p1 most significant, read digit by digit through the step
+    tables of lengths 1..k: memory linear in hi - lo, whatever n^k is."""
+    t = np.arange(lo, hi)
+    c = np.zeros(hi - lo, dtype=np.intp)
+    for j, step in enumerate(steps):
+        c = step[c, t // n ** (len(steps) - 1 - j) % n]
+    return c
+
+
+def _chain_mismatch(T, L, R, P3T):
+    """C1 and C2 failure masks, [c, q, r], for composites L[c], R[c].
+
+    C2 is read off C1.  Where C1 holds at (q, r), its right side
+    r R th_q L equals r th_s with s = q L, so the sides of C2 become
+    (r th_s) th_r and s th_r: the two sides of P3 at (r, s).  The C2 mask
+    is therefore a row gather, at L, of the P3-mismatch table
+    ``P3T[s, r]`` (P3 fails at (r, s)), and only at the cells where C1
+    fails are both sides of C2 gathered as they stand.  This is an
+    identity on every table, valid or not."""
+    n = len(T)
     X = np.take(T, R, axis=1)                            # [q, c, r] = r R th_q
     rhs_c1 = _gather(L, np.arange(len(L))[:, None], X)   # r R th_q L
-    lhs_c1 = np.take(T, L.T, axis=0)                     # r th_{q L}
-    lhs_c2 = _gather(T, np.arange(len(T)), rhs_c1)       # apply th_r
-    rhs_c2 = np.take(T.T, L.T, axis=0)                   # q L th_r
-    return (lhs_c1 != rhs_c1).swapaxes(0, 1), (lhs_c2 != rhs_c2).swapaxes(0, 1)
-
-
-def _premise_failures(T, premise, steps):
-    """[p, q] fails iff premise and th_p != th_{steps[0]} th_{steps[1]} ..."""
-    pairs, mask = np.argwhere(premise), np.zeros_like(premise)
-    for lo, hi in _chunks(len(pairs), len(T)):
-        pq = pairs[lo:hi].T                       # pq[0] = p, pq[1] = q
-        M = T[pq[steps[0]]]                       # [i, r]: r through pair i
-        for s in steps[1:]:
-            M = _gather(T, pq[s][:, None], M)
-        mask[pq[0], pq[1]] = (M != T[pq[0]]).any(axis=1)
-    return mask
+    c1 = np.take(T, L.T, axis=0) != rhs_c1               # vs r th_{q L}
+    c2 = np.take(P3T, L.T, axis=0)
+    bad = np.flatnonzero(c1)
+    if bad.size:
+        r, s = bad % n, np.take(L.T, bad // n)           # s = q L
+        c2.reshape(-1)[bad] = (_gather(T, r, rhs_c1.reshape(-1)[bad])
+                               != _gather(T, r, s))
+    return c1.swapaxes(0, 1), c2.swapaxes(0, 1)
 
 
 def check_derived_laws(P, max_chain=3):
@@ -334,21 +363,30 @@ def check_derived_laws(P, max_chain=3):
 
     On a valid algebra all of these hold; they are checked independently of
     the axioms as a guard on the whole derivation chain.  Returns a list of
-    Violations.
+    Violations.  The laws read a narrow working copy of theta (see
+    _narrow).
 
     Checking the chain laws once per class of tuples is exact: at a tuple t
     both sides of C1 and C2, for every (q, r), are functions of the forward
     composite L_t = th_{p1} ... th_{pk} and the reversed composite
     R_t = th_{pk} ... th_{p1} alone, so tuples with the same pair (L_t, R_t)
-    fail at exactly the same cells (q, r).  Each class is checked once; a
-    failing class is expanded back to its tuples, which are reported over
+    fail at exactly the same cells (q, r).  Each class is checked once, C2
+    mostly by a row gather of the P3-mismatch table computed here: where
+    C1 holds at (q, r), C2 there is P3 at (r, q L_t) (see _chain_mismatch).
+    A failing class is expanded back to its tuples, which are reported over
     consecutive chunks of tuples of at most CHUNK_CELLS cells, one Violation
     per law per chunk that fails, with witnesses (tuple, q, r) and counts of
-    failing cells exactly as a check of every tuple would give them.  A2
-    runs in chunks over p.  A4 and A5 compare maps only on the pairs where
-    their premise holds, in chunks of pairs, and report as a check of all.
+    failing cells exactly as a check of every tuple would give them.  Only
+    a table from (class at k-1, p) to class at k is kept per length, and a
+    chunk's tuples are classed from their base-n digits when some class
+    fails, so memory does not grow with the n^k tuples (motzkin:4 at
+    max_chain 5, 35^5 tuples, peaks under 30 MB).  A2 runs in chunks over
+    p.  A4a and A5 run in chunks over p on whole rows, composed through the
+    transposed table, and count failures only where the premise holds; A4b
+    runs on the pairs p <= q only, in chunks of pairs.
     """
-    T = P.theta
+    T = _narrow(P)
+    TT = np.ascontiguousarray(T.T)
     n = P.size
     if n == 0:
         return []
@@ -356,8 +394,8 @@ def check_derived_laws(P, max_chain=3):
     rel = relations(P)
     leq, leqf, friendly = rel.leq, rel.leqf, rel.friendly
 
-    # A1: p th_q F q th_p; T.T[p, q] = p th_q
-    _Tally("A1").add(~friendly[T.T, T]).report(out)
+    # A1: p th_q F q th_p; TT[p, q] = p th_q
+    _Tally("A1").add(~friendly[TT, T]).report(out)
 
     # A2 in both bracketings
     a2a, a2b = _Tally("A2a"), _Tally("A2b")
@@ -372,23 +410,43 @@ def check_derived_laws(P, max_chain=3):
     # A3
     _Tally("A3").add(leq & ~leqf).report(out)
 
-    # A4: p <= q implies theta_p = theta_p theta_q = theta_q theta_p;
-    # A5: p <=F q implies theta_p = theta_p theta_q theta_p
-    for law, premise, steps in (("A4a", leq, (0, 1)), ("A4b", leq, (1, 0)),
-                                ("A5", leqf, (0, 1, 0))):
-        _Tally(law).add(_premise_failures(T, premise, steps)).report(out)
+    # A4a: p <= q implies theta_p = theta_p theta_q; A5: p <=F q implies
+    # theta_p = theta_p theta_q theta_p.  In chunks over p, on whole rows:
+    # G[p, r, q] = r th_p th_q is one row gather of the transposed table,
+    # and th_p is then applied by lookups in its single row
+    a4a, a5 = np.zeros((2, n, n), dtype=bool)
+    for lo, hi in _chunks(n, n * n):
+        G = np.take(TT, T[lo:hi], axis=0)
+        Tp = T[lo:hi, :, None]
+        a4a[lo:hi] = (G != Tp).any(axis=1)
+        for i, p in enumerate(range(lo, hi)):
+            G[i] = np.take(T[p], G[i])
+        a5[lo:hi] = (G != Tp).any(axis=1)
+    # A4b: p <= q implies theta_p = theta_q theta_p, on the pairs p <= q
+    # only, in chunks of pairs
+    pairs, a4b = np.argwhere(leq), np.zeros_like(leq)
+    for lo, hi in _chunks(len(pairs), n):
+        p, q = pairs[lo:hi].T
+        a4b[p, q] = (_gather(T, p[:, None], T[q]) != T[p]).any(axis=1)
+    for law, premise, fails in (("A4a", leq, a4a), ("A4b", leq, a4b),
+                                ("A5", leqf, a5)):
+        _Tally(law).add(fails & premise).report(out)
 
     # chain laws, once per class of tuples with equal composites
-    for k, cls, L, R in _chain_classes(T, max_chain):
+    P3T = _gather(T, np.arange(n), T) != TT      # [s, r]: P3 fails at (r, s)
+    steps = []
+    for k, step, L, R in _chain_classes(T, max_chain):
+        steps.append(step)
         counts = np.zeros((2, len(L)), dtype=np.int64)
         for lo, hi in _chunks(len(L), n * n):
-            for i, mism in enumerate(_chain_mismatch(T, L[lo:hi], R[lo:hi])):
+            masks = _chain_mismatch(T, L[lo:hi], R[lo:hi], P3T)
+            for i, mism in enumerate(masks):
                 if mism.any():
                     counts[i, lo:hi] = np.count_nonzero(mism, axis=(1, 2))
         if not counts.any():
             continue
         for lo, hi in _chunks(n**k, n * n):
-            c = cls[lo:hi]
+            c = _tuple_classes(steps, lo, hi, n)
             for i, law in enumerate(("C1", "C2")):
                 per = counts[i, c]
                 total = int(per.sum())
@@ -397,7 +455,7 @@ def check_derived_laws(P, max_chain=3):
                 # every failing tuple has a witness, so the first
                 # MAX_WITNESSES failing tuples hold all that are shown
                 ts = np.flatnonzero(per)[:MAX_WITNESSES]
-                mism = _chain_mismatch(T, L[c[ts]], R[c[ts]])[i]
+                mism = _chain_mismatch(T, L[c[ts]], R[c[ts]], P3T)[i]
                 witnesses = tuple(
                     (tuple(int(d) for d in
                            np.unravel_index(lo + ts[j], (n,) * k)),

@@ -331,3 +331,159 @@ def test_law_checks_keep_memory_bounded():
         finally:
             tracemalloc.stop()
         assert peak < 20e6, (check, peak)
+
+
+def test_long_chains_keep_memory_bounded():
+    # motzkin:4 has 35^5 = 52.5M tuples of length 5: the checks keep one
+    # (class, p) -> class table per length, never an entry per tuple
+    P = bundle("motzkin:4").algebra
+    tracemalloc.start()
+    try:
+        assert check_derived_laws(P, max_chain=5) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6, peak
+
+
+class _OracleLaw:
+    """One law's report built from masks given in row-major order."""
+
+    def __init__(self, law):
+        self.law, self.witnesses, self.count = law, [], 0
+
+    def add(self, mask, *prefix):
+        idx = np.argwhere(mask)
+        room = 20 - len(self.witnesses)
+        self.witnesses += [prefix + tuple(int(x) for x in row)
+                           for row in idx[:max(room, 0)]]
+        self.count += len(idx)
+
+    def report(self, decode=None):
+        if not self.count:
+            return []
+        ws = self.witnesses
+        if decode is not None:
+            ws = [decode(w) for w in ws]
+        return [(self.law, tuple(ws), self.count)]
+
+
+def _oracle_by_p(theta):
+    """P1-P5, and the derived laws at max_chain 1, one p (or one tuple
+    (p1,)) at a time, so that no array has more than n^2 cells; the chain
+    laws in chunks of 500k cells of tuples."""
+    T = np.asarray(theta, dtype=np.intp)
+    n = T.shape[0]
+    rng = np.arange(n)
+    leq = T.T == rng[:, None]
+    leqf = T == rng[:, None]
+    friendly = leqf & leqf.T
+    laws = {law: _OracleLaw(law) for law in
+            ("P1", "P2", "P3", "P4", "P5",
+             "A1", "A2a", "A2b", "A3", "A4a", "A4b", "A5")}
+    laws["P1"].add(T[rng, rng] != rng)
+    laws["P2"].add(T[rng[:, None], T] != T)
+    laws["P3"].add(T[rng[:, None], T.T] != T)
+    laws["A1"].add(~friendly[T.T, T])
+    laws["A3"].add(leq & ~leqf)
+    for p in range(n):
+        Tp = T[p]
+        B = T[rng[:, None], Tp[None, :]]             # [q, r] = r th_p th_q
+        C = Tp[B]                                     # ... th_p
+        laws["P4"].add(C != T[Tp], p)                 # r th_{q th_p}
+        laws["P5"].add(T[rng[:, None], C] != B, p)
+        laws["A2a"].add(leq[p][:, None] & leqf & ~leqf[p][None, :], p)
+        laws["A2b"].add(leqf[p][:, None] & leq & ~leqf[p][None, :], p)
+        laws["A4a"].add(leq[p] & (B != Tp).any(axis=1), p)
+        laws["A4b"].add(leq[p] & (Tp[T] != Tp).any(axis=1), p)
+        laws["A5"].add(leqf[p] & (C != Tp).any(axis=1), p)
+    axioms = sum((laws[law].report() for law in
+                  ("P1", "P2", "P3", "P4", "P5")), [])
+    derived = sum((laws[law].report() for law in
+                   ("A1", "A2a", "A2b", "A3", "A4a", "A4b", "A5")), [])
+    chunk = max(1, 500_000 // (n * n))
+    for lo in range(0, n, chunk):
+        c1, c2 = _OracleLaw("C1[k=1]"), _OracleLaw("C2[k=1]")
+        for p in range(lo, min(lo + chunk, n)):
+            rhs_c1 = T[p][T[rng[:, None], T[p][None, :]]]  # r th_p th_q th_p
+            c1.add(T[T[p]] != rhs_c1, p)                   # r th_{q th_p}
+            c2.add(T[rng[None, :], rhs_c1] != T[rng[None, :], T[p][:, None]],
+                   p)
+        for law in (c1, c2):
+            derived += law.report(lambda w: ((w[0],), w[1], w[2]))
+    return axioms, derived
+
+
+def test_by_p_oracle_matches_whole_array_oracles():
+    for theta, _ in itertools.islice(_random_tables(), 0, None, 8):
+        assert _oracle_by_p(theta) == (_oracle_axioms(theta),
+                                       _oracle_derived(theta, 1))
+
+
+@pytest.mark.parametrize("n, plants", [
+    (256, ((254, 255, 255), (255, 254, 254), (255, 255, 254),
+           (100, 254, 255))),
+    (257, ((254, 256, 256), (256, 254, 255), (255, 255, 256),
+           (256, 0, 255))),
+])
+def test_reports_at_the_narrow_table_boundary(n, plants):
+    # the checks hold theta as uint8 up to n = 256 and as uint16 above;
+    # failures are planted at the top indices and values of each
+    theta = square_band_algebra(n).theta.astype(np.int64)
+    for p, q, value in plants:
+        theta[p, q] = value
+    P = ProjectionAlgebra(theta)
+    axioms, derived = _oracle_by_p(theta)
+    assert ("P1", ((255,),), 1) in axioms
+    assert _reports(validate_axioms(P)) == axioms
+    got = _reports(check_derived_laws(P, max_chain=1))
+    assert got == derived
+    assert {law for law, _, _ in got} >= {"A4a", "A5", "C1[k=1]", "C2[k=1]"}
+
+
+def _chain_sides(theta, k):
+    """Both sides of C1 and of C2, [t, q, r], at every tuple t of length k
+    in base n, composed one element at a time."""
+    T = np.asarray(theta, dtype=np.intp)
+    n = T.shape[0]
+    L = R = np.arange(n)[None, :]
+    for _ in range(k):
+        L = T[:, L].transpose(1, 0, 2).reshape(-1, n)   # L_{t.p} = L_t th_p
+        R = R[:, T].reshape(-1, n)                      # R_{t.p} = th_p R_t
+    t = np.arange(len(L))[:, None, None]
+    q, r = np.arange(n)[None, :, None], np.arange(n)[None, None, :]
+    rhs_c1 = L[t, T[q, R[t, r]]]
+    return T[L[t, q], r], rhs_c1, T[r, rhs_c1], T[r, L[t, q]]
+
+
+def test_c2_is_recomputed_where_c1_fails():
+    # at k = 1 C1 fails at six cells of this table: C2 holds at three of
+    # them and fails at three, and at some it differs from P3 at
+    # (r, q th_p), which gives C2 wherever C1 holds
+    theta = [[0, 2, 2], [2, 1, 0], [2, 2, 2]]
+    T = np.asarray(theta)
+    lhs_c1, rhs_c1, lhs_c2, rhs_c2 = _chain_sides(theta, 1)
+    c1, c2 = lhs_c1 != rhs_c1, lhs_c2 != rhs_c2
+    assert (c1 & ~c2).sum() == 3 and (c1 & c2).sum() == 3
+    r = np.arange(3)[None, None, :]
+    s = np.broadcast_to(T[:, :, None], c1.shape)    # [p, q, r] = q th_p
+    p3 = T[r, T[s, r]] != T[r, s]                   # P3 fails at (r, s)
+    assert not (~c1 & (p3 != c2)).any()
+    assert (c1 & (p3 != c2)).any()
+    for max_chain in (1, 2, 3):
+        got = _reports(check_derived_laws(ProjectionAlgebra(theta),
+                                          max_chain=max_chain))
+        assert got == _oracle_derived(theta, max_chain)
+
+
+def test_random_sweep_has_both_kinds_of_c1_failure():
+    # the oracle sweep meets cells where C1 fails and C2 holds, and cells
+    # where both fail
+    holds = fails = 0
+    for theta, max_chain in _random_tables():
+        for k in range(1, max_chain + 1):
+            lhs_c1, rhs_c1, lhs_c2, rhs_c2 = _chain_sides(theta, k)
+            c1, c2 = lhs_c1 != rhs_c1, lhs_c2 != rhs_c2
+            holds += int((c1 & ~c2).sum())
+            fails += int((c1 & c2).sum())
+    assert holds > 0 and fails > 0, (holds, fails)
