@@ -2,15 +2,16 @@
 
 Elements are the ordered friendly pairs (p, q), standing for [[p, q]];
 diagonal pairs play the projections.  Arrows compare endpoints under the
-projection order, the partial product lives exactly on the basic pairs,
-and the star map swaps coordinates.  Everything is cross-checked against
-products in the chain semigroup, which is the ground truth.
+projection order (the boolean arrays left and right), the partial product
+lives exactly on the pairs they join either way, and the star map swaps
+coordinates.  Everything is cross-checked against products in the chain
+semigroup, which is the ground truth.
 """
 
 import numpy as np
 
 from .chainsemigroup import ChainSemigroupHandle, ReducedChain
-from .errors import PgsemiError
+from .errors import InvalidArgument, PgsemiError
 from .projections import ProjectionAlgebra, require_algebra
 from .semigroups import projection_algebra_of
 
@@ -66,25 +67,25 @@ class Boset:
         p, q = e
         return (q, p)
 
+    def _key(self, e, f):
+        if e not in self.index or f not in self.index:
+            raise InvalidArgument(f"({e}, {f}) is not a pair of elements")
+        return self.index[e], self.index[f]
+
     def is_basic(self, e, f):
-        i, j = self.index[e], self.index[f]
-        return bool(self.left[i, j] or self.right[i, j]
-                    or self.left[j, i] or self.right[j, i])
+        return self._key(e, f) in self._products
 
     def product(self, e, f):
         """The basic product ef; raises off the domain."""
-        key = (self.index[e], self.index[f])
-        if key not in self._products:
+        val = self._products.get(self._key(e, f))
+        if val is None:
             raise PgsemiError(f"({e}, {f}) is not a basic pair")
-        return self._products[key]
+        return val
 
     def basic_items(self):
         """Sorted ((e, f), ef) over the product domain."""
-        out = []
-        for (i, j) in sorted(self._products):
-            out.append(((self.elements[i], self.elements[j]),
-                        self._products[(i, j)]))
-        return out
+        return [((self.elements[i], self.elements[j]), val)
+                for (i, j), val in sorted(self._products.items())]
 
     def __repr__(self):
         return (f"Boset({len(self.elements)} elements, "
@@ -105,30 +106,34 @@ def boset_of(P, handle=None):
     rel = handle.rel
     T = P.theta
     elements = handle.friendly_pairs
-    ps = np.array([e[0] for e in elements])
-    qs = np.array([e[1] for e in elements])
+    ps, qs = np.nonzero(rel.friendly)              # row-major, as elements
     left = rel.leq[np.ix_(qs, qs)]
     right = rel.leq[np.ix_(ps, ps)]
     chains = [handle.idempotent_chain(p, q) for (p, q) in elements]
 
     products = {}
-    for i, (p, q) in enumerate(elements):
-        for j, (r, s) in enumerate(elements):
-            if not (left[i, j] or right[i, j] or left[j, i] or right[j, i]):
-                continue
-            if left[i, j]:
-                val = (p, q)                       # e <- f: e = ef
-            elif right[j, i]:
-                val = (r, s)                       # f -> e: f = ef
-            else:
-                val = (int(T[p, T[q, r]]), int(T[s, T[r, q]]))
-            got = handle.product(chains[i], chains[j])
-            if got != handle.idempotent_chain(*val):
-                raise PgsemiError(
-                    f"basic product [[{p},{q}]][[{r},{s}]] disagrees "
-                    f"with the chain product {got!r}")
-            products[(i, j)] = val
+    # row-major over the pairs joined by an arrow in either direction
+    for i, j in np.argwhere(left | right | left.T | right.T).tolist():
+        (p, q), (r, s) = elements[i], elements[j]
+        if left[i, j]:
+            val = (p, q)                           # e <- f: e = ef
+        elif right[j, i]:
+            val = (r, s)                           # f -> e: f = ef
+        else:
+            val = (int(T[p, T[q, r]]), int(T[s, T[r, q]]))
+        got = handle.product(chains[i], chains[j])
+        if got != handle.idempotent_chain(*val):
+            raise PgsemiError(
+                f"basic product [[{p},{q}]][[{r},{s}]] disagrees "
+                f"with the chain product {got!r}")
+        products[(i, j)] = val
     return Boset(P, handle, elements, left, right, products)
+
+
+def _in_sandwich(handle, ce, cf, ef, cg):
+    """Whether the chain cg lies in S(e, f): e g f = ef and f g e = g."""
+    return (handle.product(handle.product(ce, cg), cf) == ef
+            and handle.product(handle.product(cf, cg), ce) == cg)
 
 
 def sandwich_set(handle, e, f):
@@ -139,25 +144,25 @@ def sandwich_set(handle, e, f):
     """
     ce, cf = _as_chain(handle, e), _as_chain(handle, f)
     ef = handle.product(ce, cf)
-    out = []
-    for p, q in handle.friendly_pairs:
-        g = handle.idempotent_chain(p, q)
-        if (handle.product(handle.product(ce, g), cf) == ef
-                and handle.product(handle.product(cf, g), ce) == g):
-            out.append((p, q))
-    return out
+    return [g for g in handle.friendly_pairs
+            if _in_sandwich(handle, ce, cf, ef, handle.idempotent_chain(*g))]
 
 
 def _sandwich_element(handle, p, q):
-    """The unique g in S(p, q) with p g and g q projections, found by
-    scanning the whole sandwich set; raises unless exactly one exists."""
+    """The unique g in S(p, q) with p g and g q projections; raises unless
+    one scan of all idempotents finds exactly one.  The side tests run
+    first and membership only after both pass, so the found set is
+    unchanged and a failing candidate is not multiplied further.  Every
+    chain is still built: UndecidedEquality iff a group is undecided."""
     cp = handle.projection_chain(p)
     cq = handle.projection_chain(q)
+    pq = handle.product(cp, cq)
     found = []
-    for g in sandwich_set(handle, p, q):
+    for g in handle.friendly_pairs:
         cg = handle.idempotent_chain(*g)
         if (_is_projection(handle.product(cp, cg))
-                and _is_projection(handle.product(cg, cq))):
+                and _is_projection(handle.product(cg, cq))
+                and _in_sandwich(handle, cp, cq, pq, cg)):
             found.append(g)
     if len(found) != 1:
         raise PgsemiError(
@@ -171,7 +176,10 @@ def e_of(P, p, q, handle=None, verify=False):
 
     With verify=True, membership in S(p, q), the projection conditions on
     p*e and e*q, and uniqueness are all checked by exhaustive scan.
+    Raises InvalidArgument unless p and q name projections.
     """
+    if not (0 <= p < P.size and 0 <= q < P.size):
+        raise InvalidArgument(f"({p}, {q}) is not a pair of projections")
     T = P.theta
     val = (int(T[q, p]), int(T[p, q]))
     if verify:
@@ -197,15 +205,12 @@ def projection_algebra_of_boset(b):
     diag = [e for e in b.elements if e[0] == e[1]]
     idx = {e[0]: i for i, e in enumerate(diag)}
     n = len(diag)
-    handle = b.handle
     theta = np.zeros((n, n), dtype=np.int64)
     for i, (p, _) in enumerate(diag):
         for j, (q, _) in enumerate(diag):
-            prod = b.product((p, p), _sandwich_element(handle, p, q))
+            prod = b.product((p, p), _sandwich_element(b.handle, p, q))
             theta[i, j] = idx[prod[0]]
-    labels = None
-    if b.algebra is not None and n == b.algebra.size:
-        labels = [b.algebra.label(e[0]) for e in diag]
+    labels = [b.algebra.label(p) for p, _ in diag]
     out = ProjectionAlgebra(theta, labels=labels)
     require_algebra(out)
     return out
@@ -250,31 +255,25 @@ def compare_with_semigroup_boset(P, S, boset=None):
         if len(failures) < 20:
             failures.append({"kind": kind, **data})
 
-    mapping = {}
-    for (p, q) in b.elements:
-        mapping[(p, q)] = int(S.product(int(embed[p]), int(embed[q])))
+    mapping = {(p, q): S.product(int(embed[p]), int(embed[q]))
+               for (p, q) in b.elements}
 
     seen = {}
-    for e in b.elements:
-        s = mapping[e]
-        if s in seen:
+    for e, s in mapping.items():
+        if seen.setdefault(s, e) != e:
             note("injectivity", first=seen[s], second=e, image=s)
-        else:
-            seen[s] = e
     idem = set(S.idempotents())
     image = set(mapping.values())
     if image != idem:
         note("image",
              missing=sorted(idem - image), extra=sorted(image - idem))
 
-    for i, e in enumerate(b.elements):
-        x = mapping[e]
-        for j, f in enumerate(b.elements):
-            y = mapping[f]
-            sl = S.product(x, y) == x
-            sr = S.product(y, x) == x
-            if sl != bool(b.left[i, j]) or sr != bool(b.right[i, j]):
-                note("arrows", e=e, f=f)
+    # x <- y iff x = xy and x -> y iff x = yx, read off xy[i, j] = x_i x_j
+    img = np.array(list(mapping.values()))
+    xy, x = S.mult[np.ix_(img, img)], img[:, None]
+    bad = ((xy == x) != b.left) | ((xy.T == x) != b.right)
+    for i, j in np.argwhere(bad).tolist():
+        note("arrows", e=b.elements[i], f=b.elements[j])
 
     for (e, f), val in b.basic_items():
         if S.product(mapping[e], mapping[f]) != mapping[val]:

@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage or input error,
 """
 
 import argparse
+from collections import Counter
 import sys
 
 from .boset import boset_of, compare_with_semigroup_boset, \
@@ -177,10 +178,10 @@ def cmd_complex(args):
     lines = [f"{bundle.name} {args.which}: {c.n} vertices, "
              f"{len(c.edges)} edges, {len(c.cells)} cells, "
              f"{len(comps)} components"]
+    where = {v: i for i, comp in enumerate(comps) for v in comp}
+    cells = Counter(where[cell.boundary[0]] for cell in c.cells)
     for i, comp in enumerate(comps):
-        cells = [cell.boundary for cell in c.cells
-                 if cell.boundary[0] in comp]
-        lines.append(f"component {i}: vertices {comp}, {len(cells)} cells")
+        lines.append(f"component {i}: vertices {comp}, {cells[i]} cells")
     _emit(args, _lines(lines))
     return 0
 

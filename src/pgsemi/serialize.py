@@ -167,16 +167,17 @@ def complex_to_dict(c):
 def complex_to_dot(c, comps, labeler=str):
     """DOT text with one cluster per connected component; cells listed as
     comments (faces go to the JSON sidecar)."""
+    where = {v: i for i, comp in enumerate(comps) for v in comp}
+    edges = [[] for _ in comps]
+    for u, v in c.edges:
+        edges[where[u]].append(f"    n{u} -- n{v};")
     lines = ["graph complex {"]
     for i, comp in enumerate(comps):
         lines.append(f"  subgraph cluster_{i} {{")
         lines.append(f'    label="component {i}";')
         for v in comp:
             lines.append(f'    n{v} [label="{labeler(v)}"];')
-        comp_set = set(comp)
-        for u, v in c.edges:
-            if u in comp_set:
-                lines.append(f"    n{u} -- n{v};")
+        lines.extend(edges[i])
         lines.append("  }")
     for cell in c.cells:
         walk = ",".join(str(v) for v in cell.boundary)
@@ -222,12 +223,10 @@ def boset_to_dict(b):
     """Elements, arrow relations as index pairs, the sparse basic product
     table as [i, j, k] triples, and the star permutation."""
     idx = b.index
-    n = len(b.elements)
     return {
         "elements": [[p, q] for p, q in b.elements],
-        "left": [[i, j] for i in range(n) for j in range(n) if b.left[i, j]],
-        "right": [[i, j] for i in range(n) for j in range(n)
-                  if b.right[i, j]],
+        "left": np.argwhere(b.left).tolist(),
+        "right": np.argwhere(b.right).tolist(),
         "star": [idx[b.star_of(e)] for e in b.elements],
         "products": [
             [idx[e], idx[f], idx[val]] for (e, f), val in b.basic_items()

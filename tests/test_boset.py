@@ -4,15 +4,20 @@ import numpy as np
 import pytest
 
 from pgsemi.boset import (
+    _sandwich_element,
     boset_of,
     compare_with_semigroup_boset,
     e_of,
     projection_algebra_of_boset,
     sandwich_set,
 )
-from pgsemi.errors import PgsemiError
+from pgsemi.chainsemigroup import ChainSemigroupHandle, star_semigroup_of
+from pgsemi.errors import InvalidArgument, PgsemiError
+from pgsemi.semigroups import projection_algebra_of
 
 from conftest import bundle, handle
+
+FROZEN_SOURCES = ["kinyon", "band:2", "tl:4", "brauer:3", "motzkin:3"]
 
 
 def test_band2_inventory():
@@ -44,18 +49,20 @@ def test_double_arrows_are_antisymmetric():
 
 def test_basic_pairs_are_exactly_the_absorbing_ones():
     # (e, f) is basic iff one of ef, fe already equals e or f in the
-    # chain semigroup
-    for src in ("kinyon", "band:2", "tl:3"):
+    # chain semigroup, iff an arrow joins them in either direction
+    for src in ("kinyon", "band:2", "tl:3", "tl:4", "brauer:3"):
         h = handle(src)
         b = boset_of(h.algebra, h)
         chains = {e: h.idempotent_chain(*e) for e in b.elements}
-        for e in b.elements:
-            for f in b.elements:
+        for i, e in enumerate(b.elements):
+            for j, f in enumerate(b.elements):
                 ef = h.product(chains[e], chains[f])
                 fe = h.product(chains[f], chains[e])
                 absorbing = ef in (chains[e], chains[f]) or \
                     fe in (chains[e], chains[f])
-                assert b.is_basic(e, f) == absorbing
+                arrow = bool(b.left[i, j] or b.right[i, j]
+                             or b.left[j, i] or b.right[j, i])
+                assert b.is_basic(e, f) == absorbing == arrow
 
 
 def test_star_laws():
@@ -75,6 +82,25 @@ def test_product_raises_off_the_domain():
     assert not b.is_basic((0, 1), (1, 0))
     with pytest.raises(PgsemiError):
         b.product((0, 1), (1, 0))
+
+
+def test_non_elements_raise_naming_the_pair():
+    b = boset_of(bundle("tl:3").algebra, handle("tl:3"))
+    for e, f in (((0, 0), (7, 7)), ((9, 9), (0, 0)), ((0, 0), (1, 2, 3))):
+        for op in (b.is_basic, b.product):
+            with pytest.raises(PgsemiError, match="is not a pair of") as info:
+                op(e, f)
+            assert not isinstance(info.value, KeyError)
+            assert str((e, f)) in str(info.value)
+
+
+@pytest.mark.parametrize("p, q", [(-1, 0), (0, -1), (3, 0), (0, 3)])
+def test_e_of_rejects_ids_outside_the_algebra(p, q):
+    P = bundle("tl:3").algebra
+    assert P.size == 3
+    for verify in (False, True):
+        with pytest.raises(InvalidArgument, match=r"\(-?\d, -?\d\)"):
+            e_of(P, p, q, handle=handle("tl:3"), verify=verify)
 
 
 def test_sandwich_sets_nonempty_on_kinyon():
@@ -173,3 +199,163 @@ def test_compare_kinyon_against_its_own_chain_semigroup():
     cmp = compare_with_semigroup_boset(h.algebra, S)
     assert cmp.ok
     assert len(cmp.mapping) == 10
+
+
+# -- frozen references ----------------------------------------------------
+# Copies of the earlier whole-set implementations: the sandwich element
+# filtered out of the full sandwich set, and the arrows compared pair by
+# pair with two semigroup products each.
+
+
+def _frozen_sandwich_set(h, p, q):
+    cp, cq = h.projection_chain(p), h.projection_chain(q)
+    pq = h.product(cp, cq)
+    out = []
+    for a, b in h.friendly_pairs:
+        g = h.idempotent_chain(a, b)
+        if (h.product(h.product(cp, g), cq) == pq
+                and h.product(h.product(cq, g), cp) == g):
+            out.append((a, b))
+    return out
+
+
+def _frozen_sandwich_element(h, p, q):
+    cp = h.projection_chain(p)
+    cq = h.projection_chain(q)
+    found = []
+    for g in _frozen_sandwich_set(h, p, q):
+        cg = h.idempotent_chain(*g)
+        pg, gq = h.product(cp, cg), h.product(cg, cq)
+        if (pg.dom == pg.cod and not pg.word
+                and gq.dom == gq.cod and not gq.word):
+            found.append(g)
+    if len(found) != 1:
+        raise PgsemiError(
+            f"sandwich element at ({p}, {q}): expected exactly one with "
+            f"projection side products, scan found {found}")
+    return found[0]
+
+
+def _frozen_compare(P, S, b):
+    Q, embed = projection_algebra_of(S)
+    assert Q == P
+    failures = []
+
+    def note(kind, **data):
+        if len(failures) < 20:
+            failures.append({"kind": kind, **data})
+
+    mapping = {}
+    for (p, q) in b.elements:
+        mapping[(p, q)] = int(S.product(int(embed[p]), int(embed[q])))
+    seen = {}
+    for e in b.elements:
+        s = mapping[e]
+        if s in seen:
+            note("injectivity", first=seen[s], second=e, image=s)
+        else:
+            seen[s] = e
+    idem = set(S.idempotents())
+    image = set(mapping.values())
+    if image != idem:
+        note("image",
+             missing=sorted(idem - image), extra=sorted(image - idem))
+    for i, e in enumerate(b.elements):
+        x = mapping[e]
+        for j, f in enumerate(b.elements):
+            y = mapping[f]
+            sl = S.product(x, y) == x
+            sr = S.product(y, x) == x
+            if sl != bool(b.left[i, j]) or sr != bool(b.right[i, j]):
+                note("arrows", e=e, f=f)
+    for (e, f), val in b.basic_items():
+        if S.product(mapping[e], mapping[f]) != mapping[val]:
+            note("product", e=e, f=f, expected=val)
+    for e in b.elements:
+        if S.star_of(mapping[e]) != mapping[b.star_of(e)]:
+            note("star", e=e)
+    return not failures, mapping, failures
+
+
+def _outcome(fn, *args):
+    """The element found, or the type and text of the error raised."""
+    try:
+        return fn(*args)
+    except PgsemiError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _assert_same_sandwich_elements(h):
+    n = h.algebra.size
+    outcomes = [
+        (_outcome(_sandwich_element, h, p, q),
+         _outcome(_frozen_sandwich_element, h, p, q))
+        for p in range(n) for q in range(n)]
+    for new, old in outcomes:
+        assert new == old
+    return [new for new, _ in outcomes]
+
+
+@pytest.mark.parametrize("src", FROZEN_SOURCES)
+def test_sandwich_element_matches_the_whole_set_scan(src):
+    found = _assert_same_sandwich_elements(handle(src))
+    assert all(isinstance(g[0], int) for g in found)
+
+
+def test_sandwich_element_errors_match_the_whole_set_scan():
+    # candidate lists with the canonical element missing or doubled make
+    # both scans find zero or two elements
+    h = ChainSemigroupHandle(bundle("kinyon").algebra)
+    pairs = h.friendly_pairs
+    e01 = e_of(h.algebra, 0, 1)
+    for tampered, scan in ((tuple(g for g in pairs if g != e01), []),
+                           (pairs + pairs, [e01, e01])):
+        h.friendly_pairs = tampered
+        found = _assert_same_sandwich_elements(h)
+        assert ("PgsemiError", "sandwich element at (0, 1): expected "
+                "exactly one with projection side products, scan found "
+                f"{scan}") in found
+
+
+def _tampered_arrows(src):
+    b = boset_of(bundle(src).algebra, handle(src))
+    b.left = b.left.copy()
+    b.left[1, 2] = not b.left[1, 2]
+    return b
+
+
+def _tampered_product(src):
+    b = boset_of(bundle(src).algebra, handle(src))
+    key = sorted(b._products)[0]
+    val = b._products[key]
+    b._products = dict(b._products)
+    b._products[key] = next(e for e in b.elements if e != val)
+    return b
+
+
+def _flipped_arrows(src):
+    # every arrow wrong in both arrays: more failures than are kept
+    b = boset_of(bundle(src).algebra, handle(src))
+    b.left, b.right = ~b.left, ~b.right.T
+    return b
+
+
+@pytest.mark.parametrize("src, tamper", [
+    *[(src, None) for src in FROZEN_SOURCES],
+    ("tl:3", _tampered_arrows),
+    ("tl:3", _tampered_product),
+    ("tl:4", _flipped_arrows),
+])
+def test_compare_matches_the_pairwise_scan(src, tamper):
+    bd = bundle(src)
+    S = bd.semigroup
+    if S is None:
+        S, _ = star_semigroup_of(handle(src))
+    b = tamper(src) if tamper else boset_of(bd.algebra, handle(src))
+    cmp = compare_with_semigroup_boset(bd.algebra, S, boset=b)
+    ok, mapping, failures = _frozen_compare(bd.algebra, S, b)
+    assert cmp.ok == ok == (tamper is None)
+    assert list(cmp.mapping.items()) == list(mapping.items())
+    assert cmp.failures == failures
+    if tamper is _flipped_arrows:
+        assert len(failures) == 20

@@ -162,6 +162,9 @@ STDOUT_DIGESTS = {
         "01395dea7f251cabf4d988f867df20f4e33c0f8b28016d4b4342d54dea7cb301",
     ("complex", "--source", "brauer:4", "--which", "KP"):
         "8a33e0c8206be8f4b7281cd77235e8f40ffc3181ea6054fa6204c514228302cb",
+    # DOT text with 7 clusters, one per component, each with its edges
+    ("export", "--source", "motzkin:3", "--which", "KP"):
+        "2de160e08417a8679f6c09f451cc04b04c1af4339b82c967a517c7788f306fd8",
     # RE2 reads each sandwich set S(e, f) as S(q, r) for e = [[p, q]],
     # f = [[r, s]]
     ("presentations", "--source", "tl:5", "--family", "RE2"):

@@ -150,6 +150,26 @@ def test_boset_to_dict_counts():
     json.dumps(d)
 
 
+@pytest.mark.parametrize("src", ["tl:4", "brauer:3"])
+def test_boset_to_dict_matches_the_pairwise_comprehension(src):
+    b = boset_of(bundle(src).algebra, handle(src))
+    idx = b.index
+    n = len(b.elements)
+    expected = {
+        "elements": [[p, q] for p, q in b.elements],
+        "left": [[i, j] for i in range(n) for j in range(n) if b.left[i, j]],
+        "right": [[i, j] for i in range(n) for j in range(n)
+                  if b.right[i, j]],
+        "star": [idx[b.star_of(e)] for e in b.elements],
+        "products": [
+            [idx[e], idx[f], idx[val]] for (e, f), val in b.basic_items()
+        ],
+    }
+    d = boset_to_dict(b)
+    assert d == expected
+    assert json.dumps(d) == json.dumps(expected)
+
+
 def test_complex_dict_and_dot():
     P = bundle("kinyon").algebra
     c = complex_KP(P)
