@@ -6,6 +6,10 @@ projection order (the boolean arrays left and right), the partial product
 lives exactly on the pairs they join either way, and the star map swaps
 coordinates.  Everything is cross-checked against products in the chain
 semigroup, which is the ground truth.
+
+The reverse direction rebuilds P from the sandwich elements e(p, q), all
+n^2 of them found from two tables of side products, p g and g q, taken
+once per (projection, idempotent) pair.
 """
 
 import numpy as np
@@ -68,9 +72,11 @@ class Boset:
         return (q, p)
 
     def _key(self, e, f):
-        if e not in self.index or f not in self.index:
-            raise InvalidArgument(f"({e}, {f}) is not a pair of elements")
-        return self.index[e], self.index[f]
+        try:
+            return self.index[e], self.index[f]
+        except (KeyError, TypeError):              # unknown or unhashable
+            raise InvalidArgument(
+                f"({e}, {f}) is not a pair of elements") from None
 
     def is_basic(self, e, f):
         return self._key(e, f) in self._products
@@ -148,37 +154,58 @@ def sandwich_set(handle, e, f):
             if _in_sandwich(handle, ce, cf, ef, handle.idempotent_chain(*g))]
 
 
+def _sandwich_elements(handle, ps, qs):
+    """The sandwich element at every (p, q) in ps x qs, as rows over ps:
+    the unique g in S(p, q) with p g and g q projections.
+
+    The side tests come from two tables over handle.friendly_pairs,
+    left[p, k] for p g_k and right[q, k] for g_k q, one chain product per
+    (projection, idempotent) pair.  Membership in S(p, q) is tested only
+    on the candidates passing both, in friendly-pair order, so the found
+    list is the one a scan of all idempotents finds.  Every chain is
+    built and multiplied: UndecidedEquality iff a group is undecided.
+    Raises PgsemiError at the first (p, q), row-major, where the scan
+    does not find exactly one."""
+    pairs = handle.friendly_pairs
+    chains = [handle.idempotent_chain(*g) for g in pairs]
+    cps = [handle.projection_chain(p) for p in ps]
+    cqs = [handle.projection_chain(q) for q in qs]
+    left = np.array([[_is_projection(handle.product(cp, cg)) for cg in chains]
+                     for cp in cps], dtype=bool)
+    right = np.array([[_is_projection(handle.product(cg, cq)) for cg in chains]
+                      for cq in cqs], dtype=bool)
+    rows = []
+    for p, cp, lp in zip(ps, cps, left):
+        row = []
+        for q, cq, rq in zip(qs, cqs, right):
+            pq = handle.product(cp, cq)
+            found = [pairs[k] for k in np.flatnonzero(lp & rq).tolist()
+                     if _in_sandwich(handle, cp, cq, pq, chains[k])]
+            if len(found) != 1:
+                raise PgsemiError(
+                    f"sandwich element at ({p}, {q}): expected exactly one "
+                    f"with projection side products, scan found {found}")
+            row.append(found[0])
+        rows.append(row)
+    return rows
+
+
 def _sandwich_element(handle, p, q):
-    """The unique g in S(p, q) with p g and g q projections; raises unless
-    one scan of all idempotents finds exactly one.  The side tests run
-    first and membership only after both pass, so the found set is
-    unchanged and a failing candidate is not multiplied further.  Every
-    chain is still built: UndecidedEquality iff a group is undecided."""
-    cp = handle.projection_chain(p)
-    cq = handle.projection_chain(q)
-    pq = handle.product(cp, cq)
-    found = []
-    for g in handle.friendly_pairs:
-        cg = handle.idempotent_chain(*g)
-        if (_is_projection(handle.product(cp, cg))
-                and _is_projection(handle.product(cg, cq))
-                and _in_sandwich(handle, cp, cq, pq, cg)):
-            found.append(g)
-    if len(found) != 1:
-        raise PgsemiError(
-            f"sandwich element at ({p}, {q}): expected exactly one with "
-            f"projection side products, scan found {found}")
-    return found[0]
+    """The sandwich element at the one pair (p, q); see
+    :func:`_sandwich_elements`."""
+    return _sandwich_elements(handle, [p], [q])[0][0]
 
 
 def e_of(P, p, q, handle=None, verify=False):
     """The canonical sandwich element [[p th_q, q th_p]] (= q (*) p).
 
     With verify=True, membership in S(p, q), the projection conditions on
-    p*e and e*q, and uniqueness are all checked by exhaustive scan.
-    Raises InvalidArgument unless p and q name projections.
+    p*e and e*q, and uniqueness are all checked over every idempotent by
+    the one-pair call of :func:`_sandwich_elements`.  Raises
+    InvalidArgument unless p and q are integer ids of projections.
     """
-    if not (0 <= p < P.size and 0 <= q < P.size):
+    if not all(isinstance(x, (int, np.integer)) and 0 <= x < P.size
+               for x in (p, q)):
         raise InvalidArgument(f"({p}, {q}) is not a pair of projections")
     T = P.theta
     val = (int(T[q, p]), int(T[p, q]))
@@ -197,20 +224,18 @@ def projection_algebra_of_boset(b):
     """Rebuild the projection algebra from the partial algebra.
 
     Carrier: the star-fixed (diagonal) elements.  q th_p is the left
-    factor of the basic product p * e(p, q), with e(p, q) located as the
-    unique sandwich element whose side products are projections.  The
-    result must be a projection algebra: InvalidAlgebra names the first
-    failed law otherwise.
+    factor of the basic product p * e(p, q), with e(p, q) the unique
+    sandwich element whose side products are projections, found for all
+    n^2 pairs by one call of :func:`_sandwich_elements`.  The result must
+    be a projection algebra: InvalidAlgebra names the first failed law
+    otherwise.
     """
-    diag = [e for e in b.elements if e[0] == e[1]]
-    idx = {e[0]: i for i, e in enumerate(diag)}
-    n = len(diag)
-    theta = np.zeros((n, n), dtype=np.int64)
-    for i, (p, _) in enumerate(diag):
-        for j, (q, _) in enumerate(diag):
-            prod = b.product((p, p), _sandwich_element(b.handle, p, q))
-            theta[i, j] = idx[prod[0]]
-    labels = [b.algebra.label(p) for p, _ in diag]
+    diag = [p for p, q in b.elements if p == q]
+    idx = {p: i for i, p in enumerate(diag)}
+    found = _sandwich_elements(b.handle, diag, diag)
+    theta = np.array([[idx[b.product((p, p), g)[0]] for g in row]
+                      for p, row in zip(diag, found)], dtype=np.int64)
+    labels = [b.algebra.label(p) for p in diag]
     out = ProjectionAlgebra(theta, labels=labels)
     require_algebra(out)
     return out
@@ -275,12 +300,17 @@ def compare_with_semigroup_boset(P, S, boset=None):
     for i, j in np.argwhere(bad).tolist():
         note("arrows", e=b.elements[i], f=b.elements[j])
 
-    for (e, f), val in b.basic_items():
-        if S.product(mapping[e], mapping[f]) != mapping[val]:
-            note("product", e=e, f=f, expected=val)
+    # basic products and star, one gather each
+    basic = b.basic_items()
+    ei = [b.index[e] for (e, _), _ in basic]
+    fi = [b.index[f] for (_, f), _ in basic]
+    want = [mapping[val] for _, val in basic]
+    for k in np.flatnonzero(S.mult[img[ei], img[fi]] != want).tolist():
+        (e, f), val = basic[k]
+        note("product", e=e, f=f, expected=val)
 
-    for e in b.elements:
-        if S.star_of(mapping[e]) != mapping[b.star_of(e)]:
-            note("star", e=e)
+    want = [mapping[b.star_of(e)] for e in b.elements]
+    for i in np.flatnonzero(S.star[img] != want).tolist():
+        note("star", e=b.elements[i])
 
     return BosetComparison(not failures, mapping, failures)

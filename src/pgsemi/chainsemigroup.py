@@ -354,7 +354,13 @@ def star_semigroup_of(handle, cap=CAP):
 
 class StarMorphism:
     """chain -> element of S, via products of projection images along a
-    representative path."""
+    representative path.
+
+    Construction checks that phi is a projection-algebra morphism and that
+    the images of lambda = (e, e1, f) and rho = (e, f1, f) agree for every
+    linked pair, by one gather on S.mult over all pairs per path;
+    NotAMorphism names the first pair, in (p, e, f) order, where they
+    differ."""
 
     def __init__(self, handle, S, phi):
         self.handle = handle
@@ -375,13 +381,16 @@ class StarMorphism:
         self.psi = psi
         # well-definedness: the generating identifications map to
         # equalities, lambda = (e, e1, f) and rho = (e, f1, f) for every pair
-        for p, e, f, e1, f1 in zip(
-                *(a.tolist() for a in _linked_pairs(P, handle.rel))):
-            if self._eval_verts((e, e1, f)) != self._eval_verts((e, f1, f)):
-                raise NotAMorphism(
-                    "images of the identified paths differ at "
-                    f"{LinkedPair(P, p, e, f)!r}"
-                )
+        p, e, f, e1, f1 = _linked_pairs(P, handle.rel)
+        m, img = S.mult, self.phi
+        bad = np.flatnonzero(m[m[img[e], img[e1]], img[f]]
+                             != m[m[img[e], img[f1]], img[f]])
+        if len(bad):
+            k = bad[0]
+            raise NotAMorphism(
+                "images of the identified paths differ at "
+                f"{LinkedPair(P, int(p[k]), int(e[k]), int(f[k]))!r}"
+            )
 
     def _eval_verts(self, verts):
         return self.S.product_of(int(self.phi[v]) for v in verts)

@@ -1,10 +1,14 @@
 """The partial algebra of idempotent pairs and its reconstruction power."""
 
+import re
+
 import numpy as np
 import pytest
 
 from pgsemi.boset import (
+    _is_projection,
     _sandwich_element,
+    _sandwich_elements,
     boset_of,
     compare_with_semigroup_boset,
     e_of,
@@ -12,8 +16,9 @@ from pgsemi.boset import (
     sandwich_set,
 )
 from pgsemi.chainsemigroup import ChainSemigroupHandle, star_semigroup_of
-from pgsemi.errors import InvalidArgument, PgsemiError
+from pgsemi.errors import InvalidArgument, PgsemiError, UndecidedEquality
 from pgsemi.semigroups import projection_algebra_of
+from pgsemi.topology import Classification
 
 from conftest import bundle, handle
 
@@ -86,7 +91,8 @@ def test_product_raises_off_the_domain():
 
 def test_non_elements_raise_naming_the_pair():
     b = boset_of(bundle("tl:3").algebra, handle("tl:3"))
-    for e, f in (((0, 0), (7, 7)), ((9, 9), (0, 0)), ((0, 0), (1, 2, 3))):
+    for e, f in (((0, 0), (7, 7)), ((9, 9), (0, 0)), ((0, 0), (1, 2, 3)),
+                 ([0, 0], (0, 0)), ((1, 1), [0, 0])):
         for op in (b.is_basic, b.product):
             with pytest.raises(PgsemiError, match="is not a pair of") as info:
                 op(e, f)
@@ -94,12 +100,13 @@ def test_non_elements_raise_naming_the_pair():
             assert str((e, f)) in str(info.value)
 
 
-@pytest.mark.parametrize("p, q", [(-1, 0), (0, -1), (3, 0), (0, 3)])
+@pytest.mark.parametrize("p, q", [(-1, 0), (0, -1), (3, 0), (0, 3),
+                                  (1.5, 0), (0, 1.5)])
 def test_e_of_rejects_ids_outside_the_algebra(p, q):
     P = bundle("tl:3").algebra
     assert P.size == 3
     for verify in (False, True):
-        with pytest.raises(InvalidArgument, match=r"\(-?\d, -?\d\)"):
+        with pytest.raises(InvalidArgument, match=re.escape(str((p, q)))):
             e_of(P, p, q, handle=handle("tl:3"), verify=verify)
 
 
@@ -286,6 +293,9 @@ def _outcome(fn, *args):
 
 
 def _assert_same_sandwich_elements(h):
+    """The one-pair call agrees with the frozen scan at every (p, q); the
+    all-pairs call finds the same rows, or raises the frozen error of the
+    first failing pair in row-major order."""
     n = h.algebra.size
     outcomes = [
         (_outcome(_sandwich_element, h, p, q),
@@ -293,10 +303,15 @@ def _assert_same_sandwich_elements(h):
         for p in range(n) for q in range(n)]
     for new, old in outcomes:
         assert new == old
-    return [new for new, _ in outcomes]
+    found = [new for new, _ in outcomes]
+    errors = [o for o in found if isinstance(o[0], str)]
+    rows = [found[i:i + n] for i in range(0, n * n, n)]
+    assert _outcome(_sandwich_elements, h, range(n), range(n)) == \
+        (errors[0] if errors else rows)
+    return found
 
 
-@pytest.mark.parametrize("src", FROZEN_SOURCES)
+@pytest.mark.parametrize("src", [*FROZEN_SOURCES, "tl:6"])
 def test_sandwich_element_matches_the_whole_set_scan(src):
     found = _assert_same_sandwich_elements(handle(src))
     assert all(isinstance(g[0], int) for g in found)
@@ -315,6 +330,44 @@ def test_sandwich_element_errors_match_the_whole_set_scan():
         assert ("PgsemiError", "sandwich element at (0, 1): expected "
                 "exactly one with projection side products, scan found "
                 f"{scan}") in found
+
+
+def test_roundtrip_product_count_on_tl6(monkeypatch):
+    # each side product once per (projection, idempotent) pair, p q once
+    # per pair, and at most four products per candidate's membership test;
+    # the scan of every idempotent at every pair made 55,866
+    h = ChainSemigroupHandle(bundle("tl:6").algebra)
+    b = boset_of(h.algebra, h)
+    n, m = h.algebra.size, len(h.friendly_pairs)
+    cs = [h.idempotent_chain(*g) for g in h.friendly_pairs]
+    ps = [h.projection_chain(p) for p in range(n)]
+    candidates = sum(
+        1 for cp in ps for cq in ps for c in cs
+        if _is_projection(h.product(cp, c)) and _is_projection(h.product(c, cq)))
+    calls = []
+    product = h.product
+    monkeypatch.setattr(h, "product", lambda c, d: calls.append(1) or
+                        product(c, d))
+    assert projection_algebra_of_boset(b) == h.algebra
+    assert (n, m) == (20, 96)
+    assert len(calls) <= 2 * n * m + n * n + 4 * candidates < 55_866
+
+
+@pytest.mark.parametrize("ci", [0, 1, 2])
+def test_undecided_group_raises_in_both_scans(ci):
+    # every idempotent chain is built, so a component whose group is not
+    # decided refuses even pairs (p, q) that lie outside it
+    P = bundle("tl:4").algebra
+    for scan in (lambda h: _frozen_sandwich_element(h, 0, 0),
+                 lambda h: _sandwich_element(h, 0, 0),
+                 lambda h: _sandwich_elements(h, range(P.size),
+                                              range(P.size))):
+        h = ChainSemigroupHandle(P)
+        assert len(h.components) == 3
+        h.components[ci].classification = Classification(
+            kind="unknown", abelian=(0, ()))
+        with pytest.raises(UndecidedEquality):
+            scan(h)
 
 
 def _tampered_arrows(src):

@@ -280,6 +280,19 @@ def test_verify_stdout_on_tl6(capsys, argv):
     assert out == VERIFY_STDOUT[argv]
 
 
+def test_verify_boset_stdout_on_tl7(capsys):
+    # the roundtrip finds all 35^2 sandwich elements of tl:7
+    code, out, _ = run(capsys, "verify", "boset", "--source", "tl:7",
+                       "--allow-large")
+    assert code == 0
+    assert out == """\
+ok - projection algebra roundtrip is exact
+ok - star is involutory
+ok - star maps basic pairs to basic pairs, (ef)* = f*e*
+ok - matches the semigroup boset
+"""
+
+
 def test_verify_band_requires_k(capsys):
     with pytest.raises(SystemExit) as info:
         main(["verify", "band"])
