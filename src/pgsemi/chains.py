@@ -16,11 +16,11 @@ and rho = (e, f th_p, f) from e to f; downstream these get identified, and
 their classification (special / degenerate / type 1-3) drives which 2-cells
 the complexes carry.
 
-Each walk is checked for friendliness once, where it is formed: the public
-functions return checked ``Path`` objects, and internal callers pass plain
-vertex tuples through ``_reduce`` and ``_restrict`` and check each walk
-they form (a chain's representative walk is reduced before it is checked:
-the steps reduction cancels are tree and generator edges).  The chain
+Each walk is checked for friendliness once, where it is formed: ``Path``
+checks every step (and refuses a vertex that is not an integer), and a
+caller that has checked every step itself, v -> v included, hands its
+walk out through ``Path._trusted``, as the straightener
+:func:`~pgsemi.presentations.word_to_friendly_path` does.  The chain
 product checks each one-sided restriction as a ``Path`` once, when it
 first needs it, and on every product only the junction step between two
 restrictions, which fails with the same ``NotFriendly`` text as ``Path``
@@ -39,6 +39,7 @@ import numpy as np
 
 from .errors import (
     InconsistentClassification,
+    InvalidArgument,
     NotBelow,
     NotFriendly,
     NotLinked,
@@ -57,6 +58,9 @@ __all__ = [
     "restrict_linked_pair",
 ]
 
+# the types an id of a projection may have
+_INTEGER = (int, np.integer)
+
 
 class Path:
     """An immutable friendly walk.  Friendliness of consecutive vertices is
@@ -65,14 +69,18 @@ class Path:
     __slots__ = ("algebra", "verts")
 
     def __init__(self, algebra, verts):
-        verts = tuple(map(int, verts))
+        verts = tuple(verts)
         if not verts:
             raise ValueError("a path needs at least one vertex")
         n = algebra.size
-        # before any row lookup: a Python sequence wraps negative indices
+        # before any row lookup: a Python sequence wraps negative indices,
+        # and int() would truncate 1.5 to the vertex 1
         for v in verts:
+            if not isinstance(v, _INTEGER):
+                raise InvalidArgument(f"vertex {v!r} is not an integer")
             if not 0 <= v < n:
                 raise NotFriendly(f"vertex {v} out of range")
+        verts = tuple(map(int, verts))
         T = algebra.rows
         for a, b in zip(verts, verts[1:]):
             # a F b iff b th_a = a and a th_b = b
@@ -80,6 +88,13 @@ class Path:
                 raise _not_friendly(a, b)
         self.algebra = algebra
         self.verts = verts
+
+    @classmethod
+    def _trusted(cls, algebra, verts):
+        """The Path on a tuple of ints whose steps the caller checked."""
+        path = object.__new__(cls)
+        path.algebra, path.verts = algebra, verts
+        return path
 
     @property
     def dom(self):

@@ -17,6 +17,10 @@ kept as endpoints plus word, so a product checks only the junction step
 and free-reduces only where the two words and the junction's edge word
 meet.
 
+Each walk is checked once, where it is formed: ``normalize`` takes a
+checked ``Path``, ``expand`` and each restriction check theirs.  A checked
+walk is encoded unreduced: ``word_of`` reads its reduced form's word.
+
 Whenever a component group fails to classify as trivial, free, or finite,
 equality there is refused with UndecidedEquality rather than approximated.
 """
@@ -29,6 +33,7 @@ import numpy as np
 from .chains import (
     LinkedPair,
     Path,
+    _INTEGER,
     _linked_pairs,
     _not_friendly,
     _reduce,
@@ -149,7 +154,10 @@ class ChainSemigroupHandle:
     # -- encoding ---------------------------------------------------------
 
     def _check_path(self, path):
-        if path.algebra.digest != self.algebra.digest:
+        if not isinstance(path, Path):
+            raise InvalidArgument(f"not a Path: {path!r}")
+        if (path.algebra is not self.algebra
+                and path.algebra.digest != self.algebra.digest):
             raise ValueError("path belongs to a different algebra")
 
     def _canonical(self, ci, word):
@@ -168,9 +176,8 @@ class ChainSemigroupHandle:
 
     def _encode(self, verts):
         """(comp, dom, cod, word) of a checked friendly walk, given as a
-        vertex tuple: its reduced form's endpoints and freely reduced
-        word."""
-        verts = _reduce(verts)
+        vertex tuple: the endpoints (reduction keeps them) and the freely
+        reduced word of its reduced form."""
         ci = self.comp_of[verts[0]]
         word = self.components[ci].simplified.word_of(verts)
         return ci, verts[0], verts[-1], word
@@ -185,7 +192,7 @@ class ChainSemigroupHandle:
     def _projection(self, p):
         """p as an int; raises InvalidArgument unless it names a
         projection."""
-        if not 0 <= p < self.algebra.size:
+        if not (isinstance(p, _INTEGER) and 0 <= p < self.algebra.size):
             raise InvalidArgument(f"no projection {p}")
         return int(p)
 
@@ -195,6 +202,8 @@ class ChainSemigroupHandle:
 
     def idempotent_chain(self, p, q):
         """The chain of the friendly pair (p, q); equals [[p]] when p = q."""
+        if not (isinstance(p, _INTEGER) and isinstance(q, _INTEGER)):
+            raise InvalidArgument(f"({p!r}, {q!r}) is not a pair of vertices")
         key = (int(p), int(q))
         hit = self._idem_cache.get(key)
         if hit is None:

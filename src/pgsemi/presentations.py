@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 
 from .boset import boset_of, sandwich_set
-from .chains import Path
+from .chains import Path, _INTEGER
 from .chainsemigroup import ChainSemigroupHandle
 from .cosets import BUDGET, enumerate_monoid
 from .errors import BudgetExceeded, InfeasibleDegree, InvalidArgument, \
@@ -200,27 +200,36 @@ def word_to_friendly_path(P, word):
     Forward pass: fold each leading pair (a, p) to (p th_a, a th_p),
     carrying the right half.  Backward pass: rebuild the left halves
     against the settled suffix, lowering each letter to q th_a for the
-    following vertex q.  Every output vertex sits below the input letter
-    at its position, and the path evaluates to the same chain.
+    following vertex q, and check each step built (v -> v too: P may be
+    an unvalidated table); a failing walk raises the ``NotFriendly`` of
+    ``Path``, naming its first bad step.  Every output vertex sits below
+    the input letter at its position, and the path evaluates to the same
+    chain.
     """
-    verts = [int(p) for p in word]
+    verts = tuple(word)
     if not verts:
         raise ValueError("word must be nonempty")
     n = P.size
     for p in verts:
+        if not isinstance(p, _INTEGER):
+            raise InvalidArgument(f"letter {p!r} is not an integer")
         if not 0 <= p < n:
             raise ValueError(f"letter {p} out of range")
     T = P.rows
     lead = []
-    cur = verts[0]
+    cur = int(verts[0])
     for p in verts[1:]:
         lead.append(T[cur][p])           # p th_cur
         cur = T[p][cur]                  # cur th_p
     rev = [cur]
+    ok = True
     for a in reversed(lead):
-        rev.append(T[a][rev[-1]])        # repair the junction: next th_a
+        b = rev[-1]
+        a = T[a][b]                      # repair the junction: b th_a
+        ok = ok and T[a][b] == a and T[b][a] == b
+        rev.append(a)
     rev.reverse()
-    return Path(P, rev)
+    return Path._trusted(P, tuple(rev)) if ok else Path(P, rev)
 
 
 @dataclass

@@ -282,7 +282,8 @@ class GroupPresentation:
     The spanning tree stays attached so words can be decoded back into
     walks: ``tree_paths[v]`` is the vertex tuple from the basepoint to v
     along the tree.  ``edge_words[(a, b)]`` is the word the step a -> b
-    spells, for every directed edge of the component.
+    spells, for every directed edge of the component; ``edge_words[(b,
+    a)]`` is its inverse.
     """
 
     ngens: int
@@ -298,11 +299,23 @@ class GroupPresentation:
         return self.tree_paths[v]
 
     def word_of(self, verts):
-        """The freely reduced word a walk spells; raises KeyError on a step
-        that is not an edge of the component."""
+        """The freely reduced word a walk spells, reduced as it is read (a
+        step v -> v spells nothing); raises KeyError on a step that is not
+        an edge of the component.  As the words of a -> b and b -> a
+        are inverse, a walk spells the same word as its reduced form."""
         ew = self.edge_words
-        return free_reduce(
-            [l for step in zip(verts, verts[1:]) for l in ew[step]])
+        out = []
+        steps = iter(verts)
+        a = next(steps, None)
+        for b in steps:
+            if a != b:
+                for l in ew[a, b]:
+                    if out and out[-1] == -l:
+                        out.pop()
+                    else:
+                        out.append(l)
+                a = b
+        return tuple(out)
 
     def walk(self, dom, word, cod):
         """A walk from dom to cod spelling ``word``: tree walk to the
@@ -481,7 +494,8 @@ def tietze_simplify(g, budget=BUDGET):
     into the relators that contain it, and only those are re-placed.
     Rounds stop when no relator qualifies or after MAX_ELIMINATIONS.
     Survivors keep their input order; the eliminations are resolved once,
-    latest first, to rewrite each edge word over them.
+    latest first, to rewrite each edge's word over them, once per edge:
+    the reverse step gets the inverse word.
     Classification: 0 generators -> trivial; no relators -> free(rank);
     completed coset enumeration -> finite(order); otherwise unknown with
     abelianization attached.
@@ -548,6 +562,12 @@ def tietze_simplify(g, budget=BUDGET):
     def rename(word):
         return tuple(renum[l] for l in word)
 
+    edge_words = {}
+    for (a, b), w in g.edge_words.items():
+        back = edge_words.get((b, a))
+        edge_words[a, b] = (rename(free_reduce(_substitute(w, defs)))
+                            if back is None
+                            else tuple(-l for l in reversed(back)))
     simplified = GroupPresentation(
         ngens=len(kept),
         relators=tuple(rename(rels[p]) for p in sorted(rels)),
@@ -555,8 +575,7 @@ def tietze_simplify(g, budget=BUDGET):
         basepoint=g.basepoint,
         tree_paths=g.tree_paths,
         vertices=g.vertices,
-        edge_words={e: rename(free_reduce(_substitute(w, defs)))
-                    for e, w in g.edge_words.items()},
+        edge_words=edge_words,
     )
 
     ab = abelian_invariants(simplified.ngens, simplified.relators)

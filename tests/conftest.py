@@ -16,7 +16,7 @@ import pgsemi.topology as topology
 from pgsemi.catalog import parse_source
 from pgsemi.chains import LinkedPair, Path, classify_linked_pair
 from pgsemi.chainsemigroup import ChainSemigroupHandle, INFINITE
-from pgsemi.projections import relations
+from pgsemi.projections import ProjectionAlgebra, relations
 from pgsemi.topology import Cell, Complex2, friendliness_graph
 
 # Canonical test fleet.  Every member's components classify decisively
@@ -73,6 +73,17 @@ def chain_pool(src, seed=0, size=48):
         return tuple(h.enumerate())
     rng = random.Random(seed)
     return tuple(random_chain(h, rng) for _ in range(size))
+
+
+def random_tables(count):
+    """The seeded sweep: ``count`` random 3-5 element tables with
+    p theta_p = p, the other entries uniform."""
+    rng = random.Random(0)
+    for _ in range(count):
+        n = rng.randint(3, 5)
+        T = np.array([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
+        T[np.arange(n), np.arange(n)] = np.arange(n)
+        yield ProjectionAlgebra(T)
 
 
 @pytest.fixture

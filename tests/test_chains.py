@@ -1,5 +1,6 @@
 """Friendly paths, rewriting, restrictions, and linked pairs."""
 
+import re
 from itertools import product
 
 import numpy as np
@@ -21,7 +22,7 @@ from pgsemi.chains import (
     restrict_linked_pair,
     restrict_right,
 )
-from pgsemi.errors import NotBelow, NotFriendly, NotLinked
+from pgsemi.errors import InvalidArgument, NotBelow, NotFriendly, NotLinked
 from pgsemi.projections import relations
 
 from conftest import (
@@ -49,6 +50,18 @@ def test_path_requires_friendly_steps(P):
         Path(P, (0, -1))  # range is checked before any table lookup
     with pytest.raises(ValueError):
         Path(P, ())
+
+
+@pytest.mark.parametrize("verts, value", [
+    ((1.5,), "1.5"), ((0, 1.0), "1.0"), ((0, "1"), "'1'"),
+    ((np.float64(2.5), 2), "2.5"),
+])
+def test_path_refuses_vertices_that_are_not_integers(P, verts, value):
+    # int() would truncate 1.5 to the vertex 1 and hand out Path(1,)
+    with pytest.raises(InvalidArgument, match=re.escape(value)):
+        Path(P, verts)
+    out = Path(P, (np.int64(0), np.int32(1)))
+    assert out.verts == (0, 1) and all(type(v) is int for v in out.verts)
 
 
 def test_path_composition_and_reversal(P):

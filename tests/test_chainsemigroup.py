@@ -52,6 +52,7 @@ from conftest import (
     chain_pool,
     handle,
     random_chain,
+    random_tables,
     reference_complex_KP_prime,
 )
 
@@ -318,17 +319,6 @@ def test_product_cancels_the_junction_word_into_either_side(d, side):
     assert h.product(c, d) == _product_uncached(h, c, d)
 
 
-def _random_tables(count):
-    """The seeded sweep: ``count`` random 3-5 element tables with
-    p theta_p = p, the other entries uniform."""
-    rng = random.Random(0)
-    for _ in range(count):
-        n = rng.randint(3, 5)
-        T = np.array([[rng.randrange(n) for _ in range(n)] for _ in range(n)])
-        T[np.arange(n), np.arange(n)] = np.arange(n)
-        yield ProjectionAlgebra(T)
-
-
 def _assert_order_laws(P):
     """The order laws relations(P) relies on without checking them: <=
     reflexive, antisymmetric and transitive, and <=F reflexive."""
@@ -345,7 +335,7 @@ def test_product_on_random_tables_matches_path_reference():
     # chains fail with NotBelow or NotFriendly, and must fail with the same
     # type as the reference.
     outcomes = Counter()
-    for P in _random_tables(600):
+    for P in random_tables(600):
         try:
             h = ChainSemigroupHandle(P)
         except PgsemiError:
@@ -395,8 +385,20 @@ def test_normalize_expand_roundtrip():
 def test_normalize_rejects_foreign_paths():
     h = handle("kinyon")
     other = bundle("tl:3").algebra
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="different algebra") as info:
         h.normalize(Path(other, (0, 1)))
+    assert type(info.value) is ValueError
+    # an equal table in another object is the same algebra
+    same = ProjectionAlgebra(h.algebra.theta)
+    assert h.normalize(Path(same, (0, 1))) == h.normalize(
+        Path(h.algebra, (0, 1)))
+
+
+@pytest.mark.parametrize("bad", [(0, 1), [0], 0, None])
+def test_normalize_refuses_what_is_not_a_path(bad):
+    h = handle("kinyon")
+    with pytest.raises(InvalidArgument, match=re.escape(f"not a Path: {bad!r}")):
+        h.normalize(bad)
 
 
 @pytest.mark.parametrize("call", [
@@ -412,6 +414,32 @@ def test_out_of_range_projections_are_refused(call, side):
     p = -1 if side == "below" else h.algebra.size
     with pytest.raises(InvalidArgument, match=f"^no projection {p}$"):
         call(h, p)
+
+
+@pytest.mark.parametrize("call, value", [
+    (lambda h: h.projection_chain(1.5), 1.5),
+    (lambda h: h.projection_chain(np.float64(0.0)), np.float64(0.0)),
+    (lambda h: h.component_group(2.5), 2.5),
+    (lambda h: h.maximal_subgroup(1.2), 1.2),
+    (lambda h: h.idempotent_chain(0, 1.7), 1.7),
+    (lambda h: h.idempotent_chain(1.0, 1), 1.0),
+], ids=["projection_chain", "projection_chain-np", "component_group",
+        "maximal_subgroup", "idempotent_chain", "idempotent_chain-equal"])
+def test_non_integer_projections_are_refused(call, value):
+    # int() would truncate the value to a projection and answer for it
+    h = handle("kinyon")
+    h.idempotent_chain(1, 1)            # a cached pair is refused too
+    with pytest.raises(InvalidArgument, match=re.escape(str(value))):
+        call(h)
+
+
+def test_numpy_integer_projections_are_accepted():
+    h = handle("kinyon")
+    one, two = np.int64(1), np.int32(2)
+    assert h.projection_chain(one) == h.projection_chain(1)
+    assert h.component_group(two) is h.component_group(2)
+    assert h.idempotent_chain(one, two) == h.idempotent_chain(1, 2)
+    assert all(type(x) is int for x in h.idempotent_chain(one, two)[:3])
 
 
 def test_band_maximal_subgroups():
@@ -507,7 +535,7 @@ def test_handle_errors_match_the_per_pair_reference(monkeypatch):
         return "ok", ""
 
     counts = Counter()
-    for P in _random_tables(3000):
+    for P in random_tables(3000):
         got = outcome(P)
         with monkeypatch.context() as m:
             m.setattr(chainsemigroup, "complex_KP_prime",
@@ -522,7 +550,7 @@ def test_handle_refuses_every_non_algebra_at_the_boundary():
     # the sweep above, with the boundary check on: every table that fails
     # P1-P5 raises InvalidAlgebra naming its first failed law
     counts = Counter()
-    for P in _random_tables(3000):
+    for P in random_tables(3000):
         bad = validate_axioms(P)
         if not bad:
             ChainSemigroupHandle(P)
@@ -542,7 +570,7 @@ def test_order_laws_hold_on_every_algebra_of_the_sweep():
     # is relied on; they hold on the fleet and every algebra of the sweep
     for src in FLEET:
         _assert_order_laws(bundle(src).algebra)
-    algebras = [P for P in _random_tables(3000) if not validate_axioms(P)]
+    algebras = [P for P in random_tables(3000) if not validate_axioms(P)]
     assert algebras
     for P in algebras:
         _assert_order_laws(P)

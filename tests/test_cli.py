@@ -158,6 +158,11 @@ STDOUT_DIGESTS = {
     ("verify", "presentation", "--source", "tl:3", "--family", "RP",
      "--mode", "normal-form"):
         "275c60aee51687ab0e6071ee3c369588e65f894cdb5c50a0da9ac9ffac53d9b3",
+    # checked=50712, words=200: every word goes through the straightener
+    # and the chain encoding
+    ("verify", "presentation", "--source", "tl:5", "--family", "RP",
+     "--mode", "normal-form", "--budget", "12"):
+        "03e781ec49a5dd0cd78c031c039f0137e0517d54d694c5e85443d8808e5ae06f",
     ("complex", "--source", "tl:5", "--which", "KP", "--format", "json"):
         "01395dea7f251cabf4d988f867df20f4e33c0f8b28016d4b4342d54dea7cb301",
     ("complex", "--source", "brauer:4", "--which", "KP"):

@@ -1,11 +1,18 @@
 """Presentation families, the word straightener, and the verifiers."""
 
 import random
+import re
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 
-from pgsemi.chains import Path
+import pgsemi.chains as chains
+import pgsemi.chainsemigroup as chainsemigroup
+from pgsemi.catalog import parse_source
+from pgsemi.chains import Path, _reduce
+from pgsemi.chainsemigroup import ChainSemigroupHandle
+from pgsemi.errors import InvalidArgument, PgsemiError
 from pgsemi.presentations import (
     SemigroupPresentation,
     _default_word_budget,
@@ -18,8 +25,10 @@ from pgsemi.presentations import (
     verify_presentation,
     word_to_friendly_path,
 )
+from pgsemi.projections import ProjectionAlgebra
+from pgsemi.topology import free_reduce
 
-from conftest import bundle, handle
+from conftest import bundle, handle, random_tables
 
 
 def tags_of(pres):
@@ -159,6 +168,160 @@ def test_straightener_input_validation():
         word_to_friendly_path(P, [])
     with pytest.raises(ValueError):
         word_to_friendly_path(P, [0, 9])
+    # int() would truncate 1.5 to the letter 1 and straighten (1, 2)
+    for word, value in (([1.5, 2], "1.5"), ([0, 2.0], "2.0"),
+                        (["1"], "'1'")):
+        with pytest.raises(InvalidArgument, match=value):
+            word_to_friendly_path(P, word)
+
+
+# -- frozen copies of the straightener and of the chain encoding ------------
+#
+# Kept verbatim from before the straightener checked each step as it built
+# it and ``word_of`` read a walk without its reduction: the straightener
+# hands its walk to ``Path``, and the encoding reduces the walk, spells
+# every step's word and free-reduces the result.
+
+ORACLE_SOURCES = ["kinyon", *(f"tl:{n}" for n in range(2, 8)), "motzkin:3",
+                  "motzkin:4", "brauer:3", "brauer:4", "brauer:5",
+                  "partition:2", "partition:3",
+                  *(f"band:{k}" for k in range(2, 9))]
+
+
+def _frozen_word_to_friendly_path(P, word):
+    verts = [int(p) for p in word]
+    if not verts:
+        raise ValueError("word must be nonempty")
+    n = P.size
+    for p in verts:
+        if not 0 <= p < n:
+            raise ValueError(f"letter {p} out of range")
+    T = P.rows
+    lead = []
+    cur = verts[0]
+    for p in verts[1:]:
+        lead.append(T[cur][p])           # p th_cur
+        cur = T[p][cur]                  # cur th_p
+    rev = [cur]
+    for a in reversed(lead):
+        rev.append(T[a][rev[-1]])        # repair the junction: next th_a
+    rev.reverse()
+    return Path(P, rev)
+
+
+def _frozen_encode(h, verts):
+    verts = _reduce(verts)
+    ci = h.comp_of[verts[0]]
+    ew = h.components[ci].simplified.edge_words
+    word = free_reduce(
+        [l for step in zip(verts, verts[1:]) for l in ew[step]])
+    return ci, verts[0], verts[-1], word
+
+
+@lru_cache(maxsize=None)
+def _oracle_handle(src):
+    if src != "tl:7":
+        return handle(src)
+    return ChainSemigroupHandle(parse_source(src, allow_large=True).algebra)
+
+
+@pytest.mark.parametrize("src", ORACLE_SOURCES)
+def test_straightener_and_encoding_match_their_frozen_copies(src):
+    h = _oracle_handle(src)
+    P = h.algebra
+    rng = random.Random(20)
+    kinds = Counter()
+    for _ in range(2000):
+        w = [rng.randrange(P.size) for _ in range(rng.randint(1, 8))]
+        path = word_to_friendly_path(P, w)
+        assert path == _frozen_word_to_friendly_path(P, w)
+        assert all(type(v) is int for v in path.verts)
+        got = h._encode(path.verts)
+        assert got == _frozen_encode(h, path.verts)
+        kinds[h.components[got[0]].classification.kind] += 1
+    # the words reach brauer:5's finite group and band:8's free group
+    if src == "brauer:5":
+        assert kinds["finite"] > 100
+    if src == "band:8":
+        assert kinds["free"] == 2000
+
+
+@pytest.mark.parametrize("src", ORACLE_SOURCES)
+def test_encoding_of_unreduced_walks_matches_its_frozen_copy(src):
+    # random friendly walks that stay put and turn back often: the walk's
+    # own word free-reduces to its reduced form's word
+    h = _oracle_handle(src)
+    P = h.algebra
+    near = [[int(q) for q in row.nonzero()[0]] for row in h.rel.friendly]
+    rng = random.Random(21)
+    moves = Counter()
+    for _ in range(500):
+        walk = [rng.randrange(P.size)]
+        for _ in range(rng.randrange(16)):
+            roll = rng.random()
+            move = ("stay" if roll < 0.2 else
+                    "back" if roll < 0.45 and len(walk) > 1 else "step")
+            moves[move] += 1
+            walk.append(walk[-1] if move == "stay" else
+                        walk[-2] if move == "back" else
+                        rng.choice(near[walk[-1]]))
+        verts = Path(P, walk).verts
+        assert h._encode(verts) == _frozen_encode(h, verts)
+    assert min(moves.values()) > 500
+
+
+def _straighten_outcome(straighten, P, w):
+    try:
+        return "ok", straighten(P, w).verts
+    except PgsemiError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_straightener_matches_its_frozen_copy_on_random_tables():
+    # tables that need not be projection algebras, half of them with
+    # p theta_p != p allowed: a failing walk raises the NotFriendly of
+    # Path, which names its first failing step, v -> v steps included
+    rng = random.Random(22)
+    tables = list(random_tables(600))
+    for P in tables[::2]:
+        n = P.size
+        tables.append(ProjectionAlgebra(
+            [[rng.randrange(n) for _ in range(n)] for _ in range(n)]))
+    outcomes = Counter()
+    for P in tables:
+        for _ in range(8):
+            w = [rng.randrange(P.size) for _ in range(rng.randint(1, 6))]
+            got = _straighten_outcome(word_to_friendly_path, P, w)
+            assert got == _straighten_outcome(
+                _frozen_word_to_friendly_path, P, w)
+            outcomes[got[0]] += 1
+            if got[0] == "NotFriendly":
+                a, b = re.fullmatch(r"consecutive vertices (\d+), (\d+) "
+                                    r"are not friendly", got[1]).groups()
+                outcomes["v -> v"] += a == b
+    assert outcomes["ok"] > 1000 and outcomes["NotFriendly"] > 1000
+    assert outcomes["v -> v"] > 50
+
+
+def test_normalizing_a_straightened_word_checks_and_reduces_nothing_again(
+        path_count, monkeypatch):
+    reduced = [0]
+
+    def counting_reduce(verts):
+        reduced[0] += 1
+        return _reduce(verts)
+
+    for module in (chains, chainsemigroup):
+        monkeypatch.setattr(module, "_reduce", counting_reduce)
+    rng = random.Random(23)
+    for src in ("kinyon", "tl:5", "brauer:4", "brauer:5", "band:8"):
+        h = _oracle_handle(src)
+        path_count[0] = reduced[0] = 0
+        for _ in range(300):
+            w = [rng.randrange(h.algebra.size)
+                 for _ in range(rng.randint(1, 8))]
+            h.normalize(word_to_friendly_path(h.algebra, w))
+        assert path_count[0] == 0 and reduced[0] == 0
 
 
 def test_normal_form_mode():

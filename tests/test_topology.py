@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
 from pgsemi.catalog import adjacency_algebra, kinyon_algebra, \
-    random_adjacency_graph
+    parse_source, random_adjacency_graph
 from pgsemi.chains import LinkedPair, _reduce, classify_linked_pair, \
     enumerate_linked_pairs
 from pgsemi.errors import PgsemiError
@@ -692,6 +692,40 @@ def test_tietze_matches_reference_on_fleet_components():
         h = handle(src)
         for i in range(len(h.comps)):
             assert_same_simplification(pi1_presentation(h.complex, i))
+
+
+def _edge_word_fleet():
+    """The catalogue sources up to tl:7, and the 22 seeded adjacency graphs
+    of 16-20 vertices that the benchmark's infinite_structure runs."""
+    for src in ("kinyon", *(f"tl:{n}" for n in range(2, 8)), "motzkin:3",
+                "motzkin:4", "brauer:3", "brauer:4", "brauer:5",
+                "partition:2", "partition:3",
+                *(f"band:{k}" for k in range(2, 9))):
+        yield src, parse_source(src, allow_large=True).algebra
+    rng = np.random.default_rng(1)
+    for i in range(22):
+        n = 16 + i % 5
+        G = random_adjacency_graph(rng, max_vertices=n, min_vertices=n)
+        yield f"graph {i}", adjacency_algebra(G).algebra
+
+
+def test_tietze_rewrites_each_edge_once_into_inverse_pairs():
+    # the reverse step of an edge gets the inverse of its rewritten word,
+    # which ``word_of`` relies on; the dict, in its order, is the one the
+    # reference builds by rewriting every directed edge on its own
+    components_seen = 0
+    for name, P in _edge_word_fleet():
+        c = complex_KP_prime(P)
+        for i in range(len(components(c))):
+            raw = pi1_presentation(c, i)
+            got = tietze_simplify(raw)[0].edge_words
+            for words in (raw.edge_words, got):
+                for (a, b), w in words.items():
+                    assert words[b, a] == tuple(-l for l in reversed(w))
+            want = _reference_tietze(raw)[0].edge_words
+            assert list(got.items()) == list(want.items()), (name, i)
+            components_seen += 1
+    assert components_seen > 90
 
 
 @pytest.mark.parametrize("src", ["motzkin:4", "brauer:5"])
