@@ -3,8 +3,8 @@
 Elements are the ordered friendly pairs (p, q), standing for [[p, q]];
 diagonal pairs play the projections.  Arrows compare endpoints under the
 projection order (the boolean arrays left and right), the partial product
-lives exactly on the pairs they join either way, and the star map swaps
-coordinates.  Everything is cross-checked against products in the chain
+is an index table on exactly the pairs they join either way, and the star
+map swaps coordinates.  Every product is cross-checked against the chain
 semigroup, which is the ground truth.
 
 The reverse direction rebuilds P from the sandwich elements e(p, q), all
@@ -35,9 +35,10 @@ def _as_chain(handle, x):
     if isinstance(x, ReducedChain):
         return x
     if isinstance(x, (int, np.integer)):
-        return handle.projection_chain(int(x))
-    p, q = x
-    return handle.idempotent_chain(int(p), int(q))
+        return handle.projection_chain(x)
+    if isinstance(x, (tuple, list)) and len(x) == 2:
+        return handle.idempotent_chain(*x)
+    raise InvalidArgument(f"{x!r} is not a projection id, pair or chain")
 
 
 def _is_projection(c):
@@ -48,21 +49,22 @@ class Boset:
     """Partial algebra of the idempotents [[p, q]].
 
     left[i, j] holds e_i <- e_j (cod comparison under <=) and right[i, j]
-    holds e_i -> e_j (dom comparison); the product table is defined on the
-    basic pairs only.
+    holds e_i -> e_j (dom comparison).  table[i, j] (int32) is the index of
+    e_i e_j on the basic pairs and -1 elsewhere; star[i] is that of e_i*.
     """
 
     __slots__ = ("algebra", "handle", "elements", "index", "left", "right",
-                 "_products")
+                 "table", "star")
 
-    def __init__(self, algebra, handle, elements, left, right, products):
+    def __init__(self, algebra, handle, elements, left, right, table, star):
         self.algebra = algebra
         self.handle = handle
         self.elements = elements
         self.index = {e: i for i, e in enumerate(elements)}
         self.left = left
         self.right = right
-        self._products = products
+        self.table = table
+        self.star = star
 
     def __len__(self):
         return len(self.elements)
@@ -79,23 +81,28 @@ class Boset:
                 f"({e}, {f}) is not a pair of elements") from None
 
     def is_basic(self, e, f):
-        return self._key(e, f) in self._products
+        return bool(self.table[self._key(e, f)] >= 0)
 
     def product(self, e, f):
         """The basic product ef; raises off the domain."""
-        val = self._products.get(self._key(e, f))
-        if val is None:
+        k = self.table[self._key(e, f)]
+        if k < 0:
             raise PgsemiError(f"({e}, {f}) is not a basic pair")
-        return val
+        return self.elements[k]
+
+    def basic_triples(self):
+        """(i, j, k) with e_i e_j = e_k over the basic pairs, row-major."""
+        i, j = np.nonzero(self.table >= 0)
+        return zip(i.tolist(), j.tolist(), self.table[i, j].tolist())
 
     def basic_items(self):
         """Sorted ((e, f), ef) over the product domain."""
-        return [((self.elements[i], self.elements[j]), val)
-                for (i, j), val in sorted(self._products.items())]
+        els = self.elements
+        return [((els[i], els[j]), els[k]) for i, j, k in self.basic_triples()]
 
     def __repr__(self):
         return (f"Boset({len(self.elements)} elements, "
-                f"{len(self._products)} basic pairs)")
+                f"{np.count_nonzero(self.table >= 0)} basic pairs)")
 
 
 def boset_of(P, handle=None):
@@ -103,9 +110,9 @@ def boset_of(P, handle=None):
 
     Arrows: [[p,q]] <- [[r,s]] iff q <= s and [[p,q]] -> [[r,s]] iff p <= r.
     On a basic pair the product is the absorbed factor where an arrow
-    forces it, and otherwise the closed form
-    [[r th_q th_p, q th_r th_s]]; every table entry is cross-checked
-    against the chain-semigroup product.
+    forces it, and otherwise the closed form [[r th_q th_p, q th_r th_s]].
+    Every entry is cross-checked against the chain-semigroup product; a
+    closed form that is not an element fails that check.
     """
     if handle is None:
         handle = ChainSemigroupHandle(P)
@@ -115,25 +122,22 @@ def boset_of(P, handle=None):
     ps, qs = np.nonzero(rel.friendly)              # row-major, as elements
     left = rel.leq[np.ix_(qs, qs)]
     right = rel.leq[np.ix_(ps, ps)]
+    at = np.full(T.shape, -1, dtype=np.int32)      # (p, q) -> index
+    at[ps, qs] = ids = np.arange(len(elements), dtype=np.int32)
+    basic = left | right | left.T | right.T
+    # e <- f: e = ef, else f -> e: f = ef, else the closed form
+    table = np.where(left, ids[:, None], np.where(right.T, ids, -1))
+    i, j = np.nonzero(basic & (table < 0))
+    table[i, j] = at[T[ps[i], T[qs[i], ps[j]]], T[qs[j], T[ps[j], qs[i]]]]
     chains = [handle.idempotent_chain(p, q) for (p, q) in elements]
-
-    products = {}
-    # row-major over the pairs joined by an arrow in either direction
-    for i, j in np.argwhere(left | right | left.T | right.T).tolist():
-        (p, q), (r, s) = elements[i], elements[j]
-        if left[i, j]:
-            val = (p, q)                           # e <- f: e = ef
-        elif right[j, i]:
-            val = (r, s)                           # f -> e: f = ef
-        else:
-            val = (int(T[p, T[q, r]]), int(T[s, T[r, q]]))
+    for (i, j), k in zip(np.argwhere(basic).tolist(), table[basic].tolist()):
         got = handle.product(chains[i], chains[j])
-        if got != handle.idempotent_chain(*val):
+        if k < 0 or got != chains[k]:
+            (p, q), (r, s) = elements[i], elements[j]
             raise PgsemiError(
                 f"basic product [[{p},{q}]][[{r},{s}]] disagrees "
                 f"with the chain product {got!r}")
-        products[(i, j)] = val
-    return Boset(P, handle, elements, left, right, products)
+    return Boset(P, handle, elements, left, right, table, at[qs, ps])
 
 
 def _in_sandwich(handle, ce, cf, ef, cg):
@@ -235,8 +239,7 @@ def projection_algebra_of_boset(b):
     found = _sandwich_elements(b.handle, diag, diag)
     theta = np.array([[idx[b.product((p, p), g)[0]] for g in row]
                       for p, row in zip(diag, found)], dtype=np.int64)
-    labels = [b.algebra.label(p) for p in diag]
-    out = ProjectionAlgebra(theta, labels=labels)
+    out = ProjectionAlgebra(theta, labels=[b.algebra.label(p) for p in diag])
     require_algebra(out)
     return out
 
@@ -301,16 +304,13 @@ def compare_with_semigroup_boset(P, S, boset=None):
         note("arrows", e=b.elements[i], f=b.elements[j])
 
     # basic products and star, one gather each
-    basic = b.basic_items()
-    ei = [b.index[e] for (e, _), _ in basic]
-    fi = [b.index[f] for (_, f), _ in basic]
-    want = [mapping[val] for _, val in basic]
-    for k in np.flatnonzero(S.mult[img[ei], img[fi]] != want).tolist():
-        (e, f), val = basic[k]
-        note("product", e=e, f=f, expected=val)
+    e, f = np.nonzero(b.table >= 0)
+    ef = b.table[e, f]
+    for k in np.flatnonzero(S.mult[img[e], img[f]] != img[ef]).tolist():
+        note("product", e=b.elements[e[k]], f=b.elements[f[k]],
+             expected=b.elements[ef[k]])
 
-    want = [mapping[b.star_of(e)] for e in b.elements]
-    for i in np.flatnonzero(S.star[img] != want).tolist():
+    for i in np.flatnonzero(S.star[img] != img[b.star]).tolist():
         note("star", e=b.elements[i])
 
     return BosetComparison(not failures, mapping, failures)

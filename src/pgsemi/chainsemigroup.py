@@ -41,7 +41,7 @@ from .chains import (
 )
 from .cosets import BUDGET
 from .errors import InvalidArgument, NotAMorphism, UndecidedEquality
-from .projections import is_morphism, relations, require_algebra
+from .projections import _as_map, is_morphism, relations, require_algebra
 from .semigroups import (
     CAP,
     cayley_semigroup,
@@ -374,7 +374,7 @@ class StarMorphism:
     def __init__(self, handle, S, phi):
         self.handle = handle
         self.S = S
-        self.phi = np.asarray(phi, dtype=np.intp)
+        self.phi = _as_map(phi)
         Q, embed = projection_algebra_of(S)
         proj_index = {s: i for i, s in enumerate(embed)}
         P = handle.algebra

@@ -126,9 +126,7 @@ def presentation_RE(P, handle=None):
         handle = ChainSemigroupHandle(P)
     b = boset_of(P, handle=handle)
     _, letters, names, index = _pair_alphabet(P, handle)
-    rels = []
-    for (e, f), val in b.basic_items():
-        rels.append(((index[e], index[f]), (index[val],), "R1'"))
+    rels = [((i, j), (k,), "R1'") for i, j, k in b.basic_triples()]
     for p in range(P.size):
         for q in range(P.size):
             pq = handle.product(handle.projection_chain(p),
@@ -150,9 +148,7 @@ def presentation_RE2(P, handle=None):
         handle = ChainSemigroupHandle(P)
     b = boset_of(P, handle=handle)
     pairs, letters, names, index = _pair_alphabet(P, handle)
-    rels = []
-    for (e, f), val in b.basic_items():
-        rels.append(((index[e], index[f]), (index[val],), "R1''"))
+    rels = [((i, j), (k,), "R1''") for i, j, k in b.basic_triples()]
     sets = {(q, r): sandwich_set(handle, q, r)
             for q in range(P.size) for r in range(P.size)}
     for e in pairs:

@@ -465,10 +465,18 @@ def check_derived_laws(P, max_chain=3):
     return out
 
 
+def _as_map(phi):
+    """phi as an intp array; NotAMorphism unless its entries are integers."""
+    phi = np.asarray(phi)
+    if phi.size and not np.issubdtype(phi.dtype, np.integer):
+        raise NotAMorphism(f"phi entries must be integers, got {phi.dtype}")
+    return phi.astype(np.intp)
+
+
 def is_morphism(P, Q, phi):
     """True iff phi respects the operations: (p th_q) phi = (p phi) th_{q phi}
     for all p, q in P."""
-    phi = np.asarray(phi, dtype=np.intp)
+    phi = _as_map(phi)
     if phi.shape != (P.size,):
         raise NotAMorphism(f"phi must map all {P.size} elements")
     if P.size and (phi.min() < 0 or phi.max() >= Q.size):

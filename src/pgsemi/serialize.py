@@ -220,15 +220,13 @@ def chain_to_dict(c):
 
 
 def boset_to_dict(b):
-    """Elements, arrow relations as index pairs, the sparse basic product
-    table as [i, j, k] triples, and the star permutation."""
-    idx = b.index
+    """Elements, arrow relations as index pairs, the basic products as
+    row-major [i, j, k] with e_i e_j = e_k, and the star permutation."""
+    basic = b.table >= 0
     return {
         "elements": [[p, q] for p, q in b.elements],
         "left": np.argwhere(b.left).tolist(),
         "right": np.argwhere(b.right).tolist(),
-        "star": [idx[b.star_of(e)] for e in b.elements],
-        "products": [
-            [idx[e], idx[f], idx[val]] for (e, f), val in b.basic_items()
-        ],
+        "star": b.star.tolist(),
+        "products": np.c_[np.argwhere(basic), b.table[basic]].tolist(),
     }

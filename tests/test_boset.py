@@ -1,5 +1,6 @@
 """The partial algebra of idempotent pairs and its reconstruction power."""
 
+import json
 import re
 
 import numpy as np
@@ -17,7 +18,9 @@ from pgsemi.boset import (
 )
 from pgsemi.chainsemigroup import ChainSemigroupHandle, star_semigroup_of
 from pgsemi.errors import InvalidArgument, PgsemiError, UndecidedEquality
+from pgsemi.projections import ProjectionAlgebra
 from pgsemi.semigroups import projection_algebra_of
+from pgsemi.serialize import boset_to_dict
 from pgsemi.topology import Classification
 
 from conftest import bundle, handle
@@ -122,6 +125,14 @@ def test_sandwich_set_of_friendly_pair_contains_it():
     assert (1, 0) in sandwich_set(h, 0, 1)
 
 
+@pytest.mark.parametrize("e", [(0, 1.5), 1.5, "ab", (0, 1, 2)])
+def test_sandwich_set_refuses_what_is_not_an_id_pair_or_chain(e):
+    # (0, 1.5) used to answer for (0, 1); the others raised bare
+    # TypeError or ValueError
+    with pytest.raises(InvalidArgument):
+        sandwich_set(handle("kinyon"), e, 0)
+
+
 @pytest.mark.parametrize("src", [
     "kinyon", "band:2", "band:3", "tl:3", "tl:4", "tl:5", "motzkin:3",
     "brauer:3", "brauer:4", "partition:2", "partial_brauer:2",
@@ -187,12 +198,7 @@ def test_compare_flags_tampered_arrows():
 
 def test_compare_flags_tampered_products():
     b = bundle("tl:3")
-    tam = boset_of(b.algebra, handle("tl:3"))
-    key = sorted(tam._products)[0]
-    val = tam._products[key]
-    tam._products = dict(tam._products)
-    tam._products[key] = next(
-        e for e in tam.elements if e != val)
+    tam = _tampered_product("tl:3")
     cmp = compare_with_semigroup_boset(b.algebra, b.semigroup, boset=tam)
     assert not cmp
     assert any(f["kind"] == "product" for f in cmp.failures)
@@ -378,11 +384,11 @@ def _tampered_arrows(src):
 
 
 def _tampered_product(src):
+    # the first basic pair, row-major, gets the first other element
     b = boset_of(bundle(src).algebra, handle(src))
-    key = sorted(b._products)[0]
-    val = b._products[key]
-    b._products = dict(b._products)
-    b._products[key] = next(e for e in b.elements if e != val)
+    i, j = np.argwhere(b.table >= 0)[0]
+    b.table = b.table.copy()
+    b.table[i, j] = 0 if b.table[i, j] else 1
     return b
 
 
@@ -412,3 +418,158 @@ def test_compare_matches_the_pairwise_scan(src, tamper):
     assert cmp.failures == failures
     if tamper is _flipped_arrows:
         assert len(failures) == 20
+
+
+# -- the dict-based boset -------------------------------------------------
+# A copy of the earlier Boset, which kept its partial product as a dict
+# {(i, j): ef} and built it one basic pair at a time, with the serializer
+# that read it.
+
+
+class _FrozenBoset:
+    def __init__(self, algebra, handle, elements, left, right, products):
+        self.algebra = algebra
+        self.handle = handle
+        self.elements = elements
+        self.index = {e: i for i, e in enumerate(elements)}
+        self.left = left
+        self.right = right
+        self._products = products
+
+    def star_of(self, e):
+        p, q = e
+        return (q, p)
+
+    def _key(self, e, f):
+        try:
+            return self.index[e], self.index[f]
+        except (KeyError, TypeError):
+            raise InvalidArgument(
+                f"({e}, {f}) is not a pair of elements") from None
+
+    def is_basic(self, e, f):
+        return self._key(e, f) in self._products
+
+    def product(self, e, f):
+        val = self._products.get(self._key(e, f))
+        if val is None:
+            raise PgsemiError(f"({e}, {f}) is not a basic pair")
+        return val
+
+    def basic_items(self):
+        return [((self.elements[i], self.elements[j]), val)
+                for (i, j), val in sorted(self._products.items())]
+
+    def __repr__(self):
+        return (f"Boset({len(self.elements)} elements, "
+                f"{len(self._products)} basic pairs)")
+
+
+def _frozen_boset_of(P, handle):
+    rel = handle.rel
+    T = P.theta
+    elements = handle.friendly_pairs
+    ps, qs = np.nonzero(rel.friendly)
+    left = rel.leq[np.ix_(qs, qs)]
+    right = rel.leq[np.ix_(ps, ps)]
+    chains = [handle.idempotent_chain(p, q) for (p, q) in elements]
+    products = {}
+    for i, j in np.argwhere(left | right | left.T | right.T).tolist():
+        (p, q), (r, s) = elements[i], elements[j]
+        if left[i, j]:
+            val = (p, q)
+        elif right[j, i]:
+            val = (r, s)
+        else:
+            val = (int(T[p, T[q, r]]), int(T[s, T[r, q]]))
+        got = handle.product(chains[i], chains[j])
+        if got != handle.idempotent_chain(*val):
+            raise PgsemiError(
+                f"basic product [[{p},{q}]][[{r},{s}]] disagrees "
+                f"with the chain product {got!r}")
+        products[(i, j)] = val
+    return _FrozenBoset(P, handle, elements, left, right, products)
+
+
+def _frozen_boset_to_dict(b):
+    idx = b.index
+    return {
+        "elements": [[p, q] for p, q in b.elements],
+        "left": np.argwhere(b.left).tolist(),
+        "right": np.argwhere(b.right).tolist(),
+        "star": [idx[b.star_of(e)] for e in b.elements],
+        "products": [
+            [idx[e], idx[f], idx[val]] for (e, f), val in b.basic_items()
+        ],
+    }
+
+
+@pytest.mark.parametrize("src", [
+    "kinyon", "band:2", "band:3", "tl:2", "tl:3", "tl:4", "tl:5", "tl:6",
+    "brauer:3", "brauer:4", "motzkin:3", "motzkin:4", "partition:2",
+])
+def test_table_boset_matches_the_dict_boset(src):
+    h = handle(src)
+    new, old = boset_of(h.algebra, h), _frozen_boset_of(h.algebra, h)
+    assert new.elements == old.elements
+    # repr tells np.int32(3) from 3, so the types must match too
+    assert repr(new.basic_items()) == repr(old.basic_items())
+    assert repr(new) == repr(old)
+    assert json.dumps(boset_to_dict(new)) == \
+        json.dumps(_frozen_boset_to_dict(old))
+    for e in new.elements:
+        for f in new.elements:
+            for op in ("is_basic", "product"):
+                assert repr(_outcome(getattr(new, op), e, f)) == \
+                    repr(_outcome(getattr(old, op), e, f))
+    back, old_back = (projection_algebra_of_boset(b) for b in (new, old))
+    assert back == old_back == h.algebra
+    assert back.labels == old_back.labels
+
+
+def test_a_closed_form_off_the_elements_raises():
+    # kinyon with one theta entry changed: where the dict-based build met a
+    # closed form [[r th_q th_p, q th_r th_s]] that is not a friendly pair,
+    # the table build refuses too and never reads its index -1; elsewhere
+    # both builds give the same products or the same error
+    h = handle("kinyon")
+    P, seen = h.algebra, 0
+    for p, q, v in np.ndindex(P.size, P.size, P.size):
+        theta = P.theta.copy()
+        theta[p, q] = v
+        Q = ProjectionAlgebra(theta)
+        old, new = (_outcome(build, Q, h)
+                    for build in (_frozen_boset_of, boset_of))
+        if isinstance(old, _FrozenBoset):
+            assert new.basic_items() == old.basic_items()
+        elif old[0] == "NotFriendly":
+            seen += 1
+            assert new[0] == "PgsemiError" and "disagrees" in new[1]
+        else:
+            assert new == old
+    assert seen
+
+
+def test_a_closed_form_off_the_elements_is_not_read_as_index_minus_one(
+        monkeypatch):
+    # kinyon with theta[0, 2] = 3 sends the closed form of some basic pairs
+    # off the elements.  Even where the chain product there is the last
+    # element, the build must not take the index -1 for that element.
+    h = ChainSemigroupHandle(bundle("kinyon").algebra)
+    b = boset_of(h.algebra, h)
+    T = h.algebra.theta.copy()
+    T[0, 2] = 3
+    lie = set()
+    for i, j in np.argwhere(b.table >= 0).tolist():
+        (p, q), (r, s) = b.elements[i], b.elements[j]
+        forced = b.left[i, j] or b.right[j, i]
+        if not forced and (T[p, T[q, r]], T[s, T[r, q]]) not in b.index:
+            lie.add((i, j))
+    assert lie
+    ix = {h.idempotent_chain(*e): k for k, e in enumerate(b.elements)}
+    last = h.idempotent_chain(*b.elements[-1])
+    product = h.product
+    monkeypatch.setattr(h, "product", lambda c, d: last
+                        if (ix.get(c), ix.get(d)) in lie else product(c, d))
+    with pytest.raises(PgsemiError, match="disagrees with the chain"):
+        boset_of(ProjectionAlgebra(T), h)

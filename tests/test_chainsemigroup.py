@@ -483,6 +483,15 @@ def test_extend_morphism_rejects_non_projection_targets():
         h.extend_morphism(b.semigroup, phi)
 
 
+def test_extend_morphism_rejects_a_non_integer_phi():
+    # truncated, embed + 0.4 would be embed itself, which is accepted
+    b = bundle("tl:3")
+    h = handle("tl:3")
+    h.extend_morphism(b.semigroup, b.embed)
+    with pytest.raises(NotAMorphism, match="must be integers"):
+        h.extend_morphism(b.semigroup, [s + 0.4 for s in b.embed])
+
+
 def test_extend_morphism_rejects_theta_breakers():
     b = bundle("tl:3")
     h = handle("tl:3")

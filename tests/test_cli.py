@@ -7,6 +7,8 @@ import re
 import numpy as np
 import pytest
 
+from pgsemi import cli
+from pgsemi.boset import boset_of
 from pgsemi.chainsemigroup import ChainSemigroupHandle
 from pgsemi.cli import main
 from pgsemi.projections import ProjectionAlgebra, validate_axioms
@@ -255,9 +257,18 @@ def test_verify_tl_suite(capsys):
     assert "ok - identity extension is a bijection" in out
 
 
-# the whole stdout of two suites that drive the chain product through the
-# CLI: verify tl multiplies all 132^2 pairs of the tl:6 closure, and verify
-# boset checks every basic product and sandwich set by chain products
+BOSET_STDOUT = """\
+ok - projection algebra roundtrip is exact
+ok - star is involutory
+ok - star maps basic pairs to basic pairs, (ef)* = f*e*
+ok - matches the semigroup boset
+"""
+
+# the whole stdout of suites that drive the chain product through the CLI:
+# verify tl multiplies all 132^2 pairs of the tl:6 closure, and verify
+# boset checks every basic product and sandwich set by chain products, on
+# tl:6 and on two sources whose groups are not trivial, motzkin:4 (a free
+# component) and brauer:5 (finite components)
 VERIFY_STDOUT = {
     ("verify", "tl", "--n", "6"): """\
 ok - component 0 trivial
@@ -269,12 +280,9 @@ ok - identity extension is a bijection
 ok - products preserved on all pairs
 ok - star preserved
 """,
-    ("verify", "boset", "--source", "tl:6"): """\
-ok - projection algebra roundtrip is exact
-ok - star is involutory
-ok - star maps basic pairs to basic pairs, (ef)* = f*e*
-ok - matches the semigroup boset
-""",
+    ("verify", "boset", "--source", "tl:6"): BOSET_STDOUT,
+    ("verify", "boset", "--source", "motzkin:4"): BOSET_STDOUT,
+    ("verify", "boset", "--source", "brauer:5"): BOSET_STDOUT,
 }
 
 
@@ -290,12 +298,24 @@ def test_verify_boset_stdout_on_tl7(capsys):
     code, out, _ = run(capsys, "verify", "boset", "--source", "tl:7",
                        "--allow-large")
     assert code == 0
-    assert out == """\
-ok - projection algebra roundtrip is exact
-ok - star is involutory
-ok - star maps basic pairs to basic pairs, (ef)* = f*e*
-ok - matches the semigroup boset
-"""
+    assert out == BOSET_STDOUT
+
+
+def test_verify_boset_fails_on_a_broken_basic_product(capsys, monkeypatch):
+    # one basic product e f changed, with e off the diagonal and f on it:
+    # (ef)* = f*e* fails there, and the suite reports it and exits 1
+    def broken(P, handle):
+        b = boset_of(P, handle=handle)
+        i, j = next((i, j) for i, j in np.argwhere(b.table >= 0).tolist()
+                    if b.star[i] != i and b.star[j] == j)
+        b.table = b.table.copy()
+        b.table[i, j] = 0 if b.table[i, j] else 1
+        return b
+
+    monkeypatch.setattr(cli, "boset_of", broken)
+    code, out, _ = run(capsys, "verify", "boset", "--source", "tl:4")
+    assert code == 1
+    assert "FAIL - star maps basic pairs to basic pairs, (ef)* = f*e*\n" in out
 
 
 def test_verify_band_requires_k(capsys):

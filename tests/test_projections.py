@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pgsemi.catalog import kinyon_algebra, square_band_algebra
-from pgsemi.errors import MalformedTable
+from pgsemi.errors import MalformedTable, NotAMorphism
 from pgsemi.projections import (
     ProjectionAlgebra,
     check_derived_laws,
@@ -164,6 +164,14 @@ def test_non_morphism_detected():
     P = kinyon_algebra()
     # swapping r and e breaks theta_e's fold of r onto q
     assert not is_morphism(P, P, [0, 1, 3, 2])
+
+
+def test_non_integer_phi_is_refused():
+    # truncated, [0.5, 1.7, 2.2] would be the identity of tl:3
+    P = bundle("tl:3").algebra
+    assert is_morphism(P, P, [0, 1, 2])
+    with pytest.raises(NotAMorphism, match="must be integers"):
+        is_morphism(P, P, [0.5, 1.7, 2.2])
 
 
 # -- violation reports against an unchunked, every-tuple oracle -----------
