@@ -12,6 +12,8 @@ n^2 of them found from two tables of side products, p g and g q, taken
 once per (projection, idempotent) pair.
 """
 
+from functools import cache
+
 import numpy as np
 
 from .chainsemigroup import ChainSemigroupHandle, ReducedChain
@@ -140,10 +142,21 @@ def boset_of(P, handle=None):
     return Boset(P, handle, elements, left, right, table, at[qs, ps])
 
 
-def _in_sandwich(handle, ce, cf, ef, cg):
+def _in_sandwich(product, ce, cf, ef, cg):
     """Whether the chain cg lies in S(e, f): e g f = ef and f g e = g."""
-    return (handle.product(handle.product(ce, cg), cf) == ef
-            and handle.product(handle.product(cf, cg), ce) == cg)
+    return (product(product(ce, cg), cf) == ef
+            and product(product(cf, cg), ce) == cg)
+
+
+def _sandwich_sets(handle, keys):
+    """S(e, f) for each (e, f) in keys, in turn.  The scans re-read each
+    other's products, so they share a memo of them for this call only."""
+    product = cache(handle.product)
+    for e, f in keys:
+        ce, cf = _as_chain(handle, e), _as_chain(handle, f)
+        ef = product(ce, cf)
+        yield [g for g in handle.friendly_pairs if _in_sandwich(
+            product, ce, cf, ef, handle.idempotent_chain(*g))]
 
 
 def sandwich_set(handle, e, f):
@@ -152,10 +165,7 @@ def sandwich_set(handle, e, f):
     Products are taken in the chain semigroup; e and f may be projection
     ids, friendly pairs, or chains.  Returns the sorted list of pairs.
     """
-    ce, cf = _as_chain(handle, e), _as_chain(handle, f)
-    ef = handle.product(ce, cf)
-    return [g for g in handle.friendly_pairs
-            if _in_sandwich(handle, ce, cf, ef, handle.idempotent_chain(*g))]
+    return next(_sandwich_sets(handle, [(e, f)]))
 
 
 def _sandwich_elements(handle, ps, qs):
@@ -170,21 +180,22 @@ def _sandwich_elements(handle, ps, qs):
     built and multiplied: UndecidedEquality iff a group is undecided.
     Raises PgsemiError at the first (p, q), row-major, where the scan
     does not find exactly one."""
+    product = cache(handle.product)    # the membership tests re-read it
     pairs = handle.friendly_pairs
     chains = [handle.idempotent_chain(*g) for g in pairs]
     cps = [handle.projection_chain(p) for p in ps]
     cqs = [handle.projection_chain(q) for q in qs]
-    left = np.array([[_is_projection(handle.product(cp, cg)) for cg in chains]
+    left = np.array([[_is_projection(product(cp, cg)) for cg in chains]
                      for cp in cps], dtype=bool)
-    right = np.array([[_is_projection(handle.product(cg, cq)) for cg in chains]
+    right = np.array([[_is_projection(product(cg, cq)) for cg in chains]
                       for cq in cqs], dtype=bool)
     rows = []
     for p, cp, lp in zip(ps, cps, left):
         row = []
         for q, cq, rq in zip(qs, cqs, right):
-            pq = handle.product(cp, cq)
+            pq = product(cp, cq)
             found = [pairs[k] for k in np.flatnonzero(lp & rq).tolist()
-                     if _in_sandwich(handle, cp, cq, pq, chains[k])]
+                     if _in_sandwich(product, cp, cq, pq, chains[k])]
             if len(found) != 1:
                 raise PgsemiError(
                     f"sandwich element at ({p}, {q}): expected exactly one "

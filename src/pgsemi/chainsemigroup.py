@@ -21,6 +21,11 @@ Each walk is checked once, where it is formed: ``normalize`` takes a
 checked ``Path``, ``expand`` and each restriction check theirs.  A checked
 walk is encoded unreduced: ``word_of`` reads its reduced form's word.
 
+The handle memoizes walks, not answers: expansions, one-sided
+restrictions and idempotent chains, each at most |S|.|P| entries on a
+finite semigroup.  Products and stars are not memoized, since most
+callers read each product once.
+
 Whenever a component group fails to classify as trivial, free, or finite,
 equality there is refused with UndecidedEquality rather than approximated.
 """
@@ -144,8 +149,6 @@ class ChainSemigroupHandle:
             self.components.append(
                 _Component(i, tuple(comp), simplified, cls))
         self._idem_cache = {}
-        self._prod_cache = {}
-        self._star_cache = {}
         self._expand_cache = {}
         # (chain, q) -> (comp, dom, cod, word) of the chain restricted to
         # end at q ("right") or to start at q ("left")
@@ -246,10 +249,7 @@ class ChainSemigroupHandle:
         q1 = p theta_q (p = cod c, q = dom d) and concatenate.  The two
         restrictions are memoized, already checked and freely reduced, so
         only the junction step p1 -> q1 is checked here, and the words
-        cancel only where they meet."""
-        hit = self._prod_cache.get((c, d))
-        if hit is not None:
-            return hit
+        cancel only where they meet.  The product itself is not memoized."""
         T = self.algebra.rows
         p = c.cod
         q = d.dom
@@ -262,20 +262,12 @@ class ChainSemigroupHandle:
         if p1 != q1:
             edge = self.components[ci].simplified.edge_words[(p1, q1)]
             left = _join(left, edge)
-        word = self._canonical(ci, _join(left, right))
-        out = ReducedChain(ci, dom, cod, word)
-        self._prod_cache[(c, d)] = out
-        return out
+        return ReducedChain(ci, dom, cod, self._canonical(ci, _join(left, right)))
 
     def star(self, c):
-        """Reversal: swap endpoints and invert the word."""
-        hit = self._star_cache.get(c)
-        if hit is not None:
-            return hit
+        """Reversal: swap endpoints and invert the word.  Not memoized."""
         inv = tuple(-l for l in reversed(c.word))
-        out = ReducedChain(c.comp, c.cod, c.dom, self._canonical(c.comp, inv))
-        self._star_cache[c] = out
-        return out
+        return ReducedChain(c.comp, c.cod, c.dom, self._canonical(c.comp, inv))
 
     def theta_map(self, c):
         """The composite operation of the chain: row-fold of theta along a
@@ -310,10 +302,10 @@ class ChainSemigroupHandle:
                 unknown = True
         if unknown:
             return UNKNOWN
-        listed = self.enumerate(cap=total)
-        if len(listed) != total:
+        found = len(self._closure(total)[0])
+        if found != total:
             raise AssertionError(
-                f"size formula {total} disagrees with closure {len(listed)}"
+                f"size formula {total} disagrees with closure {found}"
             )
         return total
 

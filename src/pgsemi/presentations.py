@@ -12,7 +12,7 @@ closure, and projection words can be straightened into friendly paths.
 import random
 from dataclasses import dataclass, field
 
-from .boset import boset_of, sandwich_set
+from .boset import _sandwich_sets, boset_of
 from .chains import Path, _INTEGER
 from .chainsemigroup import ChainSemigroupHandle
 from .cosets import BUDGET, enumerate_monoid
@@ -149,8 +149,8 @@ def presentation_RE2(P, handle=None):
     b = boset_of(P, handle=handle)
     pairs, letters, names, index = _pair_alphabet(P, handle)
     rels = [((i, j), (k,), "R1''") for i, j, k in b.basic_triples()]
-    sets = {(q, r): sandwich_set(handle, q, r)
-            for q in range(P.size) for r in range(P.size)}
+    keys = [(q, r) for q in range(P.size) for r in range(P.size)]
+    sets = dict(zip(keys, _sandwich_sets(handle, keys)))
     for e in pairs:
         for f in pairs:
             ie, jf = index[e], index[f]

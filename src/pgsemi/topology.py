@@ -94,10 +94,6 @@ class Complex2:
         self._adjacency = None
         self._components = None
 
-    @property
-    def vertices(self):
-        return tuple(range(self.n))
-
     def adjacency(self):
         if self._adjacency is None:
             adj = {v: [] for v in range(self.n)}

@@ -269,6 +269,29 @@ def test_expand_builds_one_path(path_count):
             assert path_count[0] == before
 
 
+def _dict_entries(x):
+    """Entries of a dict, counting those of the dicts nested in it."""
+    return sum(1 + _dict_entries(v) for v in x.values()) \
+        if isinstance(x, dict) else 0
+
+
+def test_handle_memos_stay_bounded_by_walks_not_products():
+    # the handle keeps expansions, restrictions per side and idempotent
+    # chains, none of them more than |S| |P| entries, however many
+    # products and stars it has answered
+    h = ChainSemigroupHandle(bundle("tl:6").algebra)   # empty caches
+    elements = h.enumerate()
+    for c in elements:
+        for d in elements:
+            h.product(c, d)
+    for c in elements:
+        h.star(c)
+    s, p, e = len(elements), h.algebra.size, len(h.friendly_pairs)
+    assert (s, p, e) == (132, 20, 96)
+    held = sum(_dict_entries(v) for v in vars(h).values())
+    assert held <= 2 * s * p + s + e + p + 2 < 132 ** 2
+
+
 @pytest.mark.parametrize("src", FLEET + ["tl:6", "brauer:5", "band:8"])
 def test_product_matches_path_reference_on_streams(src):
     h = ChainSemigroupHandle(bundle(src).algebra)   # empty caches
