@@ -7,15 +7,17 @@ is an index table on exactly the pairs they join either way, and the star
 map swaps coordinates.  Every product is cross-checked against the chain
 semigroup, which is the ground truth.
 
-The reverse direction rebuilds P from the sandwich elements e(p, q), all
-n^2 of them found from two tables of side products, p g and g q, taken
-once per (projection, idempotent) pair.
+Sandwich sets S(e, f) come from one scan over keys (e, f), two side
+tables and then e g f = e f on their candidates.  RE2 reads S(q, r) for
+every pair of projections, and the reverse direction rebuilds P from the
+sandwich elements e(p, q), the g in S(p, q) with p g and g q projections.
 """
 
 from functools import cache
 
 import numpy as np
 
+from .chains import _is_id
 from .chainsemigroup import ChainSemigroupHandle, ReducedChain
 from .errors import InvalidArgument, PgsemiError
 from .projections import ProjectionAlgebra, require_algebra
@@ -33,10 +35,13 @@ __all__ = [
 
 
 def _as_chain(handle, x):
-    """Coerce a projection id, friendly pair, or chain to a ReducedChain."""
+    """Coerce a projection id, friendly pair, or idempotent chain to a
+    ReducedChain; a chain c with c c != c raises InvalidArgument."""
     if isinstance(x, ReducedChain):
+        if handle.product(x, x) != x:
+            raise InvalidArgument(f"{x!r} is not idempotent")
         return x
-    if isinstance(x, (int, np.integer)):
+    if _is_id(x):
         return handle.projection_chain(x)
     if isinstance(x, (tuple, list)) and len(x) == 2:
         return handle.idempotent_chain(*x)
@@ -132,70 +137,70 @@ def boset_of(P, handle=None):
     i, j = np.nonzero(basic & (table < 0))
     table[i, j] = at[T[ps[i], T[qs[i], ps[j]]], T[qs[j], T[ps[j], qs[i]]]]
     chains = [handle.idempotent_chain(p, q) for (p, q) in elements]
-    for (i, j), k in zip(np.argwhere(basic).tolist(), table[basic].tolist()):
-        got = handle.product(chains[i], chains[j])
-        if k < 0 or got != chains[k]:
-            (p, q), (r, s) = elements[i], elements[j]
-            raise PgsemiError(
-                f"basic product [[{p},{q}]][[{r},{s}]] disagrees "
-                f"with the chain product {got!r}")
+    for i, row in enumerate(basic):                # tl:9 has 829,072 pairs
+        js = np.flatnonzero(row)
+        for j, k in zip(js.tolist(), table[i, js].tolist()):
+            got = handle.product(chains[i], chains[j])
+            if k < 0 or got != chains[k]:
+                (p, q), (r, s) = elements[i], elements[j]
+                raise PgsemiError(
+                    f"basic product [[{p},{q}]][[{r},{s}]] disagrees "
+                    f"with the chain product {got!r}")
     return Boset(P, handle, elements, left, right, table, at[qs, ps])
 
 
-def _in_sandwich(product, ce, cf, ef, cg):
-    """Whether the chain cg lies in S(e, f): e g f = ef and f g e = g."""
-    return (product(product(ce, cg), cf) == ef
-            and product(product(cf, cg), ce) == cg)
+def _sandwich_sets(handle, keys, product=None):
+    """S(e, f) for each key (e, f) of idempotent chains in turn, as lists
+    of (g, chain of g) in friendly-pair order.
 
-
-def _sandwich_sets(handle, keys):
-    """S(e, f) for each (e, f) in keys, in turn.  The scans re-read each
-    other's products, so they share a memo of them for this call only."""
-    product = cache(handle.product)
+    Two boolean tables over the idempotents g_k, g_k e == g_k for each
+    left key e and f g_k == g_k for each right key f, hold the candidates:
+    for idempotents, f g e = g iff f g = g and g e = g.  e g f = e f is
+    tested on their conjunction only.  Every idempotent chain is built and
+    multiplied on both sides, so UndecidedEquality is raised iff a group
+    is undecided.  The products are memoized for this call, or in the
+    product function given."""
+    product = product or cache(handle.product)
+    pairs = handle.friendly_pairs
+    chains = [handle.idempotent_chain(*g) for g in pairs]
+    right = {e: np.array([product(g, e) == g for g in chains], dtype=bool)
+             for e in dict.fromkeys(e for e, _ in keys)}
+    left = {f: np.array([product(f, g) == g for g in chains], dtype=bool)
+            for f in dict.fromkeys(f for _, f in keys)}
     for e, f in keys:
-        ce, cf = _as_chain(handle, e), _as_chain(handle, f)
-        ef = product(ce, cf)
-        yield [g for g in handle.friendly_pairs if _in_sandwich(
-            product, ce, cf, ef, handle.idempotent_chain(*g))]
+        ef = product(e, f)
+        yield [(pairs[k], chains[k])
+               for k in np.flatnonzero(right[e] & left[f]).tolist()
+               if product(product(e, chains[k]), f) == ef]
 
 
 def sandwich_set(handle, e, f):
     """S(e, f): the idempotents g with e g f = e f and f g e = g.
 
     Products are taken in the chain semigroup; e and f may be projection
-    ids, friendly pairs, or chains.  Returns the sorted list of pairs.
+    ids, friendly pairs, or idempotent chains.  Returns the sorted list
+    of pairs.
     """
-    return next(_sandwich_sets(handle, [(e, f)]))
+    key = _as_chain(handle, e), _as_chain(handle, f)
+    return [g for g, _ in next(_sandwich_sets(handle, [key]))]
 
 
 def _sandwich_elements(handle, ps, qs):
     """The sandwich element at every (p, q) in ps x qs, as rows over ps:
-    the unique g in S(p, q) with p g and g q projections.
-
-    The side tests come from two tables over handle.friendly_pairs,
-    left[p, k] for p g_k and right[q, k] for g_k q, one chain product per
-    (projection, idempotent) pair.  Membership in S(p, q) is tested only
-    on the candidates passing both, in friendly-pair order, so the found
-    list is the one a scan of all idempotents finds.  Every chain is
-    built and multiplied: UndecidedEquality iff a group is undecided.
-    Raises PgsemiError at the first (p, q), row-major, where the scan
-    does not find exactly one."""
-    product = cache(handle.product)    # the membership tests re-read it
-    pairs = handle.friendly_pairs
-    chains = [handle.idempotent_chain(*g) for g in pairs]
+    the unique g in S(p, q), as :func:`_sandwich_sets` finds it, with
+    p g and g q projections.  Raises PgsemiError at the first (p, q),
+    row-major, where the scan does not find exactly one."""
+    product = cache(handle.product)    # shared: the filter re-reads it
     cps = [handle.projection_chain(p) for p in ps]
     cqs = [handle.projection_chain(q) for q in qs]
-    left = np.array([[_is_projection(product(cp, cg)) for cg in chains]
-                     for cp in cps], dtype=bool)
-    right = np.array([[_is_projection(product(cg, cq)) for cg in chains]
-                      for cq in cqs], dtype=bool)
+    sets = _sandwich_sets(handle, [(cp, cq) for cp in cps for cq in cqs],
+                          product)
     rows = []
-    for p, cp, lp in zip(ps, cps, left):
+    for p, cp in zip(ps, cps):
         row = []
-        for q, cq, rq in zip(qs, cqs, right):
-            pq = product(cp, cq)
-            found = [pairs[k] for k in np.flatnonzero(lp & rq).tolist()
-                     if _in_sandwich(product, cp, cq, pq, chains[k])]
+        for q, cq, sandwich in zip(qs, cqs, sets):
+            found = [g for g, cg in sandwich if _is_projection(product(cp, cg))
+                     and _is_projection(product(cg, cq))]
             if len(found) != 1:
                 raise PgsemiError(
                     f"sandwich element at ({p}, {q}): expected exactly one "
@@ -203,12 +208,6 @@ def _sandwich_elements(handle, ps, qs):
             row.append(found[0])
         rows.append(row)
     return rows
-
-
-def _sandwich_element(handle, p, q):
-    """The sandwich element at the one pair (p, q); see
-    :func:`_sandwich_elements`."""
-    return _sandwich_elements(handle, [p], [q])[0][0]
 
 
 def e_of(P, p, q, handle=None, verify=False):
@@ -219,15 +218,14 @@ def e_of(P, p, q, handle=None, verify=False):
     the one-pair call of :func:`_sandwich_elements`.  Raises
     InvalidArgument unless p and q are integer ids of projections.
     """
-    if not all(isinstance(x, (int, np.integer)) and 0 <= x < P.size
-               for x in (p, q)):
+    if not all(_is_id(x) and 0 <= x < P.size for x in (p, q)):
         raise InvalidArgument(f"({p}, {q}) is not a pair of projections")
     T = P.theta
     val = (int(T[q, p]), int(T[p, q]))
     if verify:
         if handle is None:
             handle = ChainSemigroupHandle(P)
-        found = _sandwich_element(handle, int(p), int(q))
+        [[found]] = _sandwich_elements(handle, [int(p)], [int(q)])
         if found != val:
             raise PgsemiError(
                 f"sandwich element at ({p}, {q}): expected {val}, "
@@ -241,9 +239,9 @@ def projection_algebra_of_boset(b):
     Carrier: the star-fixed (diagonal) elements.  q th_p is the left
     factor of the basic product p * e(p, q), with e(p, q) the unique
     sandwich element whose side products are projections, found for all
-    n^2 pairs by one call of :func:`_sandwich_elements`.  The result must
-    be a projection algebra: InvalidAlgebra names the first failed law
-    otherwise.
+    n^2 pairs by one call of :func:`_sandwich_elements`, one sandwich
+    scan.  The result must be a projection algebra: InvalidAlgebra names
+    the first failed law otherwise.
     """
     diag = [p for p, q in b.elements if p == q]
     idx = {p: i for i, p in enumerate(diag)}

@@ -58,8 +58,10 @@ __all__ = [
     "restrict_linked_pair",
 ]
 
-# the types an id of a projection may have
-_INTEGER = (int, np.integer)
+
+def _is_id(x):
+    """Whether x may name a projection: an int or numpy int, not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 class Path:
@@ -74,9 +76,10 @@ class Path:
             raise ValueError("a path needs at least one vertex")
         n = algebra.size
         # before any row lookup: a Python sequence wraps negative indices,
-        # and int() would truncate 1.5 to the vertex 1
+        # and int() would truncate 1.5 to the vertex 1; a plain int skips
+        # the call, since walks are long
         for v in verts:
-            if not isinstance(v, _INTEGER):
+            if type(v) is not int and not _is_id(v):
                 raise InvalidArgument(f"vertex {v!r} is not an integer")
             if not 0 <= v < n:
                 raise NotFriendly(f"vertex {v} out of range")

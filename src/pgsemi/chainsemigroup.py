@@ -21,10 +21,10 @@ Each walk is checked once, where it is formed: ``normalize`` takes a
 checked ``Path``, ``expand`` and each restriction check theirs.  A checked
 walk is encoded unreduced: ``word_of`` reads its reduced form's word.
 
-The handle memoizes walks, not answers: expansions, one-sided
-restrictions and idempotent chains, each at most |S|.|P| entries on a
-finite semigroup.  Products and stars are not memoized, since most
-callers read each product once.
+The handle memoizes walks, not answers: expansions and one-sided
+restrictions, each at most |S|.|P| entries on a finite semigroup.
+Products, stars and idempotent chains are not memoized, since most
+callers read each of them once.
 
 Whenever a component group fails to classify as trivial, free, or finite,
 equality there is refused with UndecidedEquality rather than approximated.
@@ -38,7 +38,7 @@ import numpy as np
 from .chains import (
     LinkedPair,
     Path,
-    _INTEGER,
+    _is_id,
     _linked_pairs,
     _not_friendly,
     _reduce,
@@ -148,7 +148,6 @@ class ChainSemigroupHandle:
                 pi1_presentation(self.complex, i), budget=budget)
             self.components.append(
                 _Component(i, tuple(comp), simplified, cls))
-        self._idem_cache = {}
         self._expand_cache = {}
         # (chain, q) -> (comp, dom, cod, word) of the chain restricted to
         # end at q ("right") or to start at q ("left")
@@ -195,7 +194,7 @@ class ChainSemigroupHandle:
     def _projection(self, p):
         """p as an int; raises InvalidArgument unless it names a
         projection."""
-        if not (isinstance(p, _INTEGER) and 0 <= p < self.algebra.size):
+        if not (_is_id(p) and 0 <= p < self.algebra.size):
             raise InvalidArgument(f"no projection {p}")
         return int(p)
 
@@ -205,14 +204,10 @@ class ChainSemigroupHandle:
 
     def idempotent_chain(self, p, q):
         """The chain of the friendly pair (p, q); equals [[p]] when p = q."""
-        if not (isinstance(p, _INTEGER) and isinstance(q, _INTEGER)):
+        if not (_is_id(p) and _is_id(q)):
             raise InvalidArgument(f"({p!r}, {q!r}) is not a pair of vertices")
-        key = (int(p), int(q))
-        hit = self._idem_cache.get(key)
-        if hit is None:
-            hit = self.normalize(Path(self.algebra, key if p != q else (key[0],)))
-            self._idem_cache[key] = hit
-        return hit
+        p, q = int(p), int(q)
+        return self.normalize(Path(self.algebra, (p, q) if p != q else (p,)))
 
     def expand(self, c):
         """A representative path: tree walk to dom, the word's loop, tree

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 
 from .boset import _sandwich_sets, boset_of
-from .chains import Path, _INTEGER
+from .chains import Path, _is_id
 from .chainsemigroup import ChainSemigroupHandle
 from .cosets import BUDGET, enumerate_monoid
 from .errors import BudgetExceeded, InfeasibleDegree, InvalidArgument, \
@@ -149,16 +149,17 @@ def presentation_RE2(P, handle=None):
     b = boset_of(P, handle=handle)
     pairs, letters, names, index = _pair_alphabet(P, handle)
     rels = [((i, j), (k,), "R1''") for i, j, k in b.basic_triples()]
+    proj = [handle.projection_chain(p) for p in range(P.size)]
     keys = [(q, r) for q in range(P.size) for r in range(P.size)]
-    sets = dict(zip(keys, _sandwich_sets(handle, keys)))
+    sets = dict(zip(keys, _sandwich_sets(
+        handle, [(proj[q], proj[r]) for q, r in keys])))
     for e in pairs:
         for f in pairs:
             ie, jf = index[e], index[f]
-            for g in sets[(e[1], f[0])]:
+            for g, _ in sets[(e[1], f[0])]:
                 rels.append(((ie, jf), (ie, index[g], jf), "R2''"))
     for p, q in pairs:
-        pq = handle.product(handle.projection_chain(p),
-                            handle.projection_chain(q))
+        pq = handle.product(proj[p], proj[q])
         rels.append(((index[(p, p)], index[(q, q)]),
                      (index[(pq.dom, pq.cod)],), "R3''"))
     return SemigroupPresentation("RE''", letters, names, tuple(rels))
@@ -207,7 +208,7 @@ def word_to_friendly_path(P, word):
         raise ValueError("word must be nonempty")
     n = P.size
     for p in verts:
-        if not isinstance(p, _INTEGER):
+        if type(p) is not int and not _is_id(p):
             raise InvalidArgument(f"letter {p!r} is not an integer")
         if not 0 <= p < n:
             raise ValueError(f"letter {p} out of range")

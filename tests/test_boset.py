@@ -8,8 +8,8 @@ import pytest
 
 from pgsemi.boset import (
     _is_projection,
-    _sandwich_element,
     _sandwich_elements,
+    _sandwich_sets,
     boset_of,
     compare_with_semigroup_boset,
     e_of,
@@ -104,7 +104,7 @@ def test_non_elements_raise_naming_the_pair():
 
 
 @pytest.mark.parametrize("p, q", [(-1, 0), (0, -1), (3, 0), (0, 3),
-                                  (1.5, 0), (0, 1.5)])
+                                  (1.5, 0), (0, 1.5), (True, 0), (1, False)])
 def test_e_of_rejects_ids_outside_the_algebra(p, q):
     P = bundle("tl:3").algebra
     assert P.size == 3
@@ -220,14 +220,13 @@ def test_compare_kinyon_against_its_own_chain_semigroup():
 # pair with two semigroup products each.
 
 
-def _frozen_sandwich_set(h, p, q):
-    cp, cq = h.projection_chain(p), h.projection_chain(q)
-    pq = h.product(cp, cq)
+def _frozen_sandwich_set(h, ce, cf):
+    ef = h.product(ce, cf)
     out = []
     for a, b in h.friendly_pairs:
         g = h.idempotent_chain(a, b)
-        if (h.product(h.product(cp, g), cq) == pq
-                and h.product(h.product(cq, g), cp) == g):
+        if (h.product(h.product(ce, g), cf) == ef
+                and h.product(h.product(cf, g), ce) == g):
             out.append((a, b))
     return out
 
@@ -236,7 +235,7 @@ def _frozen_sandwich_element(h, p, q):
     cp = h.projection_chain(p)
     cq = h.projection_chain(q)
     found = []
-    for g in _frozen_sandwich_set(h, p, q):
+    for g in _frozen_sandwich_set(h, cp, cq):
         cg = h.idempotent_chain(*g)
         pg, gq = h.product(cp, cg), h.product(cg, cq)
         if (pg.dom == pg.cod and not pg.word
@@ -290,6 +289,11 @@ def _frozen_compare(P, S, b):
     return not failures, mapping, failures
 
 
+def _one_pair_element(h, p, q):
+    [[g]] = _sandwich_elements(h, [p], [q])
+    return g
+
+
 def _outcome(fn, *args):
     """The element found, or the type and text of the error raised."""
     try:
@@ -304,7 +308,7 @@ def _assert_same_sandwich_elements(h):
     first failing pair in row-major order."""
     n = h.algebra.size
     outcomes = [
-        (_outcome(_sandwich_element, h, p, q),
+        (_outcome(_one_pair_element, h, p, q),
          _outcome(_frozen_sandwich_element, h, p, q))
         for p in range(n) for q in range(n)]
     for new, old in outcomes:
@@ -338,10 +342,48 @@ def test_sandwich_element_errors_match_the_whole_set_scan():
                 f"{scan}") in found
 
 
+@pytest.mark.parametrize("src", [*FROZEN_SOURCES, "band:3"])
+def test_sandwich_set_matches_its_definition(src):
+    # every pair of idempotents, projections or not; band:3 has a free
+    # group, so its products carry group words
+    h = handle(src)
+    chains = h.idempotents()
+    for ce in chains:
+        for cf in chains:
+            assert sandwich_set(h, ce, cf) == _frozen_sandwich_set(h, ce, cf)
+
+
+def test_sandwich_set_refuses_a_chain_that_is_not_idempotent():
+    h = handle("band:3")
+    a, b, c = (h.idempotent_chain(*g) for g in ((0, 1), (1, 2), (2, 0)))
+    loop = h.product(h.product(a, b), c)
+    assert h.product(loop, loop) != loop
+    for e, f in ((loop, 0), (0, loop)):
+        with pytest.raises(InvalidArgument, match="is not idempotent"):
+            sandwich_set(h, e, f)
+
+
+def test_re2_sandwich_scans_product_count_on_tl6(monkeypatch):
+    # presentation_RE2 scans S(q, r) for every pair of projections; the
+    # scans with their four-product membership tests made 4,040 distinct
+    # products, the two side tables make 2 n m - n^2 = 3,440 (a product of
+    # two projections is in both) and every membership product hits them
+    h = ChainSemigroupHandle(bundle("tl:6").algebra)
+    n, m = h.algebra.size, len(h.friendly_pairs)
+    calls = []
+    product = h.product
+    monkeypatch.setattr(h, "product", lambda c, d: calls.append((c, d)) or
+                        product(c, d))
+    proj = [h.projection_chain(p) for p in range(n)]
+    sets = list(_sandwich_sets(h, [(q, r) for q in proj for r in proj]))
+    assert len(sets) == n * n and all(sets)
+    assert len(calls) == len(set(calls)) <= 2 * n * m - n * n == 3_440
+
+
 def test_roundtrip_product_count_on_tl6(monkeypatch):
-    # each side product once per (projection, idempotent) pair, p q once
-    # per pair, and at most four products per candidate's membership test;
-    # the scan of every idempotent at every pair made 55,866
+    # at most one side product per (projection, idempotent) pair and side,
+    # p q once per pair, and four products per candidate with projection
+    # side products; the scan of every idempotent at every pair made 55,866
     h = ChainSemigroupHandle(bundle("tl:6").algebra)
     b = boset_of(h.algebra, h)
     n, m = h.algebra.size, len(h.friendly_pairs)
@@ -365,9 +407,10 @@ def test_undecided_group_raises_in_both_scans(ci):
     # decided refuses even pairs (p, q) that lie outside it
     P = bundle("tl:4").algebra
     for scan in (lambda h: _frozen_sandwich_element(h, 0, 0),
-                 lambda h: _sandwich_element(h, 0, 0),
+                 lambda h: _one_pair_element(h, 0, 0),
                  lambda h: _sandwich_elements(h, range(P.size),
-                                              range(P.size))):
+                                              range(P.size)),
+                 lambda h: sandwich_set(h, 0, 0)):
         h = ChainSemigroupHandle(P)
         assert len(h.components) == 3
         h.components[ci].classification = Classification(

@@ -54,7 +54,7 @@ def test_path_requires_friendly_steps(P):
 
 @pytest.mark.parametrize("verts, value", [
     ((1.5,), "1.5"), ((0, 1.0), "1.0"), ((0, "1"), "'1'"),
-    ((np.float64(2.5), 2), "2.5"),
+    ((np.float64(2.5), 2), "2.5"), ((True,), "True"), ((0, False), "False"),
 ])
 def test_path_refuses_vertices_that_are_not_integers(P, verts, value):
     # int() would truncate 1.5 to the vertex 1 and hand out Path(1,)

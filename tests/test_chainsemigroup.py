@@ -276,9 +276,9 @@ def _dict_entries(x):
 
 
 def test_handle_memos_stay_bounded_by_walks_not_products():
-    # the handle keeps expansions, restrictions per side and idempotent
-    # chains, none of them more than |S| |P| entries, however many
-    # products and stars it has answered
+    # the handle keeps expansions and restrictions per side, none of them
+    # more than |S| |P| entries, however many products and stars it has
+    # answered
     h = ChainSemigroupHandle(bundle("tl:6").algebra)   # empty caches
     elements = h.enumerate()
     for c in elements:
@@ -289,7 +289,7 @@ def test_handle_memos_stay_bounded_by_walks_not_products():
     s, p, e = len(elements), h.algebra.size, len(h.friendly_pairs)
     assert (s, p, e) == (132, 20, 96)
     held = sum(_dict_entries(v) for v in vars(h).values())
-    assert held <= 2 * s * p + s + e + p + 2 < 132 ** 2
+    assert held <= 2 * s * p + s + p + 2 < 132 ** 2
 
 
 @pytest.mark.parametrize("src", FLEET + ["tl:6", "brauer:5", "band:8"])
@@ -446,12 +446,17 @@ def test_out_of_range_projections_are_refused(call, side):
     (lambda h: h.maximal_subgroup(1.2), 1.2),
     (lambda h: h.idempotent_chain(0, 1.7), 1.7),
     (lambda h: h.idempotent_chain(1.0, 1), 1.0),
+    (lambda h: h.projection_chain(True), True),
+    (lambda h: h.component_group(True), True),
+    (lambda h: h.idempotent_chain(True, False), True),
 ], ids=["projection_chain", "projection_chain-np", "component_group",
-        "maximal_subgroup", "idempotent_chain", "idempotent_chain-equal"])
+        "maximal_subgroup", "idempotent_chain", "idempotent_chain-equal",
+        "projection_chain-bool", "component_group-bool",
+        "idempotent_chain-bool"])
 def test_non_integer_projections_are_refused(call, value):
-    # int() would truncate the value to a projection and answer for it
+    # int() would truncate the value to a projection and answer for it,
+    # and a bool would answer for 1 or 0
     h = handle("kinyon")
-    h.idempotent_chain(1, 1)            # a cached pair is refused too
     with pytest.raises(InvalidArgument, match=re.escape(str(value))):
         call(h)
 

@@ -179,6 +179,9 @@ STDOUT_DIGESTS = {
     ("presentations", "--source", "brauer:4", "--family", "RE2",
      "--format", "json"):
         "89af634e19d08fd834e4c464183a9f5ba6409044383e79fe50654b228cd8b771",
+    # 37,949 lines on a component with a free group
+    ("presentations", "--source", "motzkin:4", "--family", "RE2"):
+        "2d0f7d226fdd70fe8d4785609b9fec19097e32a89777625de746c3a1a969e8a6",
 }
 
 

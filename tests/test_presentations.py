@@ -170,7 +170,7 @@ def test_straightener_input_validation():
         word_to_friendly_path(P, [0, 9])
     # int() would truncate 1.5 to the letter 1 and straighten (1, 2)
     for word, value in (([1.5, 2], "1.5"), ([0, 2.0], "2.0"),
-                        (["1"], "'1'")):
+                        (["1"], "'1'"), ([True, 2], "True")):
         with pytest.raises(InvalidArgument, match=value):
             word_to_friendly_path(P, word)
 
