@@ -5,12 +5,16 @@ diagonal pairs play the projections.  Arrows compare endpoints under the
 projection order (the boolean arrays left and right), the partial product
 is an index table on exactly the pairs they join either way, and the star
 map swaps coordinates.  Every product is cross-checked against the chain
-semigroup, which is the ground truth.
+semigroup, which is the ground truth: where both factors and the product
+lie in components with trivial groups the check reads the handle's
+batched product in row chunks, elsewhere it multiplies one pair at a
+time.
 
 Sandwich sets S(e, f) come from one scan over keys (e, f), two side
-tables and then e g f = e f on their candidates.  RE2 reads S(q, r) for
-every pair of projections, and the reverse direction rebuilds P from the
-sandwich elements e(p, q), the g in S(p, q) with p g and g q projections.
+tables (batched in the same way) and then e g f = e f on their
+candidates.  RE2 reads S(q, r) for every pair of projections, and the
+reverse direction rebuilds P from the sandwich elements e(p, q), the g
+in S(p, q) with p g and g q projections.
 """
 
 from functools import cache
@@ -137,16 +141,41 @@ def boset_of(P, handle=None):
     i, j = np.nonzero(basic & (table < 0))
     table[i, j] = at[T[ps[i], T[qs[i], ps[j]]], T[qs[j], T[ps[j], qs[i]]]]
     chains = [handle.idempotent_chain(p, q) for (p, q) in elements]
-    for i, row in enumerate(basic):                # tl:9 has 829,072 pairs
-        js = np.flatnonzero(row)
-        for j, k in zip(js.tolist(), table[i, js].tolist()):
+    step = max(1, 2 ** 20 // max(1, len(elements)))
+    for lo in range(0, len(elements), step):       # tl:9 has 829,072 pairs
+        i, j = np.nonzero(basic[lo:lo + step])
+        i += lo
+        match = _products_match(handle, chains, i, j, table[i, j])
+        if not match.all():
+            i, j = int(i[~match][0]), int(j[~match][0])
             got = handle.product(chains[i], chains[j])
-            if k < 0 or got != chains[k]:
-                (p, q), (r, s) = elements[i], elements[j]
-                raise PgsemiError(
-                    f"basic product [[{p},{q}]][[{r},{s}]] disagrees "
-                    f"with the chain product {got!r}")
+            (p, q), (r, s) = elements[i], elements[j]
+            raise PgsemiError(
+                f"basic product [[{p},{q}]][[{r},{s}]] disagrees "
+                f"with the chain product {got!r}")
     return Boset(P, handle, elements, left, right, table, at[qs, ps])
+
+
+def _products_match(handle, chains, i, j, k, product=None):
+    """chains[i] chains[j] == chains[k] over broadcast index arrays, as a
+    boolean array; an index k < 0 matches nothing.  Where both factors and
+    the product lie in trivial components the products are read off
+    ``handle.product_batch``; the others are taken one at a time by
+    ``product`` (default ``handle.product``)."""
+    i, j, k = np.broadcast_arrays(i, j, k)
+    dom = np.array([c.dom for c in chains], dtype=np.intp)
+    cod = np.array([c.cod for c in chains], dtype=np.intp)
+    trivial = handle.trivial_at
+    fast = (trivial[dom[i]] & trivial[dom[j]]
+            & trivial[handle.algebra.theta[cod[i], dom[j]]])
+    out = np.zeros(i.shape, dtype=bool)
+    a, b, w = i[fast], j[fast], k[fast]
+    pd, pc = handle.product_batch((dom[a], cod[a]), (dom[b], cod[b]))
+    out[fast] = (w >= 0) & (pd == dom[w]) & (pc == cod[w])
+    product = product or handle.product
+    for n in zip(*np.nonzero(~fast)):
+        out[n] = k[n] >= 0 and product(chains[i[n]], chains[j[n]]) == chains[k[n]]
+    return out
 
 
 def _sandwich_sets(handle, keys, product=None):
@@ -155,18 +184,24 @@ def _sandwich_sets(handle, keys, product=None):
 
     Two boolean tables over the idempotents g_k, g_k e == g_k for each
     left key e and f g_k == g_k for each right key f, hold the candidates:
-    for idempotents, f g e = g iff f g = g and g e = g.  e g f = e f is
-    tested on their conjunction only.  Every idempotent chain is built and
-    multiplied on both sides, so UndecidedEquality is raised iff a group
-    is undecided.  The products are memoized for this call, or in the
-    product function given."""
+    for idempotents, f g e = g iff f g = g and g e = g.  Each table is one
+    call of :func:`_products_match`, batched on trivial components.
+    e g f = e f is tested on their conjunction only.  Every idempotent
+    chain is built and multiplied on both sides, so UndecidedEquality is
+    raised iff a group is undecided.  The other products are memoized for
+    this call, or in the product function given."""
     product = product or cache(handle.product)
     pairs = handle.friendly_pairs
     chains = [handle.idempotent_chain(*g) for g in pairs]
-    right = {e: np.array([product(g, e) == g for g in chains], dtype=bool)
-             for e in dict.fromkeys(e for e, _ in keys)}
-    left = {f: np.array([product(f, g) == g for g in chains], dtype=bool)
-            for f in dict.fromkeys(f for _, f in keys)}
+    es = list(dict.fromkeys(e for e, _ in keys))
+    fs = list(dict.fromkeys(f for _, f in keys))
+    every = chains + es + fs                       # the ids of the tables
+    g = np.arange(len(chains))
+    key = len(chains) + np.arange(len(es) + len(fs))[:, None]
+    right = dict(zip(es, _products_match(                      # g e == g
+        handle, every, g, key[:len(es)], g, product)))
+    left = dict(zip(fs, _products_match(                       # f g == g
+        handle, every, key[len(es):], g, g, product)))
     for e, f in keys:
         ef = product(e, f)
         yield [(pairs[k], chains[k])

@@ -21,10 +21,22 @@ Each walk is checked once, where it is formed: ``normalize`` takes a
 checked ``Path``, ``expand`` and each restriction check theirs.  A checked
 walk is encoded unreduced: ``word_of`` reads its reduced form's word.
 
-The handle memoizes walks, not answers: expansions and one-sided
-restrictions, each at most |S|.|P| entries on a finite semigroup.
-Products, stars and idempotent chains are not memoized, since most
-callers read each of them once.
+In a component whose group is trivial a chain is just its pair
+(dom, cod), and restricting it below an end applies theta along it, as
+the chain groupoid defines restriction.  So with p1 = q th_p and
+q1 = p th_q (p = cod c, q = dom d) the product there is
+
+    c d = (p1 Theta_{c*}, q1 Theta_d),
+
+read off the chain's two Theta rows: no walk is restricted or encoded.
+``product_batch`` reads whole arrays of such products at once.
+
+The handle memoizes walks and rows, not answers: expansions and
+one-sided restrictions, each at most |S|.|P| entries on a finite
+semigroup, and the two Theta rows of each chain in a trivial component,
+at most sum v^2 entries over those components (v vertices each), even
+when the semigroup is infinite.  Products, stars and idempotent chains
+are not memoized, since most callers read each of them once.
 
 Whenever a component group fails to classify as trivial, free, or finite,
 equality there is refused with UndecidedEquality rather than approximated.
@@ -138,7 +150,7 @@ class ChainSemigroupHandle:
             (int(p), int(q)) for p, q in np.argwhere(self.rel.friendly))
         self.complex = complex_KP_prime(P, self.rel)
         self.comps = components(self.complex)
-        self.comp_of = {}
+        self.comp_of = [0] * P.size
         for i, comp in enumerate(self.comps):
             for v in comp:
                 self.comp_of[v] = i
@@ -148,10 +160,21 @@ class ChainSemigroupHandle:
                 pi1_presentation(self.complex, i), budget=budget)
             self.components.append(
                 _Component(i, tuple(comp), simplified, cls))
+        # per component, and per projection through its component
+        self._trivial = [c.classification.kind == "trivial"
+                         for c in self.components]
+        self.trivial_at = np.array(self._trivial, dtype=bool)[
+            np.array(self.comp_of, dtype=np.intp)]
         self._expand_cache = {}
         # (chain, q) -> (comp, dom, cod, word) of the chain restricted to
         # end at q ("right") or to start at q ("left")
         self._restricted = {"right": {}, "left": {}}
+        # chain of a trivial component -> its rows (Theta_{c*}, Theta_c) as
+        # tuples; the same rows are kept for the batch in _stack[_slot[dom,
+        # cod]], one (2, |P|) entry per chain
+        self._theta_rows = {}
+        self._slot = np.full((P.size, P.size), -1, dtype=np.int32)
+        self._stack = np.empty((0, 2, P.size), dtype=np.min_scalar_type(P.size))
 
     # -- encoding ---------------------------------------------------------
 
@@ -241,15 +264,32 @@ class ChainSemigroupHandle:
 
     def product(self, c, d):
         """c (*) d: restrict c to end at p1 = q theta_p and d to start at
-        q1 = p theta_q (p = cod c, q = dom d) and concatenate.  The two
-        restrictions are memoized, already checked and freely reduced, so
-        only the junction step p1 -> q1 is checked here, and the words
-        cancel only where they meet.  The product itself is not memoized."""
+        q1 = p theta_q (p = cod c, q = dom d) and concatenate.  The junction
+        step p1 -> q1 is checked on every product.
+
+        When c, d and p1 all lie in components with trivial groups, the
+        product is (p1 Theta_{c*}, q1 Theta_d), read off the memoized Theta
+        rows; no walk is built.  Otherwise the two restrictions are
+        memoized, already checked and freely reduced, and the words cancel
+        only where they meet.  The product itself is not memoized."""
         T = self.algebra.rows
         p = c.cod
         q = d.dom
         p1 = T[p][q]               # q theta_p
         q1 = T[q][p]               # p theta_q
+        trivial = self._trivial
+        if trivial[c.comp] and trivial[d.comp]:
+            ci = self.comp_of[p1]
+            # p1 <= p and q1 <= q hold in a projection algebra; on a table
+            # let past the boundary check the restrictions below refuse
+            if trivial[ci] and T[p][p1] == p1 and T[q][q1] == q1:
+                if T[p1][q1] != p1 or T[q1][p1] != q1:
+                    raise _not_friendly(p1, q1)
+                rows = self._theta_rows
+                back = (rows.get(c) or self._theta_rows_of(c))[0]
+                fwd = (rows.get(d) or self._theta_rows_of(d))[1]
+                # ReducedChain(...) without its Python-level __new__
+                return tuple.__new__(ReducedChain, (ci, back[p1], fwd[q1], ()))
         ci, dom, _, left = self._restriction(c, p1, "right")
         _, _, cod, right = self._restriction(d, q1, "left")
         if T[p1][q1] != p1 or T[q1][p1] != q1:
@@ -259,6 +299,65 @@ class ChainSemigroupHandle:
             left = _join(left, edge)
         return ReducedChain(ci, dom, cod, self._canonical(ci, _join(left, right)))
 
+    def _theta_rows_of(self, c):
+        """(Theta_{c*}, Theta_c) of a chain in a trivial component, folded
+        once along its checked expansion; kept as int tuples (which the
+        garbage collector stops tracking) and in _stack."""
+        verts = self.expand(c).verts
+        rows = self._fold(verts[::-1]), self._fold(verts)
+        k = len(self._theta_rows)
+        if k == len(self._stack):              # grow by doubling
+            grown = np.empty((max(2 * k, 16),) + self._stack.shape[1:],
+                             dtype=self._stack.dtype)
+            grown[:k] = self._stack
+            self._stack = grown
+        self._stack[k] = rows
+        self._slot[c.dom, c.cod] = k
+        out = self._theta_rows[c] = tuple(tuple(r.tolist()) for r in rows)
+        return out
+
+    def product_batch(self, c, d):
+        """The products of chains in trivial components, elementwise over
+        endpoint arrays.  c and d are each a pair (dom, cod) of integer
+        arrays; the two chains' arrays are broadcast together, as are the
+        products, returned as the pair (dom, cod) of intp arrays that
+        :meth:`product` gives, read off the same Theta rows.
+
+        The junction is checked on every pair: NotFriendly names the first
+        bad one.  InvalidArgument is raised when an operand is not a chain
+        of a trivial component, or a product lies outside them."""
+        n = self.algebra.size
+        comp = np.array(self.comp_of, dtype=np.intp)
+        ends = []
+        for chain in (c, d):
+            dom, cod = np.broadcast_arrays(*map(np.asarray, chain))
+            if not (dom.dtype.kind in "iu" and cod.dtype.kind in "iu"
+                    and ((0 <= dom) & (dom < n) & (0 <= cod) & (cod < n)).all()):
+                raise InvalidArgument("endpoints must be projection ids")
+            bad = np.argwhere(~self.trivial_at[dom] | (comp[dom] != comp[cod]))
+            if len(bad):
+                k = tuple(bad[0])
+                raise InvalidArgument(f"({dom[k]}, {cod[k]}) is not a chain "
+                                      "of a trivial component")
+            new = self._slot[dom, cod] < 0
+            for x, y in set(zip(dom[new].tolist(), cod[new].tolist())):
+                self._theta_rows_of(ReducedChain(self.comp_of[x], x, y, ()))
+            ends.append((self._slot[dom, cod], dom, cod))
+        (kc, _, p), (kd, q, _) = ends
+        T = self.algebra.theta
+        p1 = T[p, q]
+        q1 = T[q, p]
+        bad = np.argwhere((T[p1, q1] != p1) | (T[q1, p1] != q1))
+        if len(bad):
+            k = tuple(bad[0])
+            raise _not_friendly(int(p1[k]), int(q1[k]))
+        bad = np.argwhere(~self.trivial_at[p1])
+        if len(bad):
+            raise InvalidArgument(f"the product at projection {p1[tuple(bad[0])]}"
+                                  " lies outside the trivial components")
+        return (self._stack[kc, 0, p1].astype(np.intp),
+                self._stack[kd, 1, q1].astype(np.intp))
+
     def star(self, c):
         """Reversal: swap endpoints and invert the word.  Not memoized."""
         inv = tuple(-l for l in reversed(c.word))
@@ -267,8 +366,11 @@ class ChainSemigroupHandle:
     def theta_map(self, c):
         """The composite operation of the chain: row-fold of theta along a
         representative path, as an array mapping q -> q Theta_c."""
+        return self._fold(self.expand(c).verts)
+
+    def _fold(self, verts):
+        """q -> q th_{v_1} ... th_{v_k} as an array, for a walk v."""
         T = self.algebra.theta
-        verts = self.expand(c).verts
         return reduce(lambda m, p: T[p][m], verts, np.arange(self.algebra.size))
 
     # -- global structure --------------------------------------------------

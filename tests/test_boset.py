@@ -616,3 +616,34 @@ def test_a_closed_form_off_the_elements_is_not_read_as_index_minus_one(
                         if (ix.get(c), ix.get(d)) in lie else product(c, d))
     with pytest.raises(PgsemiError, match="disagrees with the chain"):
         boset_of(ProjectionAlgebra(T), h)
+
+
+def test_a_closed_form_off_the_elements_is_not_read_as_index_minus_one_in_the_batch(
+        monkeypatch):
+    # the same pairs, with the batched product (kinyon's groups are all
+    # trivial) answering the last element there: the build still refuses
+    h = ChainSemigroupHandle(bundle("kinyon").algebra)
+    assert h.trivial_at.all()
+    b = boset_of(h.algebra, h)
+    T = h.algebra.theta.copy()
+    T[0, 2] = 3
+    lie = set()
+    for i, j in np.argwhere(b.table >= 0).tolist():
+        (p, q), (r, s) = b.elements[i], b.elements[j]
+        forced = b.left[i, j] or b.right[j, i]
+        if not forced and (T[p, T[q, r]], T[s, T[r, q]]) not in b.index:
+            lie.add((i, j))
+    assert lie
+    batch = h.product_batch
+
+    def lying(c, d):
+        dom, cod = batch(c, d)
+        for n, (e, f) in enumerate(zip(zip(*c), zip(*d))):
+            if (b.index[tuple(map(int, e))], b.index[tuple(map(int, f))]) \
+                    in lie:
+                dom[n], cod[n] = b.elements[-1]
+        return dom, cod
+
+    monkeypatch.setattr(h, "product_batch", lying)
+    with pytest.raises(PgsemiError, match="disagrees with the chain"):
+        boset_of(ProjectionAlgebra(T), h)

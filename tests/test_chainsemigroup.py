@@ -34,6 +34,7 @@ from pgsemi.errors import (
     InvalidArgument,
     MalformedTable,
     NotAMorphism,
+    NotFriendly,
     PgsemiError,
     UndecidedEquality,
 )
@@ -231,9 +232,14 @@ def test_product_matches_uncached_reference(src):
 
 def test_product_builds_one_path_per_new_restriction(path_count):
     # both expansions are memoized, so a product checks one walk for each
-    # one-sided restriction it has not met before and none for the others
+    # one-sided restriction it has not met before and none for the others;
+    # where every group is trivial (kinyon, tl:4) it reads the Theta rows,
+    # folded from those expansions, and checks no walk at all
     for src in ("kinyon", "band:3", "tl:4"):
         h = ChainSemigroupHandle(bundle(src).algebra)   # empty caches
+        trivial = all(comp.classification.kind == "trivial"
+                      for comp in h.components)
+        assert trivial == (src != "band:3")
         pool = list(dict.fromkeys(chain_pool(src)))[:12]   # distinct pairs
         for c in pool:
             h.expand(c)
@@ -247,10 +253,10 @@ def test_product_builds_one_path_per_new_restriction(path_count):
                        (d, T[d.dom][c.cod], "left")} - keys
                 before = path_count[0]
                 h.product(c, d)
-                assert path_count[0] - before == len(new)
+                assert path_count[0] - before == (0 if trivial else len(new))
                 both_cached += not new
                 keys |= new
-        assert path_count[0] == len(keys)
+        assert path_count[0] == (0 if trivial else len(keys))
         assert both_cached > 0
 
 
@@ -275,9 +281,16 @@ def _dict_entries(x):
         if isinstance(x, dict) else 0
 
 
+def _trivial_chains(h):
+    """sum v^2 over the components with trivial groups: their chains."""
+    return sum(len(comp.vertices) ** 2 for comp in h.components
+               if comp.classification.kind == "trivial")
+
+
 def test_handle_memos_stay_bounded_by_walks_not_products():
     # the handle keeps expansions and restrictions per side, none of them
-    # more than |S| |P| entries, however many products and stars it has
+    # more than |S| |P| entries, and Theta rows for no more than the chains
+    # of the trivial components, however many products and stars it has
     # answered
     h = ChainSemigroupHandle(bundle("tl:6").algebra)   # empty caches
     elements = h.enumerate()
@@ -290,6 +303,127 @@ def test_handle_memos_stay_bounded_by_walks_not_products():
     assert (s, p, e) == (132, 20, 96)
     held = sum(_dict_entries(v) for v in vars(h).values())
     assert held <= 2 * s * p + s + p + 2 < 132 ** 2
+    assert len(h._theta_rows) <= _trivial_chains(h) == s
+
+
+def test_theta_row_memo_stays_bounded_on_an_infinite_semigroup():
+    # motzkin:4 has a free component: a stream of products grows its
+    # words, but rows are kept only for chains of the trivial components
+    h = ChainSemigroupHandle(bundle("motzkin:4").algebra)   # empty caches
+    rng = random.Random(11)
+    seen = [h.projection_chain(p) for p in range(h.algebra.size)]
+    for _ in range(3000):
+        seen.append(h.product(rng.choice(seen), rng.choice(seen)))
+    assert any(c.word for c in seen)
+    assert 0 < len(h._theta_rows) <= _trivial_chains(h) == 125
+    assert all(h.trivial_at[c.dom] and not c.word for c in h._theta_rows)
+
+
+def _ends(chains):
+    """The (dom, cod) arrays of a list of chains."""
+    return (np.array([c.dom for c in chains], dtype=np.intp),
+            np.array([c.cod for c in chains], dtype=np.intp))
+
+
+@pytest.mark.parametrize("src", [
+    "kinyon", "motzkin:3", "tl:2", "tl:3", "tl:4", "tl:5", "tl:6", "tl:7",
+])
+def test_product_batch_matches_product_on_every_pair(src):
+    # the batch runs on a handle with empty memos, so it folds its own
+    # rows; the per-call products come from the handle that enumerated
+    P = parse_source(src, allow_large=True).algebra
+    ref = ChainSemigroupHandle(P)
+    elems = ref.enumerate()
+    dom, cod = _ends(elems)
+    got = ChainSemigroupHandle(P).product_batch(
+        (dom[:, None], cod[:, None]), (dom, cod))
+    assert all(x.dtype == np.intp and x.shape == (len(elems),) * 2
+               for x in got)
+    want = [[ref.product(c, d) for d in elems] for c in elems]
+    assert not any(w.word for row in want for w in row)
+    assert got[0].tolist() == [[w.dom for w in row] for row in want]
+    assert got[1].tolist() == [[w.cod for w in row] for row in want]
+
+
+def test_product_batch_matches_product_on_seeded_tl8_pairs():
+    P = parse_source("tl:8", allow_large=True).algebra
+    h = ChainSemigroupHandle(P)
+    elems = h.enumerate()
+    rng = random.Random(8)
+    cs = [rng.choice(elems) for _ in range(20000)]
+    ds = [rng.choice(elems) for _ in range(20000)]
+    dom, cod = ChainSemigroupHandle(P).product_batch(_ends(cs), _ends(ds))
+    want = [h.product(c, d) for c, d in zip(cs, ds)]
+    assert list(zip(dom.tolist(), cod.tolist())) == [
+        (w.dom, w.cod) for w in want]
+
+
+@pytest.mark.parametrize("src", ["motzkin:4", "partition:3"])
+def test_product_on_mixed_components_matches_uncached_reference(src):
+    # pools that mix trivial and free components: the per-call product
+    # takes the Theta rows exactly where both factors and the product lie
+    # in trivial components, and walks elsewhere; the batch agrees on the
+    # former and refuses the latter
+    h = ChainSemigroupHandle(bundle(src).algebra)   # empty caches
+    pool = chain_pool(src)
+    T = h.algebra.rows
+    kinds = Counter()
+    for c in pool:
+        for d in pool:
+            fast = bool(h.trivial_at[c.dom] and h.trivial_at[d.dom]
+                        and h.trivial_at[T[c.cod][d.dom]])
+            kinds[fast] += 1
+            out = h.product(c, d)
+            assert out == _product_uncached(h, c, d)
+            assert tuple(map(type, out[:3])) == (int, int, int)
+            if fast:
+                got = h.product_batch(((c.dom,), (c.cod,)), ((d.dom,), (d.cod,)))
+                assert (got[0][0], got[1][0]) == (out.dom, out.cod)
+            else:
+                with pytest.raises(InvalidArgument):
+                    h.product_batch(((c.dom,), (c.cod,)), ((d.dom,), (d.cod,)))
+    assert kinds[True] > 0 and kinds[False] > 0
+
+
+def test_product_batch_refuses_what_is_not_a_trivial_component_chain():
+    h = handle("motzkin:4")
+    free = [p for p in range(h.algebra.size) if not h.trivial_at[p]]
+    triv = [p for p in range(h.algebra.size) if h.trivial_at[p]]
+    assert free and triv
+    p, f = triv[0], free[0]
+    for c, d in ((([p, f], [p, f]), ([p], [p])),     # a free operand
+                 (([p], [p]), ([f], [f])),
+                 (([p], [f]), ([p], [p])),           # not a chain at all
+                 (([p], [h.algebra.size]), ([p], [p])),   # not an id
+                 (([0.0], [0.0]), ([p], [p]))):
+        with pytest.raises(InvalidArgument):
+            h.product_batch(c, d)
+
+
+@pytest.mark.usefixtures("without_boundary_check")
+def test_product_batch_checks_the_junction_on_every_pair():
+    # a table that fails the axioms, with every group trivial: the junction
+    # 2 -> 1 of [[0]] [[2]] is not friendly, while both restrictions hold
+    P = ProjectionAlgebra(np.array([[0, 0, 2, 3], [3, 1, 3, 2],
+                                    [1, 1, 2, 1], [0, 2, 1, 3]]))
+    h = ChainSemigroupHandle(P)
+    assert h.trivial_at.all()
+    c, d = h.projection_chain(0), h.projection_chain(2)
+    message = "consecutive vertices 2, 1 are not friendly"
+    for product in (h.product, lambda c, d: _product_uncached(h, c, d)):
+        with pytest.raises(NotFriendly, match=message):
+            product(c, d)
+    # over all pairs, the error names the first bad junction, row-major
+    T = P.rows
+    p1, q1 = next((T[p][q], T[q][p]) for p in range(P.size)
+                  for q in range(P.size)
+                  if T[T[p][q]][T[q][p]] != T[p][q]
+                  or T[T[q][p]][T[p][q]] != T[q][p])
+    ids = np.arange(P.size)
+    with pytest.raises(NotFriendly, match=f"vertices {p1}, {q1} are not"):
+        h.product_batch((ids[:, None], ids[:, None]), (ids, ids))
+    with pytest.raises(NotFriendly, match=message):
+        h.product_batch(([0, 0], [0, 0]), ([0, 2], [0, 2]))
 
 
 @pytest.mark.parametrize("src", FLEET + ["tl:6", "brauer:5", "band:8"])
