@@ -28,15 +28,10 @@ q1 = p th_q (p = cod c, q = dom d) the product there is
 
     c d = (p1 Theta_{c*}, q1 Theta_d),
 
-read off the chain's two Theta rows: no walk is restricted or encoded.
-``product_batch`` reads whole arrays of such products at once.
-
-The handle memoizes walks and rows, not answers: expansions and
-one-sided restrictions, each at most |S|.|P| entries on a finite
-semigroup, and the two Theta rows of each chain in a trivial component,
-at most sum v^2 entries over those components (v vertices each), even
-when the semigroup is infinite.  Products, stars and idempotent chains
-are not memoized, since most callers read each of them once.
+where Theta_(x, y) is the same along every walk from x to y, so also up[x]
+then down[y] along the spanning tree (down[v] is Theta from its base to v,
+up[v] back).  The handle reads products there off these two |P| x |P|
+tables, one at a time or in arrays (``product_batch``), with no walk.
 
 Whenever a component group fails to classify as trivial, free, or finite,
 equality there is refused with UndecidedEquality rather than approximated.
@@ -58,7 +53,8 @@ from .chains import (
 )
 from .cosets import BUDGET
 from .errors import InvalidArgument, NotAMorphism, UndecidedEquality
-from .projections import _as_map, is_morphism, relations, require_algebra
+from .projections import _as_map, _gather, _narrow, is_morphism, \
+    relations, require_algebra
 from .semigroups import (
     CAP,
     cayley_semigroup,
@@ -150,16 +146,25 @@ class ChainSemigroupHandle:
             (int(p), int(q)) for p, q in np.argwhere(self.rel.friendly))
         self.complex = complex_KP_prime(P, self.rel)
         self.comps = components(self.complex)
+        theta = _narrow(P)
+        # down[v] is Theta along the tree from the base to v, up[v] from v
+        # back (at the base, its theta row); tree paths list parents first
+        self._down, self._up = down, up = theta.copy(), theta.copy()
         self.comp_of = [0] * P.size
-        for i, comp in enumerate(self.comps):
-            for v in comp:
-                self.comp_of[v] = i
         self.components = []
         for i, comp in enumerate(self.comps):
             simplified, cls = tietze_simplify(
                 pi1_presentation(self.complex, i), budget=budget)
-            self.components.append(
-                _Component(i, tuple(comp), simplified, cls))
+            self.components.append(_Component(i, tuple(comp), simplified, cls))
+            for v, path in simplified.tree_paths.items():
+                self.comp_of[v] = i
+                if len(path) > 1:
+                    down[v] = theta[v][down[path[-2]]]
+                    up[v] = up[path[-2]][theta[v]]
+        # Python int tuples for per-call reads; comp_of padded (see product)
+        self._rows, self._down_rows, self._up_rows = (
+            tuple(map(tuple, t.tolist())) for t in (theta, down, up))
+        self._comp_at = self.comp_of + [None] * P.size
         # per component, and per projection through its component
         self._trivial = [c.classification.kind == "trivial"
                          for c in self.components]
@@ -169,12 +174,6 @@ class ChainSemigroupHandle:
         # (chain, q) -> (comp, dom, cod, word) of the chain restricted to
         # end at q ("right") or to start at q ("left")
         self._restricted = {"right": {}, "left": {}}
-        # chain of a trivial component -> its rows (Theta_{c*}, Theta_c) as
-        # tuples; the same rows are kept for the batch in _stack[_slot[dom,
-        # cod]], one (2, |P|) entry per chain
-        self._theta_rows = {}
-        self._slot = np.full((P.size, P.size), -1, dtype=np.int32)
-        self._stack = np.empty((0, 2, P.size), dtype=np.min_scalar_type(P.size))
 
     # -- encoding ---------------------------------------------------------
 
@@ -232,12 +231,21 @@ class ChainSemigroupHandle:
         p, q = int(p), int(q)
         return self.normalize(Path(self.algebra, (p, q) if p != q else (p,)))
 
+    def _check_chain(self, c):
+        """InvalidArgument unless both ends of c lie in its component."""
+        x, y = self._projection(c.dom), self._projection(c.cod)
+        if not self.comp_of[x] == c.comp == self.comp_of[y]:
+            raise InvalidArgument(f"no chain {x} -> {y} in component "
+                                  f"{c.comp!r}")
+
     def expand(self, c):
         """A representative path: tree walk to dom, the word's loop, tree
-        walk back to cod, reduced and checked once.  Memoized per chain."""
+        walk back to cod, reduced and checked once.  Memoized per chain;
+        a chain whose ends do not lie in its component is refused."""
         hit = self._expand_cache.get(c)
         if hit is not None:
             return hit
+        self._check_chain(c)
         pres = self.components[c.comp].simplified
         out = Path(self.algebra, _reduce(pres.walk(c.dom, c.word, c.cod)))
         self._expand_cache[c] = out
@@ -268,28 +276,40 @@ class ChainSemigroupHandle:
         step p1 -> q1 is checked on every product.
 
         When c, d and p1 all lie in components with trivial groups, the
-        product is (p1 Theta_{c*}, q1 Theta_d), read off the memoized Theta
-        rows; no walk is built.  Otherwise the two restrictions are
+        product is (p1 Theta_{c*}, q1 Theta_d), read off the spanning-tree
+        tables; no walk is built.  Otherwise the two restrictions are
         memoized, already checked and freely reduced, and the words cancel
-        only where they meet.  The product itself is not memoized."""
-        T = self.algebra.rows
-        p = c.cod
-        q = d.dom
-        p1 = T[p][q]               # q theta_p
-        q1 = T[q][p]               # p theta_q
-        trivial = self._trivial
-        if trivial[c.comp] and trivial[d.comp]:
-            ci = self.comp_of[p1]
-            # p1 <= p and q1 <= q hold in a projection algebra; on a table
-            # let past the boundary check the restrictions below refuse
-            if trivial[ci] and T[p][p1] == p1 and T[q][q1] == q1:
-                if T[p1][q1] != p1 or T[q1][p1] != q1:
-                    raise _not_friendly(p1, q1)
-                rows = self._theta_rows
-                back = (rows.get(c) or self._theta_rows_of(c))[0]
-                fwd = (rows.get(d) or self._theta_rows_of(d))[1]
-                # ReducedChain(...) without its Python-level __new__
-                return tuple.__new__(ReducedChain, (ci, back[p1], fwd[q1], ()))
+        only where they meet.  The product itself is not memoized.  A chain
+        whose ends do not lie in its component is refused."""
+        ci, x, p, _ = c
+        cj, q, y, _ = d
+        at, T = self._comp_at, self._rows
+        try:
+            # a forged chain fails this test, bar an end below -|P| (at is
+            # 2|P| long): a |P|-row table below, or expand, refuses that
+            if not (at[x] == ci == at[p] and at[q] == cj == at[y]):
+                raise IndexError
+            Tp, Tq = T[p], T[q]
+            p1, q1 = Tp[q], Tq[p]      # q theta_p, p theta_q
+            trivial = self._trivial
+            if trivial[ci] and trivial[cj]:
+                ck = at[p1]
+                # p1 <= p and q1 <= q hold in a projection algebra; on a
+                # table let past the boundary check the walk path refuses
+                if trivial[ck] and Tp[p1] == p1 and Tq[q1] == q1:
+                    if T[p1][q1] != p1 or T[q1][p1] != q1:
+                        raise _not_friendly(p1, q1)
+                    # p1 Theta_{c*} and q1 Theta_d; [[p]] restricts to [[p1]]
+                    # on any table, the tables agree where the axioms hold
+                    down, up = self._down_rows, self._up_rows
+                    back = p1 if x == p else down[x][up[p][p1]]
+                    fwd = q1 if y == q else down[y][up[q][q1]]
+                    # ReducedChain(...) without its Python-level __new__
+                    return tuple.__new__(ReducedChain, (ck, back, fwd, ()))
+        except (IndexError, TypeError):
+            self._check_chain(c)       # refuses a forged chain
+            self._check_chain(d)
+            raise
         ci, dom, _, left = self._restriction(c, p1, "right")
         _, _, cod, right = self._restriction(d, q1, "left")
         if T[p1][q1] != p1 or T[q1][p1] != q1:
@@ -299,29 +319,12 @@ class ChainSemigroupHandle:
             left = _join(left, edge)
         return ReducedChain(ci, dom, cod, self._canonical(ci, _join(left, right)))
 
-    def _theta_rows_of(self, c):
-        """(Theta_{c*}, Theta_c) of a chain in a trivial component, folded
-        once along its checked expansion; kept as int tuples (which the
-        garbage collector stops tracking) and in _stack."""
-        verts = self.expand(c).verts
-        rows = self._fold(verts[::-1]), self._fold(verts)
-        k = len(self._theta_rows)
-        if k == len(self._stack):              # grow by doubling
-            grown = np.empty((max(2 * k, 16),) + self._stack.shape[1:],
-                             dtype=self._stack.dtype)
-            grown[:k] = self._stack
-            self._stack = grown
-        self._stack[k] = rows
-        self._slot[c.dom, c.cod] = k
-        out = self._theta_rows[c] = tuple(tuple(r.tolist()) for r in rows)
-        return out
-
     def product_batch(self, c, d):
         """The products of chains in trivial components, elementwise over
         endpoint arrays.  c and d are each a pair (dom, cod) of integer
         arrays; the two chains' arrays are broadcast together, as are the
         products, returned as the pair (dom, cod) of intp arrays that
-        :meth:`product` gives, read off the same Theta rows.
+        :meth:`product` gives, read off the same spanning-tree tables.
 
         The junction is checked on every pair: NotFriendly names the first
         bad one.  InvalidArgument is raised when an operand is not a chain
@@ -339,14 +342,10 @@ class ChainSemigroupHandle:
                 k = tuple(bad[0])
                 raise InvalidArgument(f"({dom[k]}, {cod[k]}) is not a chain "
                                       "of a trivial component")
-            new = self._slot[dom, cod] < 0
-            for x, y in set(zip(dom[new].tolist(), cod[new].tolist())):
-                self._theta_rows_of(ReducedChain(self.comp_of[x], x, y, ()))
-            ends.append((self._slot[dom, cod], dom, cod))
-        (kc, _, p), (kd, q, _) = ends
+            ends.append((dom.astype(np.intp), cod.astype(np.intp)))
+        (x, p), (q, y) = ends
         T = self.algebra.theta
-        p1 = T[p, q]
-        q1 = T[q, p]
+        p1, q1 = T[p, q], T[q, p]
         bad = np.argwhere((T[p1, q1] != p1) | (T[q1, p1] != q1))
         if len(bad):
             k = tuple(bad[0])
@@ -355,8 +354,9 @@ class ChainSemigroupHandle:
         if len(bad):
             raise InvalidArgument(f"the product at projection {p1[tuple(bad[0])]}"
                                   " lies outside the trivial components")
-        return (self._stack[kc, 0, p1].astype(np.intp),
-                self._stack[kd, 1, q1].astype(np.intp))
+        down, up = self._down, self._up
+        return (_gather(down, x, _gather(up, p, p1)).astype(np.intp),
+                _gather(down, y, _gather(up, q, q1)).astype(np.intp))
 
     def star(self, c):
         """Reversal: swap endpoints and invert the word.  Not memoized."""
@@ -366,12 +366,9 @@ class ChainSemigroupHandle:
     def theta_map(self, c):
         """The composite operation of the chain: row-fold of theta along a
         representative path, as an array mapping q -> q Theta_c."""
-        return self._fold(self.expand(c).verts)
-
-    def _fold(self, verts):
-        """q -> q th_{v_1} ... th_{v_k} as an array, for a walk v."""
         T = self.algebra.theta
-        return reduce(lambda m, p: T[p][m], verts, np.arange(self.algebra.size))
+        return reduce(lambda m, p: T[p][m], self.expand(c).verts,
+                      np.arange(self.algebra.size))
 
     # -- global structure --------------------------------------------------
 

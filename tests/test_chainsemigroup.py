@@ -233,8 +233,8 @@ def test_product_matches_uncached_reference(src):
 def test_product_builds_one_path_per_new_restriction(path_count):
     # both expansions are memoized, so a product checks one walk for each
     # one-sided restriction it has not met before and none for the others;
-    # where every group is trivial (kinyon, tl:4) it reads the Theta rows,
-    # folded from those expansions, and checks no walk at all
+    # where every group is trivial (kinyon, tl:4) it reads the spanning-tree
+    # tables and checks no walk at all
     for src in ("kinyon", "band:3", "tl:4"):
         h = ChainSemigroupHandle(bundle(src).algebra)   # empty caches
         trivial = all(comp.classification.kind == "trivial"
@@ -258,6 +258,17 @@ def test_product_builds_one_path_per_new_restriction(path_count):
                 keys |= new
         assert path_count[0] == (0 if trivial else len(keys))
         assert both_cached > 0
+    # so on a fresh handle there the first products too check no walk:
+    # a full product table builds no Path and expands no chain
+    for src in ("kinyon", "tl:4", "tl:6"):
+        h = ChainSemigroupHandle(bundle(src).algebra)   # empty caches
+        assert h.trivial_at.all()
+        pool = chain_pool(src)
+        path_count[0] = 0
+        for c in pool:
+            for d in pool:
+                h.product(c, d)
+        assert path_count[0] == 0 and not h._expand_cache
 
 
 def test_expand_builds_one_path(path_count):
@@ -282,17 +293,37 @@ def _dict_entries(x):
 
 
 def _trivial_chains(h):
-    """sum v^2 over the components with trivial groups: their chains."""
-    return sum(len(comp.vertices) ** 2 for comp in h.components
-               if comp.classification.kind == "trivial")
+    """The chains of the components with trivial groups, v^2 of them in a
+    component of v vertices."""
+    return [ReducedChain(comp.index, x, y, ()) for comp in h.components
+            if comp.classification.kind == "trivial"
+            for x in comp.vertices for y in comp.vertices]
+
+
+def _assert_two_tables(h, arrays):
+    """The handle holds the arrays it was built with and no per-chain rows:
+    its only (|P|, |P|) arrays are the two spanning-tree tables, its row
+    tuples are theirs and theta's, and no list has more than 2 |P|
+    entries."""
+    n = h.algebra.size
+    now = {k: v for k, v in vars(h).items() if isinstance(v, np.ndarray)}
+    assert now.keys() == arrays.keys()
+    assert all(now[k] is arrays[k] for k in now)
+    assert sorted(k for k, v in now.items() if v.shape == (n, n)) == [
+        "_down", "_up"]
+    assert max(v.size for v in now.values()) == n * n
+    assert (h._rows, h._down_rows, h._up_rows) == tuple(
+        tuple(map(tuple, t.tolist())) for t in (h.algebra.theta, h._down, h._up))
+    assert all(len(v) <= 2 * n for v in vars(h).values()
+               if isinstance(v, list))
 
 
 def test_handle_memos_stay_bounded_by_walks_not_products():
     # the handle keeps expansions and restrictions per side, none of them
-    # more than |S| |P| entries, and Theta rows for no more than the chains
-    # of the trivial components, however many products and stars it has
-    # answered
+    # more than |S| |P| entries, and two |P| x |P| tables, however many
+    # products and stars it has answered
     h = ChainSemigroupHandle(bundle("tl:6").algebra)   # empty caches
+    arrays = {k: v for k, v in vars(h).items() if isinstance(v, np.ndarray)}
     elements = h.enumerate()
     for c in elements:
         for d in elements:
@@ -303,20 +334,62 @@ def test_handle_memos_stay_bounded_by_walks_not_products():
     assert (s, p, e) == (132, 20, 96)
     held = sum(_dict_entries(v) for v in vars(h).values())
     assert held <= 2 * s * p + s + p + 2 < 132 ** 2
-    assert len(h._theta_rows) <= _trivial_chains(h) == s
+    assert len(_trivial_chains(h)) == s
+    _assert_two_tables(h, arrays)
 
 
 def test_theta_row_memo_stays_bounded_on_an_infinite_semigroup():
     # motzkin:4 has a free component: a stream of products grows its
-    # words, but rows are kept only for chains of the trivial components
+    # words, while the trivial components are read off the two tables
+    # built with the handle, and no rows are kept per chain
     h = ChainSemigroupHandle(bundle("motzkin:4").algebra)   # empty caches
+    arrays = {k: v for k, v in vars(h).items() if isinstance(v, np.ndarray)}
     rng = random.Random(11)
     seen = [h.projection_chain(p) for p in range(h.algebra.size)]
     for _ in range(3000):
         seen.append(h.product(rng.choice(seen), rng.choice(seen)))
     assert any(c.word for c in seen)
-    assert 0 < len(h._theta_rows) <= _trivial_chains(h) == 125
-    assert all(h.trivial_at[c.dom] and not c.word for c in h._theta_rows)
+    assert any(h.trivial_at[c.dom] and c.dom != c.cod for c in seen)
+    assert len(_trivial_chains(h)) == 125
+    _assert_two_tables(h, arrays)
+
+
+@pytest.mark.parametrize("src", [
+    "kinyon", "tl:2", "tl:3", "tl:4", "tl:5", "tl:6", "tl:7", "motzkin:3",
+    "motzkin:4", "partition:3", "brauer:4",
+])
+def test_spanning_tree_tables_match_the_theta_fold(src):
+    # Theta_(x, y) = down[y][up[x]] for every chain of a trivial component,
+    # against the fold of theta along the chain's own expansion
+    h = ChainSemigroupHandle(parse_source(src, allow_large=True).algebra)
+    chains = _trivial_chains(h)
+    assert chains
+    for c in chains:
+        got = h._down[c.cod][h._up[c.dom]]
+        assert got.tolist() == h.theta_map(c).tolist()
+
+
+def test_product_refuses_chains_whose_ends_leave_their_component():
+    # on motzkin:4 projection 1 lies in the free component 1 and 0 in the
+    # trivial component 0: none of these chains may be read off the tables
+    # (or walked), on either side of a product, nor expanded.  The last
+    # three have ends -1, -|P| - 1 and -2 |P|, which the product's
+    # component lookup reads as None, comp_of[|P| - 1] and comp_of[0]
+    h = ChainSemigroupHandle(bundle("motzkin:4").algebra)   # empty caches
+    assert h.comp_of[:2] == [0, 1] and h._trivial[0] and not h._trivial[1]
+    n = h.algebra.size
+    good = [h.projection_chain(p) for p in (0, 1)]
+    for forged in (ReducedChain(0, 1, 1, ()), ReducedChain(0, 0, 1, ()),
+                   ReducedChain(0, 999, 999, ()), ReducedChain(0, -1, -1, ()),
+                   ReducedChain(None, -1, -1, ()),
+                   ReducedChain(h.comp_of[n - 1], -n - 1, -n - 1, ()),
+                   ReducedChain(0, -2 * n, 0, ())):
+        for c in good:
+            for pair in ((forged, c), (c, forged)):
+                with pytest.raises(InvalidArgument):
+                    h.product(*pair)
+        with pytest.raises(InvalidArgument):
+            h.expand(forged)
 
 
 def _ends(chains):
@@ -329,8 +402,8 @@ def _ends(chains):
     "kinyon", "motzkin:3", "tl:2", "tl:3", "tl:4", "tl:5", "tl:6", "tl:7",
 ])
 def test_product_batch_matches_product_on_every_pair(src):
-    # the batch runs on a handle with empty memos, so it folds its own
-    # rows; the per-call products come from the handle that enumerated
+    # the batch runs on a handle with empty memos, reading only the tables
+    # it built; the per-call products come from the handle that enumerated
     P = parse_source(src, allow_large=True).algebra
     ref = ChainSemigroupHandle(P)
     elems = ref.enumerate()
