@@ -7,8 +7,8 @@ is an index table on exactly the pairs they join either way, and the star
 map swaps coordinates.  Every product is cross-checked against the chain
 semigroup, which is the ground truth: where both factors and the product
 lie in components with trivial groups the check reads the handle's
-batched product in row chunks, elsewhere it multiplies one pair at a
-time.
+batched product in ``_chunks`` slices, elsewhere it multiplies one pair
+at a time.
 
 Sandwich sets S(e, f) come from one scan over keys (e, f), two side
 tables (batched in the same way) and then e g f = e f on their
@@ -24,7 +24,8 @@ import numpy as np
 from .chains import _is_id
 from .chainsemigroup import ChainSemigroupHandle, ReducedChain
 from .errors import InvalidArgument, PgsemiError
-from .projections import ProjectionAlgebra, require_algebra
+from .projections import ProjectionAlgebra, _chunks, _gather, \
+    require_algebra
 from .semigroups import projection_algebra_of
 
 __all__ = [
@@ -122,8 +123,10 @@ def boset_of(P, handle=None):
     Arrows: [[p,q]] <- [[r,s]] iff q <= s and [[p,q]] -> [[r,s]] iff p <= r.
     On a basic pair the product is the absorbed factor where an arrow
     forces it, and otherwise the closed form [[r th_q th_p, q th_r th_s]].
-    Every entry is cross-checked against the chain-semigroup product; a
-    closed form that is not an element fails that check.
+    Every entry is cross-checked against the chain-semigroup product, by
+    one call of :func:`_products_match` over all basic pairs; a closed
+    form that is not an element fails that check, and the first pair that
+    fails, row-major, is named.
     """
     if handle is None:
         handle = ChainSemigroupHandle(P)
@@ -141,40 +144,39 @@ def boset_of(P, handle=None):
     i, j = np.nonzero(basic & (table < 0))
     table[i, j] = at[T[ps[i], T[qs[i], ps[j]]], T[qs[j], T[ps[j], qs[i]]]]
     chains = [handle.idempotent_chain(p, q) for (p, q) in elements]
-    step = max(1, 2 ** 20 // max(1, len(elements)))
-    for lo in range(0, len(elements), step):       # tl:9 has 829,072 pairs
-        i, j = np.nonzero(basic[lo:lo + step])
-        i += lo
-        match = _products_match(handle, chains, i, j, table[i, j])
-        if not match.all():
-            i, j = int(i[~match][0]), int(j[~match][0])
-            got = handle.product(chains[i], chains[j])
-            (p, q), (r, s) = elements[i], elements[j]
-            raise PgsemiError(
-                f"basic product [[{p},{q}]][[{r},{s}]] disagrees "
-                f"with the chain product {got!r}")
+    i, j = np.nonzero(basic)                       # tl:9 has 829,072 pairs
+    match = _products_match(handle, chains, i, j, table[i, j])
+    if not match.all():
+        k = np.flatnonzero(~match)[0]
+        got = handle.product(chains[i[k]], chains[j[k]])
+        (p, q), (r, s) = elements[i[k]], elements[j[k]]
+        raise PgsemiError(f"basic product [[{p},{q}]][[{r},{s}]] disagrees "
+                          f"with the chain product {got!r}")
     return Boset(P, handle, elements, left, right, table, at[qs, ps])
 
 
 def _products_match(handle, chains, i, j, k, product=None):
-    """chains[i] chains[j] == chains[k] over broadcast index arrays, as a
-    boolean array; an index k < 0 matches nothing.  Where both factors and
-    the product lie in trivial components the products are read off
-    ``handle.product_batch``; the others are taken one at a time by
-    ``product`` (default ``handle.product``)."""
+    """chains[i] chains[j] == chains[k] over broadcast index arrays (at
+    least 1-D), as a boolean array; an index k < 0 matches nothing.  The
+    pairs are taken in ``_chunks`` slices along the first axis.  Where both
+    factors and the product lie in trivial components the products are
+    read off ``handle.product_batch``; the others are taken one at a time
+    by ``product`` (default ``handle.product``)."""
     i, j, k = np.broadcast_arrays(i, j, k)
     dom = np.array([c.dom for c in chains], dtype=np.intp)
     cod = np.array([c.cod for c in chains], dtype=np.intp)
-    trivial = handle.trivial_at
-    fast = (trivial[dom[i]] & trivial[dom[j]]
-            & trivial[handle.algebra.theta[cod[i], dom[j]]])
-    out = np.zeros(i.shape, dtype=bool)
-    a, b, w = i[fast], j[fast], k[fast]
-    pd, pc = handle.product_batch((dom[a], cod[a]), (dom[b], cod[b]))
-    out[fast] = (w >= 0) & (pd == dom[w]) & (pc == cod[w])
+    trivial, T = handle.trivial_at, handle.algebra.theta
     product = product or handle.product
-    for n in zip(*np.nonzero(~fast)):
-        out[n] = k[n] >= 0 and product(chains[i[n]], chains[j[n]]) == chains[k[n]]
+    out = np.zeros(i.shape, dtype=bool)
+    for lo, hi in _chunks(len(i), i[:1].size):
+        x, y, z, o = i[lo:hi], j[lo:hi], k[lo:hi], out[lo:hi]
+        fast = (trivial[dom[x]] & trivial[dom[y]]
+                & np.take(trivial, _gather(T, cod[x], dom[y])))
+        a, b, w = x[fast], y[fast], z[fast]
+        pd, pc = handle.product_batch((dom[a], cod[a]), (dom[b], cod[b]))
+        o[fast] = (w >= 0) & (pd == dom[w]) & (pc == cod[w])
+        for n in zip(*np.nonzero(~fast)):
+            o[n] = z[n] >= 0 and product(chains[x[n]], chains[y[n]]) == chains[z[n]]
     return out
 
 

@@ -162,14 +162,15 @@ class ChainSemigroupHandle:
                     down[v] = theta[v][down[path[-2]]]
                     up[v] = up[path[-2]][theta[v]]
         # Python int tuples for per-call reads; comp_of padded (see product)
-        self._rows, self._down_rows, self._up_rows = (
-            tuple(map(tuple, t.tolist())) for t in (theta, down, up))
+        self._rows = P.rows
+        self._down_rows, self._up_rows = (
+            tuple(map(tuple, t.tolist())) for t in (down, up))
         self._comp_at = self.comp_of + [None] * P.size
         # per component, and per projection through its component
         self._trivial = [c.classification.kind == "trivial"
                          for c in self.components]
-        self.trivial_at = np.array(self._trivial, dtype=bool)[
-            np.array(self.comp_of, dtype=np.intp)]
+        self._comp = np.array(self.comp_of, dtype=np.intp)
+        self.trivial_at = np.array(self._trivial, dtype=bool)[self._comp]
         self._expand_cache = {}
         # (chain, q) -> (comp, dom, cod, word) of the chain restricted to
         # end at q ("right") or to start at q ("left")
@@ -322,44 +323,43 @@ class ChainSemigroupHandle:
     def product_batch(self, c, d):
         """The products of chains in trivial components, elementwise over
         endpoint arrays.  c and d are each a pair (dom, cod) of integer
-        arrays; the two chains' arrays are broadcast together, as are the
+        arrays, validated as given, then broadcast together; so are the
         products, returned as the pair (dom, cod) of intp arrays that
-        :meth:`product` gives, read off the same spanning-tree tables.
+        :meth:`product` gives.  Every table is read by ``_gather``.
 
         The junction is checked on every pair: NotFriendly names the first
-        bad one.  InvalidArgument is raised when an operand is not a chain
-        of a trivial component, or a product lies outside them."""
-        n = self.algebra.size
-        comp = np.array(self.comp_of, dtype=np.intp)
+        bad one, row-major.  InvalidArgument is raised when an operand is
+        not a chain of a trivial component, or a product lies outside them."""
+        n, comp, trivial = self.algebra.size, self._comp, self.trivial_at
         ends = []
         for chain in (c, d):
             dom, cod = np.broadcast_arrays(*map(np.asarray, chain))
             if not (dom.dtype.kind in "iu" and cod.dtype.kind in "iu"
                     and ((0 <= dom) & (dom < n) & (0 <= cod) & (cod < n)).all()):
                 raise InvalidArgument("endpoints must be projection ids")
-            bad = np.argwhere(~self.trivial_at[dom] | (comp[dom] != comp[cod]))
-            if len(bad):
-                k = tuple(bad[0])
-                raise InvalidArgument(f"({dom[k]}, {cod[k]}) is not a chain "
-                                      "of a trivial component")
+            bad = ~trivial[dom] | (comp[dom] != comp[cod])
+            if bad.any():          # a mask reads its first True row-major
+                raise InvalidArgument(f"({dom[bad][0]}, {cod[bad][0]}) is not "
+                                      "a chain of a trivial component")
             ends.append((dom.astype(np.intp), cod.astype(np.intp)))
         (x, p), (q, y) = ends
         T = self.algebra.theta
-        p1, q1 = T[p, q], T[q, p]
-        bad = np.argwhere((T[p1, q1] != p1) | (T[q1, p1] != q1))
-        if len(bad):
-            k = tuple(bad[0])
-            raise _not_friendly(int(p1[k]), int(q1[k]))
-        bad = np.argwhere(~self.trivial_at[p1])
-        if len(bad):
-            raise InvalidArgument(f"the product at projection {p1[tuple(bad[0])]}"
-                                  " lies outside the trivial components")
+        p1, q1 = _gather(T, p, q), _gather(T, q, p)
+        bad = (_gather(T, p1, q1) != p1) | (_gather(T, q1, p1) != q1)
+        if bad.any():
+            raise _not_friendly(int(p1[bad][0]), int(q1[bad][0]))
+        bad = ~np.take(trivial, p1)
+        if bad.any():
+            raise InvalidArgument(f"the product at projection {p1[bad][0]} "
+                                  "lies outside the trivial components")
         down, up = self._down, self._up
         return (_gather(down, x, _gather(up, p, p1)).astype(np.intp),
                 _gather(down, y, _gather(up, q, q1)).astype(np.intp))
 
     def star(self, c):
-        """Reversal: swap endpoints and invert the word.  Not memoized."""
+        """Reversal: swap endpoints and invert the word.  Not memoized; a
+        chain whose ends do not lie in its component is refused."""
+        self._check_chain(c)
         inv = tuple(-l for l in reversed(c.word))
         return ReducedChain(c.comp, c.cod, c.dom, self._canonical(c.comp, inv))
 
@@ -487,8 +487,6 @@ class StarMorphism:
                 f"{LinkedPair(P, int(p[k]), int(e[k]), int(f[k]))!r}"
             )
 
-    def _eval_verts(self, verts):
-        return self.S.product_of(int(self.phi[v]) for v in verts)
-
     def __call__(self, chain):
-        return self._eval_verts(self.handle.expand(chain).verts)
+        return self.S.product_of(
+            int(self.phi[v]) for v in self.handle.expand(chain).verts)

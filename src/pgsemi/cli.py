@@ -28,8 +28,8 @@ from .errors import BudgetExceeded, CapExceeded, PgsemiError, \
     UndecidedEquality
 from .presentations import presentation_RE, presentation_RE2, \
     presentation_RP, tl_presentation, verify_presentation
-from .projections import check_derived_laws, relations, require_algebra, \
-    validate_axioms
+from .projections import _chunks, _gather, check_derived_laws, relations, \
+    require_algebra, validate_axioms
 from .semigroups import CAP, subsemigroup_closure
 from .serialize import algebra_to_dict, chain_to_dict, complex_to_dict, \
     complex_to_dot, dumps, presentation_to_dict
@@ -341,20 +341,20 @@ def _verify_tl(args, suite):
     suite.check(len(set(images.tolist())) == len(images) == expected,
                 "identity extension is a bijection")
     # with every group trivial a chain is its (dom, cod): every product is
-    # read off the batch in row chunks and compared with one S.mult gather
-    # (a nontrivial group has failed above, and the batch refuses it)
+    # read off the batch in _chunks slices of rows and compared with one
+    # S.mult gather (a nontrivial group has failed above, and the batch
+    # refuses it)
     trivial = handle.trivial_at.all()
     n = bundle.algebra.size
     dom = np.array([c.dom for c in elems], dtype=np.intp)
     cod = np.array([c.cod for c in elems], dtype=np.intp)
     image_at = np.full((n, n), -1, dtype=np.intp)
     image_at[dom, cod] = images
-    step = max(1, 2 ** 18 // max(1, len(elems)))
     ok_prod = trivial and all(
-        (image_at[handle.product_batch(
-            (dom[i:i + step, None], cod[i:i + step, None]), (dom, cod))]
-         == S.mult[np.ix_(images[i:i + step], images)]).all()
-        for i in range(0, len(elems), step))
+        (_gather(image_at, *handle.product_batch(
+            (dom[lo:hi, None], cod[lo:hi, None]), (dom, cod)))
+         == _gather(S.mult, images[lo:hi, None], images)).all()
+        for lo, hi in _chunks(len(elems), len(elems)))
     stars = [image_at[s.dom, s.cod] for s in map(handle.star, elems)]
     ok_star = trivial and (stars == S.star[images]).all()
     suite.check(ok_prod, "products preserved on all pairs")

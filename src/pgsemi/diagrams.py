@@ -71,13 +71,6 @@ class PartitionDiagram:
             parts.append("{" + ",".join(names) + "}")
         return "".join(parts)
 
-    def signed_blocks(self):
-        """Blocks with upper point i as +i and lower i' as -i (1-based)."""
-        out = []
-        for b in self.blocks:
-            out.append([x + 1 if x < self.n else -(x - self.n + 1) for x in b])
-        return out
-
     def multiply(self, other):
         """Stack self over other and trace through the middle row."""
         if not isinstance(other, PartitionDiagram):

@@ -43,8 +43,8 @@ __all__ = [
 # produce an O(n^3) report; the count field keeps the total honest.
 MAX_WITNESSES = 20
 
-# Cells per chunk of every check with three free indices, so that memory
-# stays bounded (about 4 MB per intp array) however large the table.
+# Cells per chunk of every batched check and product: about 4 MB per intp
+# array however large the table.  Chain-law reports are made per chunk.
 CHUNK_CELLS = 500_000
 
 

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+import pgsemi.projections as projections
 from pgsemi.boset import (
     _is_projection,
     _sandwich_elements,
@@ -17,6 +18,7 @@ from pgsemi.boset import (
     sandwich_set,
 )
 from pgsemi.chainsemigroup import ChainSemigroupHandle, star_semigroup_of
+from pgsemi.cli import main
 from pgsemi.errors import InvalidArgument, PgsemiError, UndecidedEquality
 from pgsemi.projections import ProjectionAlgebra
 from pgsemi.semigroups import projection_algebra_of
@@ -618,10 +620,10 @@ def test_a_closed_form_off_the_elements_is_not_read_as_index_minus_one(
         boset_of(ProjectionAlgebra(T), h)
 
 
-def test_a_closed_form_off_the_elements_is_not_read_as_index_minus_one_in_the_batch(
-        monkeypatch):
-    # the same pairs, with the batched product (kinyon's groups are all
-    # trivial) answering the last element there: the build still refuses
+def _build_with_a_lying_batch(monkeypatch):
+    """The error of boset_of on kinyon with theta[0, 2] = 3 when the
+    batched product answers the last element on the pairs whose closed
+    form is off the elements (kinyon's groups are all trivial)."""
     h = ChainSemigroupHandle(bundle("kinyon").algebra)
     assert h.trivial_at.all()
     b = boset_of(h.algebra, h)
@@ -645,5 +647,42 @@ def test_a_closed_form_off_the_elements_is_not_read_as_index_minus_one_in_the_ba
         return dom, cod
 
     monkeypatch.setattr(h, "product_batch", lying)
-    with pytest.raises(PgsemiError, match="disagrees with the chain"):
+    with pytest.raises(PgsemiError, match="disagrees with the chain") as err:
         boset_of(ProjectionAlgebra(T), h)
+    return str(err.value)
+
+
+def test_a_closed_form_off_the_elements_is_not_read_as_index_minus_one_in_the_batch(
+        monkeypatch):
+    # the same pairs, with the batched product answering the last element
+    # there: the build still refuses
+    _build_with_a_lying_batch(monkeypatch)
+
+
+@pytest.mark.parametrize("src", ["kinyon", "tl:5", "motzkin:3", "motzkin:4"])
+def test_chunk_seams_change_no_boset(monkeypatch, src):
+    # with 7 cells per chunk the batched checks meet a slice seam every few
+    # pairs: the tables are those of the default slices, and the roundtrip
+    # is exact (motzkin:4 also takes its free component pair by pair)
+    P = bundle(src).algebra
+    whole = boset_of(P, ChainSemigroupHandle(P))
+    monkeypatch.setattr(projections, "CHUNK_CELLS", 7)
+    b = boset_of(P, ChainSemigroupHandle(P))
+    assert b.elements == whole.elements
+    for name in ("left", "right", "table", "star"):
+        assert np.array_equal(getattr(b, name), getattr(whole, name))
+    assert projection_algebra_of_boset(b) == P
+
+
+def test_chunk_seams_change_no_verify_tl_output(monkeypatch, capsys):
+    assert main(["verify", "tl", "--n", "5"]) == 0
+    whole = capsys.readouterr().out
+    monkeypatch.setattr(projections, "CHUNK_CELLS", 7)
+    assert main(["verify", "tl", "--n", "5"]) == 0
+    assert capsys.readouterr().out == whole
+
+
+def test_chunk_seams_name_the_same_lying_pair(monkeypatch):
+    whole = _build_with_a_lying_batch(monkeypatch)
+    monkeypatch.setattr(projections, "CHUNK_CELLS", 7)
+    assert _build_with_a_lying_batch(monkeypatch) == whole

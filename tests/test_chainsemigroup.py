@@ -38,7 +38,12 @@ from pgsemi.errors import (
     PgsemiError,
     UndecidedEquality,
 )
-from pgsemi.projections import ProjectionAlgebra, relations, validate_axioms
+from pgsemi.projections import (
+    ProjectionAlgebra,
+    is_morphism,
+    relations,
+    validate_axioms,
+)
 from pgsemi.semigroups import (
     StarSemigroup,
     projection_algebra_of,
@@ -303,8 +308,8 @@ def _trivial_chains(h):
 def _assert_two_tables(h, arrays):
     """The handle holds the arrays it was built with and no per-chain rows:
     its only (|P|, |P|) arrays are the two spanning-tree tables, its row
-    tuples are theirs and theta's, and no list has more than 2 |P|
-    entries."""
+    tuples are theirs and the algebra's own theta rows (not a copy), and
+    no list has more than 2 |P| entries."""
     n = h.algebra.size
     now = {k: v for k, v in vars(h).items() if isinstance(v, np.ndarray)}
     assert now.keys() == arrays.keys()
@@ -312,8 +317,9 @@ def _assert_two_tables(h, arrays):
     assert sorted(k for k, v in now.items() if v.shape == (n, n)) == [
         "_down", "_up"]
     assert max(v.size for v in now.values()) == n * n
-    assert (h._rows, h._down_rows, h._up_rows) == tuple(
-        tuple(map(tuple, t.tolist())) for t in (h.algebra.theta, h._down, h._up))
+    assert h._rows is h.algebra.rows
+    assert (h._down_rows, h._up_rows) == tuple(
+        tuple(map(tuple, t.tolist())) for t in (h._down, h._up))
     assert all(len(v) <= 2 * n for v in vars(h).values()
                if isinstance(v, list))
 
@@ -372,9 +378,10 @@ def test_spanning_tree_tables_match_the_theta_fold(src):
 def test_product_refuses_chains_whose_ends_leave_their_component():
     # on motzkin:4 projection 1 lies in the free component 1 and 0 in the
     # trivial component 0: none of these chains may be read off the tables
-    # (or walked), on either side of a product, nor expanded.  The last
-    # three have ends -1, -|P| - 1 and -2 |P|, which the product's
-    # component lookup reads as None, comp_of[|P| - 1] and comp_of[0]
+    # (or walked), on either side of a product, nor expanded, nor starred.
+    # The last three have ends -1, -|P| - 1 and -2 |P|, which the
+    # product's component lookup reads as None, comp_of[|P| - 1] and
+    # comp_of[0]
     h = ChainSemigroupHandle(bundle("motzkin:4").algebra)   # empty caches
     assert h.comp_of[:2] == [0, 1] and h._trivial[0] and not h._trivial[1]
     n = h.algebra.size
@@ -390,6 +397,8 @@ def test_product_refuses_chains_whose_ends_leave_their_component():
                     h.product(*pair)
         with pytest.raises(InvalidArgument):
             h.expand(forged)
+        with pytest.raises(InvalidArgument):
+            h.star(forged)
 
 
 def _ends(chains):
@@ -903,6 +912,23 @@ def test_star_semigroup_of_validates(src):
         assert S.star_of(idx[c]) == idx[h.star(c)]
         for d in elems:
             assert S.product(idx[c], idx[d]) == idx[h.product(c, d)]
+
+
+@pytest.mark.parametrize("src", [
+    "kinyon", "tl:2", "tl:3", "tl:4", "tl:5", "motzkin:3", "partition:2"])
+def test_star_semigroup_of_is_a_coreflection(src):
+    # P(PG(P)) = P: the projections of the gathered semigroup are the
+    # chains [[p]], and p |-> [[p]] is an isomorphism of projection algebras
+    h = handle(src)
+    P = h.algebra
+    T, elems = star_semigroup_of(h)
+    assert validate_star_semigroup(T) == []
+    assert elems == h.enumerate()
+    Q, embed = projection_algebra_of(T)
+    assert all(elems[e] == h.projection_chain(elems[e].dom) for e in embed)
+    perm = [elems[e].dom for e in embed]
+    assert sorted(perm) == list(range(P.size)) and Q.size == P.size
+    assert is_morphism(Q, P, perm)
 
 
 def test_maximal_subgroup_honours_the_budget():

@@ -256,4 +256,3 @@ def test_degree_mismatch_on_multiply():
 def test_labels_use_primed_lower_points():
     e = identity_diagram(2)
     assert e.label() == "{1,1'}{2,2'}"
-    assert e.signed_blocks() == [[1, -1], [2, -2]]
