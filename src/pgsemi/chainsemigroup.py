@@ -166,6 +166,7 @@ class ChainSemigroupHandle:
         self._down_rows, self._up_rows = (
             tuple(map(tuple, t.tolist())) for t in (down, up))
         self._comp_at = self.comp_of + [None] * P.size
+        self._n = P.size                # the projection count
         # per component, and per projection through its component
         self._trivial = [c.classification.kind == "trivial"
                          for c in self.components]
@@ -217,7 +218,9 @@ class ChainSemigroupHandle:
     def _projection(self, p):
         """p as an int; raises InvalidArgument unless it names a
         projection."""
-        if not (_is_id(p) and 0 <= p < self.algebra.size):
+        if type(p) is int and 0 <= p < self._n:
+            return p
+        if not (_is_id(p) and 0 <= p < self._n):
             raise InvalidArgument(f"no projection {p}")
         return int(p)
 

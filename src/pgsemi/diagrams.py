@@ -1,14 +1,15 @@
 """Partition diagrams and the diagram monoids P_n, B_n, PB_n, TL_n, M_n.
 
 A diagram of degree n is a set partition of the 2n points {1..n} u {1'..n'},
-encoded on 0..2n-1 with point i-1 for i and n+i-1 for i'.  Blocks are sorted
-tuples, the block list sorted by minimum, so equality and hashing are plain
-structural comparisons.
+encoded on 0..2n-1 with point i-1 for i and n+i-1 for i'.  It is stored as
+``block_of``, the tuple of each point's block number, with the blocks numbered
+in order of their least points; that tuple is canonical, so equality and
+hashing compare it.  Only the public constructor checks its input.
 
 Composition a*b stacks a over b, identifies a's primed row with b's unprimed
-row, traces connections through the middle (union-find on 3n points), and
-reads off the blocks on the outer 2n points.  The involution is the vertical
-reflection (swap primed/unprimed).
+row, merges the blocks that meet there (union-find on at most 4n block
+numbers over the n middle points), and relabels the 2n outer points.  The
+involution is the vertical reflection, which swaps the halves of the tuple.
 
 Each family is built by ``generate_monoid`` from its standard generators
 (East, "Generators and relations for partition monoids and algebras", J.
@@ -16,6 +17,7 @@ Algebra 2011), with the elements sorted by blocks.
 """
 
 import itertools
+from numbers import Integral
 
 from .errors import DegreeMismatch, InfeasibleDegree, InvalidArgument
 from .semigroups import CAP, cayley_semigroup, right_cayley_closure
@@ -33,29 +35,43 @@ __all__ = [
 ]
 
 
-def _canonical(blocks):
-    bs = sorted(tuple(sorted(b)) for b in blocks)
-    return tuple(bs)
+def _is_int(x):
+    return isinstance(x, Integral) and not isinstance(x, bool)
 
 
 class PartitionDiagram:
-    __slots__ = ("n", "blocks", "_hash")
+    __slots__ = ("n", "block_of", "_hash")
 
     def __init__(self, n, blocks):
-        self.n = int(n)
-        bs = _canonical(blocks)
-        seen = [x for b in bs for x in b]
-        if sorted(seen) != list(range(2 * self.n)):
-            raise ValueError(
-                f"blocks must partition 0..{2 * self.n - 1}, got {bs!r}"
-            )
-        self.blocks = bs
-        self._hash = hash((self.n, bs))
+        """Checks that blocks, non-empty and of integers, partition 0..2n-1."""
+        blocks = [list(b) for b in blocks]
+        points = [(x, k) for k, b in enumerate(blocks) for x in b]
+        if not (_is_int(n) and n >= 0 and all(blocks)
+                and all(_is_int(x) for x, _ in points)
+                and sorted(x for x, _ in points) == list(range(2 * n))):
+            raise InvalidArgument(
+                f"blocks {blocks!r} do not partition 0..2n-1 for n = {n!r}")
+        self._relabel(int(n), [k for _, k in sorted(points)])
+
+    def _relabel(self, n, labels):
+        """Unchecked: point x in block labels[x], renumbered by least point."""
+        self.n, new = n, {}
+        self.block_of = tuple([new.setdefault(k, len(new)) for k in labels])
+        self._hash = hash(self.block_of)
+        return self
+
+    @property
+    def blocks(self):
+        """The blocks as sorted tuples, ordered by least point."""
+        bs = {}
+        for x, k in enumerate(self.block_of):
+            bs.setdefault(k, []).append(x)
+        return tuple(map(tuple, bs.values()))
 
     def __eq__(self, other):
         if not isinstance(other, PartitionDiagram):
             return NotImplemented
-        return self.n == other.n and self.blocks == other.blocks
+        return self.block_of == other.block_of
 
     def __hash__(self):
         return self._hash
@@ -72,49 +88,33 @@ class PartitionDiagram:
         return "".join(parts)
 
     def multiply(self, other):
-        """Stack self over other and trace through the middle row."""
+        """Stack self over other; blocks meeting at a middle point merge."""
         if not isinstance(other, PartitionDiagram):
             raise TypeError("can only multiply diagrams")
         if self.n != other.n:
             raise DegreeMismatch(f"degrees {self.n} and {other.n} differ")
-        n = self.n
-        parent = list(range(3 * n))
+        n, a, b = self.n, self.block_of, other.block_of
+        # self's block k is node k, other's is node 2n + k; a root is the
+        # least node of its set, so one ascending pass resolves every node
+        root = list(range(4 * n))
+        for x, y in zip(a[n:], b[:n]):
+            y += 2 * n
+            while root[x] != x:
+                x = root[x]
+            while root[y] != y:
+                y = root[y]
+            root[max(x, y)] = min(x, y)
+        for k in range(4 * n):
+            root[k] = root[root[k]]
+        ids = [root[k] for k in a[:n]] + [root[2 * n + k] for k in b[n:]]
+        return object.__new__(PartitionDiagram)._relabel(n, ids)
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[ry] = rx
-
-        # nodes: 0..n-1 outer top, n..2n-1 middle, 2n..3n-1 outer bottom.
-        # self maps onto nodes x, other onto nodes x + n.
-        for b in self.blocks:
-            for x in b[1:]:
-                union(b[0], x)
-        for b in other.blocks:
-            for x in b[1:]:
-                union(b[0] + n, x + n)
-        groups = {}
-        for i in range(n):
-            groups.setdefault(find(i), []).append(i)
-        for j in range(n):
-            groups.setdefault(find(2 * n + j), []).append(n + j)
-        return PartitionDiagram(n, groups.values())
-
-    def __mul__(self, other):
-        return self.multiply(other)
+    __mul__ = multiply
 
     def star(self):
         """Vertical reflection: swap the primed and unprimed rows."""
-        n = self.n
-        return PartitionDiagram(
-            n, [[x + n if x < n else x - n for x in b] for b in self.blocks]
-        )
+        n, b = self.n, self.block_of
+        return object.__new__(PartitionDiagram)._relabel(n, b[n:] + b[:n])
 
     def _positions(self):
         # boundary cycle 1, ..., n, n', ..., 1': upper i at i, lower i' at 2n-1-i

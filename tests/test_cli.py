@@ -182,6 +182,17 @@ STDOUT_DIGESTS = {
     # 37,949 lines on a component with a free group
     ("presentations", "--source", "motzkin:4", "--family", "RE2"):
         "2d0f7d226fdd70fe8d4785609b9fec19097e32a89777625de746c3a1a969e8a6",
+    # every projection's diagram label, in element order: one per family
+    ("build", "--source", "partition:4"):
+        "60652af2942c74963ecef01f5cf3a193a7ea24aff4b878c56f1d00ab8e805d91",
+    ("build", "--source", "partial_brauer:4"):
+        "a96c6340c473e68ec2c35631f49781a424a45681944e16cdf8db21618dc60aab",
+    ("build", "--source", "motzkin:4"):
+        "9574df1d9c9ba0080a52379b2b6698fcfa21e84c5e678a545b80dd80f6696e48",
+    ("build", "--source", "brauer:5"):
+        "f649788515e00c0790917e8c05c4e7805896525c333de68363db3965a392faf5",
+    ("build", "--source", "tl:6"):
+        "34543277b6ef980aa7f9aecd32517102cd97299ec75e53b4e7aa5f7fe899d75f",
 }
 
 

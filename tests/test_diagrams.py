@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from pgsemi.diagrams import (
@@ -15,7 +16,12 @@ from pgsemi.diagrams import (
     tl_generators,
     tl_monoid,
 )
-from pgsemi.errors import CapExceeded, DegreeMismatch, InfeasibleDegree
+from pgsemi.errors import (
+    CapExceeded,
+    DegreeMismatch,
+    InfeasibleDegree,
+    InvalidArgument,
+)
 from pgsemi.semigroups import validate_star_semigroup
 
 # Catalan numbers for TL, Motzkin-monoid sizes, (2n-1)!! for Brauer,
@@ -246,6 +252,45 @@ def test_diagram_blocks_must_partition():
         PartitionDiagram(2, [[0, 1], [2]])  # 3 missing
     with pytest.raises(ValueError):
         PartitionDiagram(2, [[0, 1, 1], [2, 3]])
+    # a degree or point that is a bool or not an integer, an empty block,
+    # a negative degree
+    for n, blocks in [(1, [[0, 1.0]]), (1, [[True, 0]]), (1, [[0], [False]]),
+                      (2.7, [[0, 1], [2, 3]]), (True, [[0, 1]]),
+                      (1, [[0, "1"]]), (1, [[0, 1], []]), (-1, [])]:
+        with pytest.raises(InvalidArgument):
+            PartitionDiagram(n, blocks)
+    # numpy integers are integers; the stored labels are plain ints
+    d = PartitionDiagram(np.int64(1), [[np.int32(1), np.int64(0)]])
+    assert d == identity_diagram(1) and hash(d) == hash(identity_diagram(1))
+    assert d.label() == "{1,1'}" and type(d.n) is int
+    assert d.blocks == ((0, 1),) and type(d.blocks[0][0]) is int
+
+
+def test_closure_validates_only_its_inputs(monkeypatch):
+    # the four t_i and the identity; products and stars are not re-checked
+    calls = []
+    init = PartitionDiagram.__init__
+
+    def counting(self, n, blocks):
+        calls.append(n)
+        init(self, n, blocks)
+
+    monkeypatch.setattr(PartitionDiagram, "__init__", counting)
+    S, _ = tl_monoid(5)
+    assert S.size == 42 and len(calls) == 5
+
+
+@pytest.mark.parametrize("family,n", [
+    ("tl", 6), ("motzkin", 4), ("brauer", 5), ("partition", 3),
+])
+def test_products_and_stars_are_canonical(family, n):
+    _, elements = FAMILIES[family](n)
+    rng = random.Random(7)
+    for _ in range(500):
+        a, b = rng.choice(elements), rng.choice(elements)
+        for d in (a.multiply(b), a.star()):
+            same = PartitionDiagram(d.n, d.blocks)
+            assert d == same and hash(d) == hash(same)
 
 
 def test_degree_mismatch_on_multiply():
