@@ -407,16 +407,29 @@ class ChainSemigroupHandle:
         return total
 
     def _closure(self, cap):
-        if cap < self.algebra.size:
-            raise InvalidArgument("cap smaller than the projection count")
-        gens = [self.projection_chain(p) for p in range(self.algebra.size)]
-        return right_cayley_closure(gens, gens, self.product, cap=cap)
+        n, ps = self._n, np.arange(self._n)
+        if not self.trivial_at.all():
+            gens = [self.projection_chain(p) for p in range(n)]
+            return right_cayley_closure(gens, gens, lambda xs: (
+                self.product(x, g) for x in xs for g in gens), cap=cap)
+
+        def level(keys):                # the chain (x, y) is key x*n + y
+            ends = np.divmod(np.array(keys)[:, None], n)
+            dom, cod = self.product_batch(ends, (ps, ps))
+            return (dom * n + cod).ravel().tolist()
+
+        gens = (ps * (n + 1)).tolist()  # the keys of [[p]]
+        keys, right, origin = right_cayley_closure(gens, gens, level, cap=cap)
+        return [ReducedChain(self.comp_of[k // n], k // n, k % n, ())
+                for k in keys], right, origin
 
     def enumerate(self, cap=CAP):
         """All chains, in canonical sort order.  PG(P) is generated by its
         projections, so this is the right Cayley closure of the projection
         chains under right multiplication by them (see
-        :func:`~pgsemi.semigroups.right_cayley_closure`)."""
+        :func:`~pgsemi.semigroups.right_cayley_closure`), one level at a
+        time: one :meth:`product_batch` per level when every component
+        group is trivial, single products otherwise."""
         return sorted(self._closure(cap)[0], key=ReducedChain.sort_key)
 
     def idempotents(self):

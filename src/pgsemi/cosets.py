@@ -17,12 +17,13 @@ inverse G, with relations gG = Gg = empty; relators become relations
 (word, empty).  The enumeration then computes the coset table of the whole
 group over the trivial subgroup.
 
-The table is standardized (classes renumbered in breadth-first order) so
-results are deterministic, and each class gets a canonical representative
-word from the BFS.
+The table is standardized so results are deterministic: the closure engine
+(``semigroups.right_cayley_closure``) renumbers the live classes in
+breadth-first order, and each class's word is the one that first reached it.
 """
 
 from .errors import BudgetExceeded
+from .semigroups import right_cayley_closure
 
 __all__ = [
     "BUDGET",
@@ -174,28 +175,16 @@ def enumerate_monoid(ngens, relations, budget=BUDGET):
                 if parent[c] != c:
                     break
 
-    # compress and standardize by BFS from the identity class
-    order = []
-    number = {}
-    root = find(0)
-    number[root] = 0
-    order.append(root)
-    reps = {root: ()}
-    qi = 0
-    while qi < len(order):
-        c = order[qi]
-        qi += 1
-        for g in range(ngens):
-            d = find(table[c][g])
-            if d not in number:
-                number[d] = len(order)
-                order.append(d)
-                reps[d] = reps[c] + (g,)
-    out_table = [
-        [number[find(table[c][g])] for g in range(ngens)] for c in order
-    ]
-    out_reps = [reps[c] for c in order]
-    return MonoidEnumeration(ngens, out_table, out_reps)
+    # standardize: the closure of the identity class numbers the live
+    # classes in breadth-first order, and its origins spell their words
+    _, right, origin = right_cayley_closure(
+        [find(0)], range(ngens),
+        lambda cs: (find(table[c][g]) for c in cs for g in range(ngens)),
+        cap=len(parent))
+    reps = []
+    for w, g in origin:
+        reps.append(reps[w] + (g,) if w >= 0 else ())
+    return MonoidEnumeration(ngens, right.tolist(), reps)
 
 
 def to_doubled(word):

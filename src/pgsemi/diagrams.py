@@ -181,17 +181,14 @@ def generate_monoid(gens, cap=CAP):
     gathered from the Cayley graph.  Returns (StarSemigroup, elements) with
     elements sorted by blocks; raises CapExceeded past the cap."""
     gens = list(gens)
-    if cap < 1:
-        raise InvalidArgument("cap must be >= 1")
     degrees = {g.n for g in gens}
     if len(degrees) > 1:
         raise DegreeMismatch(f"mixed degrees {sorted(degrees)}")
     n = degrees.pop() if degrees else 1
     # stars of generators are included so the star table stays in range
     mby = list(dict.fromkeys(gens + [g.star() for g in gens]))
-    closure = right_cayley_closure(
-        [identity_diagram(n)], mby, PartitionDiagram.multiply, cap=cap
-    )
+    closure = right_cayley_closure([identity_diagram(n)], mby, lambda xs: (
+        x.multiply(g) for x in xs for g in mby), cap=cap)
     return cayley_semigroup(
         closure, PartitionDiagram.star, lambda d: d.blocks,
         PartitionDiagram.label,

@@ -3,17 +3,18 @@
 The main consumers are the diagram monoids and the adjacency semigroups of
 graphs.  ``projection_algebra_of`` extracts the projection algebra carried by
 the projections of a regular *-semigroup via ``q theta_p = p q p``.
-``right_cayley_closure`` is the one closure engine: the diagram monoids, the
-finite chain semigroups and ``subsemigroup_closure`` are all built with it,
-and ``cayley_semigroup`` gathers their tables from its Cayley graph.
+``right_cayley_closure`` is the one closure engine, fed one breadth-first
+level of products at a time: the diagram monoids, the finite chain
+semigroups, ``subsemigroup_closure`` and the standardized coset tables are
+built with it, and ``cayley_semigroup`` gathers tables from its graph.
 """
 
-from dataclasses import dataclass
 from operator import index
 
 import numpy as np
 
-from .errors import CapExceeded, InvalidSemigroup, MalformedTable
+from .chains import _is_id
+from .errors import CapExceeded, InvalidArgument, InvalidSemigroup, MalformedTable
 from .projections import (
     ProjectionAlgebra,
     _chunks,
@@ -223,34 +224,41 @@ CAP = 100_000                           # default element cap of a closure
 def right_cayley_closure(seeds, gens, multiply, cap=CAP):
     """Breadth-first closure of ``seeds`` under right multiplication by
     ``gens``, recording the right Cayley graph (Froidure & Pin, "Algorithms
-    for computing finite semigroups", 1997).
+    for computing finite semigroups", 1997).  ``multiply(xs)`` gives all
+    len(xs) * len(gens) products x g of one level's elements xs in (x, g)
+    order (else ValueError), the order of a one-product-at-a-time walk, so
+    a lazy iterable of single products fails where that walk would.
 
     Returns ``(elements, right, origin)``: the elements in discovery order,
-    ``right[i, g]`` the id of ``multiply(elements[i], gens[g])``, and
-    ``origin[i] = (w, g)`` with ``elements[i] = elements[w] * gens[g]``.  A
-    seed has ``w = -1`` and ``g`` its index in ``gens``, or -1 when it is not
-    a generator.  Raises CapExceeded once more than ``cap`` elements appear.
+    ``right[i, g]`` the id of ``elements[i] * gens[g]``, and ``origin[i] =
+    (w, g)`` with ``elements[i] = elements[w] * gens[g]``.  A seed has
+    ``w = -1`` and ``g`` its index in ``gens``, or -1 when it is not a
+    generator.  Raises InvalidArgument unless ``cap`` is an int >= the
+    number of seeds, and CapExceeded once more than ``cap`` elements appear.
     """
-    gens = list(gens)
+    elements, gens = list(dict.fromkeys(seeds)), list(gens)
+    if not _is_id(cap) or cap < len(elements):
+        raise InvalidArgument(f"cap {cap!r} is not an int >= {len(elements)}")
     gen_id = {x: g for g, x in enumerate(gens)}
-    elements, origin, right, index = [], [], [], {}
-
-    def visit(x, w, g):
-        i = index.get(x)
-        if i is None:
-            i = index[x] = len(elements)
-            if i >= cap:
-                raise CapExceeded(f"closure exceeded cap={cap}")
-            elements.append(x)
-            origin.append((w, g))
-        return i
-
-    for x in seeds:
-        visit(x, -1, gen_id.get(x, -1))
-    # the loop also walks the elements appended while it runs
-    for w, a in enumerate(elements):
-        right.append([visit(multiply(a, x), w, g) for g, x in enumerate(gens)])
-    right = np.array(right, dtype=np.int32).reshape(len(elements), len(gens))
+    origin = [(-1, gen_id.get(x, -1)) for x in elements]
+    index = {x: i for i, x in enumerate(elements)}
+    right, lo, k = [], 0, len(gens)
+    get, record = index.get, right.append
+    while lo < len(elements):
+        hi = len(elements)
+        # product j of the walk is elements[j // k] * gens[j % k]
+        for j, y in zip(range(lo * k, hi * k), multiply(elements[lo:hi]),
+                        strict=True):
+            i = get(y)
+            if i is None:
+                i = index[y] = len(elements)
+                if i >= cap:
+                    raise CapExceeded(f"closure exceeded cap={cap}")
+                elements.append(y)
+                origin.append(divmod(j, k))
+            record(i)
+        lo = hi
+    right = np.array(right, dtype=np.int32).reshape(len(elements), k)
     return elements, right, origin
 
 
@@ -282,12 +290,15 @@ def cayley_semigroup(closure, star, key, label):
 
 def subsemigroup_closure(S, seed):
     """Ids of the subsemigroup generated by ``seed``, ascending: the right
-    Cayley closure of ``seed`` under right multiplication by ``seed``."""
-    M = S.mult
-    seed = sorted(set(int(a) for a in seed))
+    Cayley closure of ``seed`` under right multiplication by ``seed``.
+    Refuses a seed that is not an element id (a bool is not one)."""
+    M, seed = S.mult, list(seed)
+    bad = [a for a in seed if not (_is_id(a) and 0 <= a < S.size)]
+    if bad:
+        raise InvalidArgument(f"no element {bad[0]!r} in 0..{S.size - 1}")
+    seed = sorted(set(map(int, seed)))
     elements, _, _ = right_cayley_closure(
-        seed, seed, lambda a, b: int(M[a, b]), cap=S.size
-    )
+        seed, seed, lambda xs: M[np.ix_(xs, seed)].ravel().tolist(), S.size)
     return sorted(elements)
 
 
@@ -344,18 +355,12 @@ def adjacency_semigroup(G):
     A = G.matrix()
     m = 1 + n * n
     mult = np.zeros((m, m), dtype=np.int32)
-    if n:
-        # (p,q)(r,s) = (p,s) when q r is an edge, else 0
-        p, q = np.divmod(np.arange(n * n), n)
-        ok = A[q[:, None], p[None, :]]
-        prod = np.where(ok, 1 + p[:, None] * n + q[None, :], 0)
-        mult[1:, 1:] = prod
+    # (p,q)(r,s) = (p,s) when q r is an edge, else 0
+    p, q = np.divmod(np.arange(n * n), n)
+    ok = A[q[:, None], p[None, :]]
+    prod = np.where(ok, 1 + p[:, None] * n + q[None, :], 0)
+    mult[1:, 1:] = prod
     star = np.zeros(m, dtype=np.int32)
-    if n:
-        p, q = np.divmod(np.arange(n * n), n)
-        star[1:] = 1 + q * n + p
-    labels = ["0"]
-    for p in range(n):
-        for q in range(n):
-            labels.append(f"({p},{q})")
+    star[1:] = 1 + q * n + p
+    labels = ["0"] + [f"({p},{q})" for p in range(n) for q in range(n)]
     return StarSemigroup(mult, star, labels=labels)

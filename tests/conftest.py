@@ -16,7 +16,9 @@ import pgsemi.topology as topology
 from pgsemi.catalog import parse_source
 from pgsemi.chains import LinkedPair, Path, classify_linked_pair
 from pgsemi.chainsemigroup import ChainSemigroupHandle, INFINITE
+from pgsemi.errors import CapExceeded
 from pgsemi.projections import ProjectionAlgebra, relations
+from pgsemi.semigroups import CAP
 from pgsemi.topology import Cell, Complex2, friendliness_graph
 
 # Canonical test fleet.  Every member's components classify decisively
@@ -173,3 +175,30 @@ def reference_complex_KP_prime(P, rel=None, pairs=None):
             b = (lp.e, lp.e1, lp.f, lp.e)
             cells.append(Cell(b, pair=lp, kind="triangle3"))
     return Complex2(P.size, g.edges, cells, algebra=P)
+
+
+def reference_right_cayley_closure(seeds, gens, multiply, cap=CAP):
+    """The closure engine as it was before it walked whole levels, kept
+    verbatim: one element at a time, ``multiply(a, x)`` one product at a
+    time."""
+    gens = list(gens)
+    gen_id = {x: g for g, x in enumerate(gens)}
+    elements, origin, right, index = [], [], [], {}
+
+    def visit(x, w, g):
+        i = index.get(x)
+        if i is None:
+            i = index[x] = len(elements)
+            if i >= cap:
+                raise CapExceeded(f"closure exceeded cap={cap}")
+            elements.append(x)
+            origin.append((w, g))
+        return i
+
+    for x in seeds:
+        visit(x, -1, gen_id.get(x, -1))
+    # the loop also walks the elements appended while it runs
+    for w, a in enumerate(elements):
+        right.append([visit(multiply(a, x), w, g) for g, x in enumerate(gens)])
+    right = np.array(right, dtype=np.int32).reshape(len(elements), len(gens))
+    return elements, right, origin

@@ -182,6 +182,13 @@ STDOUT_DIGESTS = {
     # 37,949 lines on a component with a free group
     ("presentations", "--source", "motzkin:4", "--family", "RE2"):
         "2d0f7d226fdd70fe8d4785609b9fec19097e32a89777625de746c3a1a969e8a6",
+    # the sorted right Cayley closure of the projection chains
+    ("enumerate", "--source", "tl:6"):
+        "b2dfc76c87724ab97d6d2d722cc406287ecb5e26b1712b03750530bcf5fe0c77",
+    ("enumerate", "--source", "motzkin:3"):
+        "97ae89ae81ebdced48bc3918cd1c77797ab6f5b2ea2901fecfe177c078d860f4",
+    ("enumerate", "--source", "partition:2"):
+        "d6b3aded04bc3d63cd5adb0991b6fe220ce074b9e62044fc1b2dfd7bd6322293",
     # every projection's diagram label, in element order: one per family
     ("build", "--source", "partition:4"):
         "60652af2942c74963ecef01f5cf3a193a7ea24aff4b878c56f1d00ab8e805d91",

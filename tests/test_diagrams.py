@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+import pgsemi.diagrams as diagrams
 from pgsemi.diagrams import (
     PartitionDiagram,
     brauer_monoid,
@@ -22,7 +23,9 @@ from pgsemi.errors import (
     InfeasibleDegree,
     InvalidArgument,
 )
-from pgsemi.semigroups import validate_star_semigroup
+from pgsemi.semigroups import right_cayley_closure, validate_star_semigroup
+
+from conftest import reference_right_cayley_closure
 
 # Catalan numbers for TL, Motzkin-monoid sizes, (2n-1)!! for Brauer,
 # Bell(2n) for the full partition monoid.
@@ -240,6 +243,31 @@ def test_gathered_table_matches_multiply_on_sampled_pairs(family, n):
 def test_generate_monoid_cap():
     with pytest.raises(CapExceeded):
         generate_monoid(tl_generators(5), cap=10)
+
+
+@pytest.mark.parametrize("cap", [0, 2.5, True, None])
+def test_generate_monoid_refuses_a_bad_cap(cap):
+    with pytest.raises(InvalidArgument, match=r"^cap .* is not an int >= 1$"):
+        generate_monoid(tl_generators(4), cap=cap)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_level_closure_matches_element_closure(monkeypatch, family, n):
+    runs = []
+
+    def recording(seeds, gens, multiply, cap):
+        runs.append((seeds, gens, cap,
+                     right_cayley_closure(seeds, gens, multiply, cap)))
+        return runs[-1][-1]
+
+    monkeypatch.setattr(diagrams, "right_cayley_closure", recording)
+    FAMILIES[family](n)
+    (seeds, gens, cap, (elements, right, origin)), = runs
+    want = reference_right_cayley_closure(
+        seeds, gens, PartitionDiagram.multiply, cap)
+    assert (elements, right.tolist(), origin) \
+        == (want[0], want[1].tolist(), want[2])
 
 
 def test_generate_monoid_rejects_mixed_degrees():

@@ -1,24 +1,30 @@
 """Star semigroup tables, projection extraction, adjacency semigroups."""
 
 import random
+import re
 from collections import Counter
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
-from pgsemi.catalog import random_adjacency_graph
-from pgsemi.errors import InvalidSemigroup
+from pgsemi.catalog import adjacency_algebra, parse_source, \
+    random_adjacency_graph
+from pgsemi.chainsemigroup import ChainSemigroupHandle
+from pgsemi.errors import CapExceeded, InvalidArgument, InvalidSemigroup
 from pgsemi.projections import Violation
 from pgsemi.semigroups import (
+    CAP,
     AdjacencyGraph,
     StarSemigroup,
     adjacency_semigroup,
     projection_algebra_of,
+    right_cayley_closure,
     subsemigroup_closure,
     validate_star_semigroup,
 )
 
-from conftest import bundle
+from conftest import bundle, reference_right_cayley_closure
 
 
 def test_tl3_tables_are_a_regular_star_semigroup():
@@ -150,6 +156,123 @@ def test_closure_is_multiplicatively_closed():
     for a in gen:
         for b in gen:
             assert int(S.mult[a, b]) in gen
+
+
+@pytest.mark.parametrize("bad", [-1, 1.5, True, "size", "1", None])
+def test_subsemigroup_closure_refuses_bad_seeds(bad):
+    S = bundle("tl:4").semigroup
+    bad = S.size if bad == "size" else bad
+    with pytest.raises(InvalidArgument,
+                       match=re.escape(f"no element {bad!r} in 0..13")):
+        subsemigroup_closure(S, [0, bad])
+
+
+def test_subsemigroup_closure_takes_numpy_seeds():
+    S = bundle("tl:4").semigroup
+    got = subsemigroup_closure(S, [np.int64(1), np.int32(1)])
+    assert got == subsemigroup_closure(S, [1]) == [1]
+    assert all(type(a) is int for a in got)
+
+
+# -- the level-at-a-time engine against the element-at-a-time one --------
+
+# the finite chain semigroups; "adjacency-<seed>" is the adjacency algebra
+# of random_adjacency_graph(default_rng(seed)), kept where it is finite
+CLOSURE_SOURCES = [
+    "kinyon", *(f"tl:{n}" for n in range(2, 9)), "motzkin:3", "partition:2",
+    *(f"adjacency-{seed}" for seed in (1, 4, 6, 9)),
+]
+
+
+@lru_cache(maxsize=None)
+def _closure_handle(src):
+    if src.startswith("adjacency-"):
+        G = random_adjacency_graph(np.random.default_rng(int(src[10:])))
+        return ChainSemigroupHandle(adjacency_algebra(G).algebra)
+    return ChainSemigroupHandle(parse_source(src, allow_large=True).algebra)
+
+
+def _compared(closure):
+    elements, right, origin = closure
+    return elements, right.tolist(), origin
+
+
+def _singles(h, gens):
+    return lambda xs: (h.product(x, g) for x in xs for g in gens)
+
+
+@pytest.mark.parametrize("src", CLOSURE_SOURCES)
+def test_level_closure_matches_element_closure(src):
+    h = _closure_handle(src)
+    gens = [h.projection_chain(p) for p in range(h.algebra.size)]
+    want = _compared(reference_right_cayley_closure(gens, gens, h.product))
+    assert len(want[0]) == h.size()
+    assert _compared(h._closure(CAP)) == want
+    assert _compared(right_cayley_closure(gens, gens, _singles(h, gens))) \
+        == want
+
+
+def test_all_trivial_closure_makes_one_batch_per_level(monkeypatch):
+    h = ChainSemigroupHandle(bundle("tl:6").algebra)
+    batch, calls = h.product_batch, []
+
+    def counting(c, d):
+        calls.append(len(c[0]))
+        return batch(c, d)
+
+    monkeypatch.setattr(h, "product_batch", counting)
+    monkeypatch.setattr(h, "product", None)     # no single product is made
+    _, _, origin = h._closure(CAP)
+    depth = []
+    for w, _ in origin:
+        depth.append(depth[w] + 1 if w >= 0 else 0)
+    assert calls == list(Counter(depth).values())   # each level's elements
+    assert len(calls) > 2
+
+
+def test_level_closure_stops_where_the_element_closure_does(monkeypatch):
+    h = _closure_handle("tl:5")
+    gens = [h.projection_chain(p) for p in range(h.algebra.size)]
+    for closure in (lambda: h.enumerate(cap=41), lambda:
+                    reference_right_cayley_closure(gens, gens, h.product, 41)):
+        with pytest.raises(CapExceeded, match="^closure exceeded cap=41$"):
+            closure()
+    # band:3 has a free group, so its products are taken one at a time
+    h = ChainSemigroupHandle(bundle("band:3").algebra)
+    gens = [h.projection_chain(p) for p in range(h.algebra.size)]
+    product, calls = h.product, []
+    monkeypatch.setattr(h, "product",
+                        lambda c, d: calls.append((c, d)) or product(c, d))
+    with pytest.raises(CapExceeded, match="^closure exceeded cap=25$"):
+        h._closure(25)
+    ours, calls[:] = list(calls), []
+    with pytest.raises(CapExceeded, match="^closure exceeded cap=25$"):
+        reference_right_cayley_closure(gens, gens, h.product, cap=25)
+    assert ours == calls and len(calls) > 25
+
+
+@pytest.mark.parametrize("cap", [None, 2.5, True, "9", 2])
+def test_closure_refuses_a_cap_below_the_seeds_or_not_an_int(cap):
+    with pytest.raises(InvalidArgument,
+                       match=re.escape(f"cap {cap!r} is not an int >= 3")):
+        right_cayley_closure([0, 1, 2, 2], [1], lambda xs: xs, cap=cap)
+    h = _closure_handle("tl:4")
+    with pytest.raises(InvalidArgument, match=re.escape(
+            f"cap {cap!r} is not an int >= {h.algebra.size}")):
+        h.enumerate(cap=cap)
+
+
+@pytest.mark.parametrize("extra", [[], [0, 0]])
+def test_closure_refuses_a_level_of_the_wrong_length(extra):
+    with pytest.raises(ValueError, match="^zip"):
+        right_cayley_closure([0, 1], [0], lambda xs: xs[:1] + extra)
+
+
+def test_closure_takes_a_numpy_cap():
+    h = _closure_handle("tl:4")
+    assert len(h.enumerate(cap=np.int64(14))) == 14
+    assert right_cayley_closure([0], [0], lambda xs: xs, cap=np.int32(1))[0] \
+        == [0]
 
 
 # -- star-semigroup reports against the loop-based reference ---------------
