@@ -28,9 +28,10 @@ restrictions, which fails with the same ``NotFriendly`` text as ``Path``
 
 Linked pairs are found and classified as arrays: ``_linked_pairs`` lists
 every pair as int arrays in (p, e, f) order, and ``_classify_pairs`` runs
-every check of :func:`classify_linked_pair` on all of them at once.  Objects
-are built only where they are handed out: ``LinkedPair`` for the public
-enumeration and for the cells of K'.
+every check of :func:`classify_linked_pair` on all of them at once.  A
+``LinkedPair`` is built only where one is handed out: by the public
+enumeration, or for the first pair that fails a check.  The complexes K
+and K' build their cells from the arrays.
 """
 
 from dataclasses import dataclass, field

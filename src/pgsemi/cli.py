@@ -162,20 +162,20 @@ def cmd_relations(args):
     return 0
 
 
-def _built_complex(args, bundle):
-    P = bundle.algebra
-    rel = relations(P)
-    c = _COMPLEXES[args.which](P, rel)
-    return c, components(c)
+def _built_complex(args):
+    """The --source bundle, its --which complex and the components; in
+    JSON format the complex is written out with its components."""
+    bundle = _bundle(args)
+    c = _COMPLEXES[args.which](bundle.algebra, relations(bundle.algebra))
+    comps = components(c)
+    if args.format == "json":
+        _emit(args, dumps({**complex_to_dict(c), "components": comps}))
+    return bundle, c, comps
 
 
 def cmd_complex(args):
-    bundle = _bundle(args)
-    c, comps = _built_complex(args, bundle)
+    bundle, c, comps = _built_complex(args)
     if args.format == "json":
-        d = complex_to_dict(c)
-        d["components"] = comps
-        _emit(args, dumps(d))
         return 0
     lines = [f"{bundle.name} {args.which}: {c.n} vertices, "
              f"{len(c.edges)} edges, {len(c.cells)} cells, "
@@ -271,16 +271,9 @@ def cmd_presentations(args):
 
 
 def cmd_export(args):
-    bundle = _bundle(args)
-    c, comps = _built_complex(args, bundle)
-    P = bundle.algebra
-    if args.format == "json":
-        d = complex_to_dict(c)
-        d["components"] = comps
-        _emit(args, dumps(d))
-    else:
-        dot = complex_to_dot(c, comps, labeler=P.label)
-        _emit(args, dot)
+    bundle, c, comps = _built_complex(args)
+    if args.format == "dot":
+        _emit(args, complex_to_dot(c, comps, labeler=bundle.algebra.label))
         if args.out:
             sidecar = args.out + ".cells.json"
             with open(sidecar, "w") as fh:

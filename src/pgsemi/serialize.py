@@ -7,7 +7,8 @@ Schemas:
 * star semigroup: {"size": n, "mult": [[...]], "star": [...], "labels": ...?};
 * graph: {"vertices": n, "edges": [[u, v], ...]};
 * complex: {"vertices": n, "edges": [[u, v], ...],
-            "cells": [{"boundary": [...], "kind": ...}, ...]};
+            "cells": [{"boundary": [...], "kind": ...,
+                       "pair": {"p": p, "e": e, "f": f} or null}, ...]};
 * presentation: {"generators": g, "relators": [[...], ...], ...};
 * chain: {"component": c, "dom": p, "cod": q, "word": [...]}.
 
@@ -153,11 +154,8 @@ def complex_to_dict(c):
             {
                 "boundary": list(cell.boundary),
                 "kind": cell.kind,
-                "pair": (
-                    {"p": cell.pair.p, "e": cell.pair.e, "f": cell.pair.f}
-                    if cell.pair is not None
-                    else None
-                ),
+                "pair": (dict(zip("pef", cell.pair))
+                         if cell.pair is not None else None),
             }
             for cell in c.cells
         ],

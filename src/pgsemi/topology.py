@@ -4,9 +4,11 @@ The 1-skeleton has the projections as vertices and an edge for every
 distinct friendly pair.  K attaches a quad cell (e, e1, f, f1, e) for every
 p-linked pair (boundaries collapsing below cyclic length 3 are dropped); K'
 attaches triangles only for the non-degenerate special pairs: (e, f, f1, e)
-for type 2 and (e, e1, f, e) for type 3.  K' classifies every linked pair
-as arrays and builds ``LinkedPair`` and ``Cell`` objects only for the
-triangles it keeps.
+for type 2 and (e, e1, f, e) for type 3.  Both take their cells straight
+from the linked-pair arrays: K drops repeated vertices with an array mask,
+K' classifies every pair as arrays, and a ``Cell`` holding its pair as the
+int triple (p, e, f) is made only for a boundary kept.  ``Complex2`` checks
+every boundary of every cell in one array pass.
 
 Per component, pi1 is presented off a breadth-first spanning tree: one
 generator per non-tree edge (oriented low-to-high), one relator per cell.
@@ -23,18 +25,15 @@ generator.
 import heapq
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, islice, repeat
 from math import gcd
+from typing import NamedTuple
 
 import numpy as np
 
-from .chains import (
-    LinkedPair,
-    _classify_pairs,
-    _linked_pairs,
-    _with_midpoints,
-)
+from .chains import _classify_pairs, _is_id, _linked_pairs, _with_midpoints
 from .cosets import BUDGET, enumerate_group, from_doubled, to_doubled
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, NotLinked
 from .projections import relations, require_algebra
 
 __all__ = [
@@ -55,13 +54,13 @@ __all__ = [
 MAX_ELIMINATIONS = 10_000
 
 
-@dataclass(frozen=True)
-class Cell:
-    """A 2-cell: closed boundary walk (last vertex = first) and the linked
-    pair it came from."""
+class Cell(NamedTuple):
+    """A 2-cell: a closed boundary walk (last vertex = first), the linked
+    pair (p, e, f) it came from as plain ints (None for a cell built by
+    hand), and its kind."""
 
     boundary: tuple
-    pair: object = None
+    pair: tuple = None
     kind: str = "quad"
 
 
@@ -81,26 +80,18 @@ class Complex2:
             if u == v or not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"bad edge ({u}, {v})")
         self.edges = tuple(es)
-        eset = set(es)
-        for c in cells:
-            b = c.boundary
-            if len(b) < 2 or b[0] != b[-1]:
-                raise ValueError(f"cell boundary must close up: {b!r}")
-            for a, bb in zip(b, b[1:]):
-                if (min(a, bb), max(a, bb)) not in eset:
-                    raise ValueError(f"cell boundary uses missing edge ({a},{bb})")
         self.cells = tuple(cells)
+        _check_boundaries(self.n, es, self.cells)
         self.algebra = algebra
         self._adjacency = None
         self._components = None
 
     def adjacency(self):
         if self._adjacency is None:
-            adj = {v: [] for v in range(self.n)}
-            for u, v in self.edges:
+            self._adjacency = adj = {v: [] for v in range(self.n)}
+            for u, v in self.edges:         # sorted, so each list is too
                 adj[u].append(v)
                 adj[v].append(u)
-            self._adjacency = {v: sorted(ws) for v, ws in adj.items()}
         return self._adjacency
 
     def __repr__(self):
@@ -108,6 +99,39 @@ class Complex2:
             f"Complex2(vertices={self.n}, edges={len(self.edges)}, "
             f"cells={len(self.cells)})"
         )
+
+
+def _check_boundaries(n, edges, cells):
+    """Every cell boundary closes up and steps along edges, checked by one
+    gather on the n x n adjacency mask over all boundaries laid end to end.
+    The error names the first bad cell and, in it, the first bad step."""
+    if not cells:
+        return
+    bounds = [c.boundary for c in cells]
+    if not all(t is not bool and issubclass(t, (int, np.integer))
+               for t in set(map(type, chain.from_iterable(bounds)))):
+        raise ValueError("cell boundary vertices must be integers")
+    lens = np.fromiter(map(len, bounds), np.intp, len(bounds))
+    ends = np.cumsum(lens)
+    flat = np.fromiter(chain.from_iterable(bounds), np.intp)
+    ok = lens >= 2
+    ok[ok] = flat[(ends - lens)[ok]] == flat[ends[ok] - 1]
+    # n stands for every vertex outside 0..n-1: it is on no edge
+    flat[(flat < 0) | (flat >= n)] = n
+    adj = np.zeros((n + 1, n + 1), dtype=bool)
+    u, v = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+    adj[u, v] = adj[v, u] = True
+    # no step leaves a cell's last vertex
+    step = np.append(adj[flat[:-1], flat[1:]], True)
+    step[ends - 1] = True
+    ok[np.searchsorted(ends, np.flatnonzero(~step), side="right")] = False
+    if not ok.all():
+        i = int(np.argmin(ok))
+        b = bounds[i]
+        if len(b) < 2 or b[0] != b[-1]:
+            raise ValueError(f"cell boundary must close up: {b!r}")
+        k = int(np.argmin(step[ends[i] - len(b):ends[i] - 1]))
+        raise ValueError(f"cell boundary uses missing edge ({b[k]},{b[k + 1]})")
 
 
 def friendliness_graph(P, rel=None):
@@ -118,47 +142,60 @@ def friendliness_graph(P, rel=None):
     return Complex2(P.size, edges, (), algebra=P)
 
 
-def _cyclic_dedup(walk):
-    """Remove repeated consecutive vertices from an open cycle, including
-    across the wraparound."""
-    out = []
-    for v in walk:
-        if not out or out[-1] != v:
-            out.append(v)
-    while len(out) > 1 and out[0] == out[-1]:
-        out.pop()
-    return out
+def _cells(P, pairs, bounds, kinds):
+    """One cell per linked pair, row by row: ``pairs`` are the arrays
+    (p, e, f, e1, f1), ``bounds`` the closed boundary tuples and ``kinds``
+    the kinds.  Linkage is checked on every row; NotLinked names the first
+    pair that fails it."""
+    p, e, f, e1, f1 = pairs
+    T = P.theta
+    bad = np.flatnonzero((T[f, e1] != f) | (T[e, f1] != e))
+    if len(bad):
+        i = bad[0]
+        raise NotLinked(f"({e[i]}, {f[i]}) is not {p[i]}-linked")
+    return list(map(Cell, bounds, zip(p.tolist(), e.tolist(), f.tolist()),
+                    kinds))
+
+
+def _quads(p, e, f, e1, f1):
+    """The linked pairs that give quads, as arrays, and their closed
+    boundaries.  The open cycle (e, e1, f, f1) keeps its first vertex and
+    drops each vertex equal to the one before it, and its trailing vertices
+    equal to the first; a pair left with fewer than 3 vertices gives no
+    quad."""
+    walk = np.stack([e, e1, f, f1, e], axis=1)
+    wrap = np.logical_and.accumulate(walk[:, 3:0:-1] == walk[:, :1], axis=1)
+    keep = np.ones(walk.shape, dtype=bool)
+    keep[:, 1:4] = (walk[:, 1:4] != walk[:, :3]) & ~wrap[:, ::-1]
+    size = keep.sum(axis=1)
+    rows = np.flatnonzero(size >= 4)
+    verts = iter(walk[rows][keep[rows]].tolist())
+    bounds = [tuple(islice(verts, k)) for k in size[rows].tolist()]
+    return [a[rows] for a in (p, e, f, e1, f1)], bounds
 
 
 def complex_KP(P, rel=None):
-    """The complex with a quad cell (e, e1, f, f1, e) per p-linked pair."""
+    """The complex with a quad cell (e, e1, f, f1, e) per p-linked pair,
+    repeated vertices dropped as :func:`_quads` says."""
     require_algebra(P)
     if rel is None:
         rel = relations(P)
-    g = friendliness_graph(P, rel)
-    cells = []
-    for p, e, f, e1, f1 in zip(*(a.tolist() for a in _linked_pairs(P, rel))):
-        cyc = _cyclic_dedup([e, e1, f, f1])
-        if len(cyc) < 3:
-            continue
-        cells.append(Cell(tuple(cyc) + (cyc[0],), pair=LinkedPair(P, p, e, f),
-                          kind="quad"))
-    return Complex2(P.size, g.edges, cells, algebra=P)
+    cells = _cells(P, *_quads(*_linked_pairs(P, rel)), repeat("quad"))
+    return Complex2(P.size, friendliness_graph(P, rel).edges, cells, algebra=P)
 
 
 def complex_KP_prime(P, rel=None, pairs=None):
-    """The subcomplex with triangles only for non-degenerate special pairs.
+    """The subcomplex with triangles only for non-degenerate special pairs:
+    (e, f, f1, e) for type 2 and (e, e1, f, e) for type 3.
 
     Every linked pair (all of them, or ``pairs`` when given) is classified
-    as arrays, with every check of ``classify_linked_pair``; ``LinkedPair``
-    and ``Cell`` objects are built only for the triangles kept.  (e, f) and
+    as arrays, with every check of ``classify_linked_pair``.  (e, f) and
     (f, e) describe the same triangle with opposite orientation: the first
     one in pair order is kept.
     """
     require_algebra(P)
     if rel is None:
         rel = relations(P)
-    g = friendliness_graph(P, rel)
     if pairs is None:
         arrays = _linked_pairs(P, rel)
     else:
@@ -166,21 +203,19 @@ def complex_KP_prime(P, rel=None, pairs=None):
         arrays = _with_midpoints(P.theta, *pef.reshape(-1, 3).T)
     special, degenerate, ntype = _classify_pairs(P, *arrays)
     kept = np.flatnonzero(special & ~degenerate)
-    cells = []
-    seen = set()
-    for p, e, f, e1, f1, t in zip(*(a[kept].tolist()
-                                    for a in (*arrays, ntype))):
-        key = (p, min(e, f), max(e, f))
-        if key in seen:
-            continue
-        seen.add(key)
-        lp = LinkedPair(P, p, e, f)
-        # a special non-degenerate pair is of type 2 or 3
-        if t == 2:
-            cells.append(Cell((e, f, f1, e), pair=lp, kind="triangle2"))
-        else:
-            cells.append(Cell((e, e1, f, e), pair=lp, kind="triangle3"))
-    return Complex2(P.size, g.edges, cells, algebra=P)
+    p, e, f = (a[kept] for a in arrays[:3])
+    n = P.size
+    key = (p * n + np.minimum(e, f)) * n + np.maximum(e, f)
+    kept = kept[np.sort(np.unique(key, return_index=True)[1])]
+    p, e, f, e1, f1 = (a[kept] for a in arrays)
+    # a special non-degenerate pair is of type 2 or 3
+    two = ntype[kept] == 2
+    es = e.tolist()
+    bounds = zip(es, np.where(two, f, e1).tolist(),
+                 np.where(two, f1, f).tolist(), es)
+    kinds = ["triangle2" if t else "triangle3" for t in two.tolist()]
+    cells = _cells(P, (p, e, f, e1, f1), bounds, kinds)
+    return Complex2(P.size, friendliness_graph(P, rel).edges, cells, algebra=P)
 
 
 def components(c):
@@ -194,29 +229,20 @@ def components(c):
 
 def _components(c):
     adj = c.adjacency()
-    seen = [False] * c.n
+    comp_of = [-1] * c.n
     comps = []
     for start in range(c.n):
-        if seen[start]:
-            continue
-        queue = [start]
-        seen[start] = True
-        comp = []
-        while queue:
-            v = queue.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-        comps.append(sorted(comp))
-    where = {}
-    for i, comp in enumerate(comps):
-        for v in comp:
-            where[v] = i
+        if comp_of[start] < 0:
+            comp_of[start] = len(comps)
+            comp = [start]
+            for v in comp:          # grows as the search reaches vertices
+                for w in adj[v]:
+                    if comp_of[w] < 0:
+                        comp_of[w] = len(comps)
+                        comp.append(w)
+            comps.append(sorted(comp))
     for cell in c.cells:
-        ids = {where[v] for v in cell.boundary}
-        if len(ids) != 1:
+        if len({comp_of[v] for v in cell.boundary}) != 1:
             raise AssertionError(f"cell {cell.boundary!r} spans components")
     return comps
 
@@ -333,15 +359,17 @@ class GroupPresentation:
 def pi1_presentation(c, component, basepoint=None):
     """Spanning-tree presentation of pi1 of one component of the complex.
 
-    ``component`` is either an index into components(c) or an iterable of
-    vertices.  The tree is breadth-first from the basepoint (default: the
-    smallest vertex); non-tree edges in sorted order give the generators.
+    ``component`` is either an index into components(c), an int or numpy
+    int in 0..len(components(c))-1, or an iterable of vertices; anything
+    else is a ValueError.  The tree is breadth-first from the basepoint
+    (default: the smallest vertex); non-tree edges in sorted order give the
+    generators.
     """
     comps = components(c)
-    if isinstance(component, int):
+    if _is_id(component) and 0 <= component < len(comps):
         comp = comps[component]
     else:
-        comp = sorted(int(v) for v in component)
+        comp = sorted(map(int, component)) if np.iterable(component) else None
         if comp not in comps:
             raise ValueError("not a component of the complex")
     if basepoint is None:

@@ -14,9 +14,10 @@ import pytest
 import pgsemi.chainsemigroup as chainsemigroup
 import pgsemi.topology as topology
 from pgsemi.catalog import parse_source
-from pgsemi.chains import LinkedPair, Path, classify_linked_pair
+from pgsemi.chains import LinkedPair, Path, _linked_pairs, \
+    classify_linked_pair
 from pgsemi.chainsemigroup import ChainSemigroupHandle, INFINITE
-from pgsemi.errors import CapExceeded
+from pgsemi.errors import CapExceeded, NotLinked
 from pgsemi.projections import ProjectionAlgebra, relations
 from pgsemi.semigroups import CAP
 from pgsemi.topology import Cell, Complex2, friendliness_graph
@@ -168,12 +169,37 @@ def reference_complex_KP_prime(P, rel=None, pairs=None):
         if key in seen:
             continue
         seen.add(key)
+        pair = (lp.p, lp.e, lp.f)
         if cls["nondegenerate_type"] == 2:
             b = (lp.e, lp.f, lp.f1, lp.e)
-            cells.append(Cell(b, pair=lp, kind="triangle2"))
+            cells.append(Cell(b, pair=pair, kind="triangle2"))
         elif cls["nondegenerate_type"] == 3:
             b = (lp.e, lp.e1, lp.f, lp.e)
-            cells.append(Cell(b, pair=lp, kind="triangle3"))
+            cells.append(Cell(b, pair=pair, kind="triangle3"))
+    return Complex2(P.size, g.edges, cells, algebra=P)
+
+
+def reference_complex_KP(P, rel=None):
+    """The per-pair quad complex K, kept verbatim with ``LinkedPair`` (its
+    linkage check) and the cyclic dedup inlined."""
+    if rel is None:
+        rel = relations(P)
+    g = friendliness_graph(P, rel)
+    T = P.rows
+    cells = []
+    for p, e, f, e1, f1 in zip(*(a.tolist() for a in _linked_pairs(P, rel))):
+        cyc = []
+        for v in (e, e1, f, f1):
+            if not cyc or cyc[-1] != v:
+                cyc.append(v)
+        while len(cyc) > 1 and cyc[0] == cyc[-1]:
+            cyc.pop()
+        if len(cyc) < 3:
+            continue
+        if T[f][T[p][e]] != f or T[e][T[p][f]] != e:
+            raise NotLinked(f"({e}, {f}) is not {p}-linked")
+        cells.append(Cell(tuple(cyc) + (cyc[0],), pair=(p, e, f),
+                          kind="quad"))
     return Complex2(P.size, g.edges, cells, algebra=P)
 
 

@@ -200,6 +200,14 @@ STDOUT_DIGESTS = {
         "f649788515e00c0790917e8c05c4e7805896525c333de68363db3965a392faf5",
     ("build", "--source", "tl:6"):
         "34543277b6ef980aa7f9aecd32517102cd97299ec75e53b4e7aa5f7fe899d75f",
+    # every cell with its boundary, kind and (p, e, f) pair: quads of K,
+    # triangles of K', and K written by export
+    ("complex", "--source", "tl:6", "--which", "KP", "--format", "json"):
+        "790b6e8848bbda4f6263a6f1dff83cf9e29704deb79bbf5c49abe6d6fcb6300f",
+    ("complex", "--source", "brauer:5", "--which", "KP'", "--format", "json"):
+        "2ff830c5ff33687a74863c7b82941b64d12b2b3a619e5b28c5a994be7098c8ce",
+    ("export", "--source", "motzkin:4", "--which", "KP", "--format", "json"):
+        "d7a0847fdba93aff770ece8432851005e97b926ce0d6f432b57f4853b32bc5c4",
 }
 
 

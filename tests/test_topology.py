@@ -15,7 +15,7 @@ from pgsemi.catalog import adjacency_algebra, kinyon_algebra, \
     parse_source, random_adjacency_graph
 from pgsemi.chains import LinkedPair, _reduce, classify_linked_pair, \
     enumerate_linked_pairs
-from pgsemi.errors import PgsemiError
+from pgsemi.errors import NotLinked, PgsemiError
 from pgsemi.projections import ProjectionAlgebra, relations
 from pgsemi.serialize import presentation_to_dict
 from pgsemi.topology import (
@@ -36,6 +36,7 @@ from conftest import (
     FLEET,
     bundle,
     handle,
+    reference_complex_KP,
     reference_complex_KP_prime,
     reference_linked_pairs,
     reference_reduce,
@@ -76,7 +77,8 @@ def test_kp_prime_stores_one_triangle_per_unordered_pair():
         c = complex_KP_prime(P)
         seen = set()
         for cell in c.cells:
-            key = (cell.pair.p, frozenset((cell.pair.e, cell.pair.f)))
+            p, e, f = cell.pair
+            key = (p, frozenset((e, f)))
             assert key not in seen
             seen.add(key)
 
@@ -109,6 +111,50 @@ def test_kp_prime_matches_the_per_pair_reference():
         random.Random(P.size).shuffle(pairs)
         _same_complex(complex_KP_prime(P, rel, pairs),
                       reference_complex_KP_prime(P, rel, pairs))
+
+
+def test_kp_matches_the_per_pair_reference():
+    for P in _kp_prime_fleet():
+        rel = relations(P)
+        _same_complex(complex_KP(P, rel), reference_complex_KP(P, rel))
+
+
+@pytest.mark.parametrize("src, other, pef, message", [
+    ("kinyon", "band:4", None, "(0, 3) is not 0-linked"),
+    ("tl:3", "band:3", None, "(0, 2) is not 0-linked"),
+    ("brauer:4", "tl:5", None, "(0, 1) is not 0-linked"),
+    # f = e th_p th_f holds in kinyon, e = f th_p th_e does not
+    ("kinyon", "band:4", (0, 3, 1), "(3, 1) is not 0-linked"),
+])
+def test_kp_prime_refuses_pairs_not_linked_in_its_algebra(src, other, pef,
+                                                          message):
+    # pairs linked in another algebra of the same size: the first pair that
+    # fails a check of the classification is not linked in P, and
+    # NotLinked names it
+    P = bundle(src).algebra
+    pairs = [lp for lp in enumerate_linked_pairs(bundle(other).algebra)
+             if pef in (None, (lp.p, lp.e, lp.f))]
+    with pytest.raises(NotLinked, match=re.escape(message)):
+        complex_KP_prime(P, relations(P), pairs)
+
+
+def test_no_builder_makes_a_linked_pair(monkeypatch):
+    made = [0]
+    post_init = LinkedPair.__post_init__
+
+    def counting(self):
+        made[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(LinkedPair, "__post_init__", counting)
+    cells = Counter()
+    for src in ("kinyon", "tl:5", "motzkin:3", "brauer:4"):
+        P = bundle(src).algebra
+        for builder in (complex_KP, complex_KP_prime):
+            cells[builder] += len(builder(P).cells)
+    assert made == [0] and min(cells.values()) > 0
+    LinkedPair(P, 0, 0, 0)          # the count sees a construction
+    assert made == [1]
 
 
 # Tables (p th_p = p, otherwise random) with a linked pair that fails
@@ -159,10 +205,35 @@ def test_components_and_adjacency_are_computed_once():
 
 
 def test_cells_must_close_and_use_edges():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(
+            "cell boundary must close up: (0, 1)")):
         Complex2(3, [(0, 1)], [Cell((0, 1))])  # boundary does not close
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(
+            "cell boundary uses missing edge (0,2)")):
         Complex2(3, [(0, 1)], [Cell((0, 2, 0))])  # no such edge
+
+
+@pytest.mark.parametrize("cells, message", [
+    # a vertex outside 0..n-1, at either end of a step
+    ([Cell((0, 1, 3, 0))], "cell boundary uses missing edge (1,3)"),
+    ([Cell((-1, 0, -1))], "cell boundary uses missing edge (-1,0)"),
+    ([Cell((-2, 1, -2))], "cell boundary uses missing edge (-2,1)"),
+    # a one-vertex boundary does not close up, nor does an empty one
+    ([Cell((0,))], "cell boundary must close up: (0,)"),
+    ([Cell((0, 1, 0)), Cell(())], "cell boundary must close up: ()"),
+    # two bad cells: the first one is named, at its first bad step
+    ([Cell((0, 1, 0)), Cell((0, 1, 2, 0, 2, 0)), Cell((1, 2))],
+     "cell boundary uses missing edge (2,0)"),
+    ([Cell((0, 1, 0)), Cell((1, 2, 1, 0)), Cell((0, 2, 0))],
+     "cell boundary must close up: (1, 2, 1, 0)"),
+    ([Cell((1.5, 1.5))], "cell boundary vertices must be integers"),
+])
+def test_bad_cells_name_the_first_bad_cell_and_step(cells, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Complex2(3, [(0, 1), (1, 2)], cells)
+    # a good cell after the bad ones changes nothing
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Complex2(3, [(0, 1), (1, 2)], cells + [Cell((0, 1, 2, 1, 0))])
 
 
 def test_components_sorted_and_exhaustive():
@@ -237,6 +308,17 @@ def test_pi1_rejects_non_component_vertex_sets():
         pi1_presentation(circle(4), [0, 1])
     with pytest.raises(ValueError):
         pi1_presentation(circle(4), 0, basepoint=9)
+
+
+def test_pi1_reads_a_component_index_in_range_only():
+    c = handle("motzkin:3").complex
+    comps = components(c)
+    assert len(comps) > 2
+    for i in (1, np.int64(1), np.intp(len(comps) - 1)):
+        assert pi1_presentation(c, i).vertices == tuple(comps[int(i)])
+    for bad in (-1, True, False, len(comps), 99, 1.0, None):
+        with pytest.raises(ValueError, match="not a component"):
+            pi1_presentation(c, bad)
 
 
 # -- edge words ------------------------------------------------------------
