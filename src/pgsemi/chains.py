@@ -214,6 +214,8 @@ class LinkedPair:
     def __post_init__(self):
         T = self.algebra.rows
         p, e, f = self.p, self.e, self.f
+        if not all(_is_id(v) and 0 <= v < len(T) for v in (p, e, f)):
+            raise InvalidArgument(f"{self!r} has a vertex out of range")
         e1, f1 = T[p][e], T[p][f]
         if T[f][e1] != f or T[e][f1] != e:
             raise NotLinked(f"({e}, {f}) is not {p}-linked")

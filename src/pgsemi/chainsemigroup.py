@@ -452,14 +452,15 @@ class ChainSemigroupHandle:
 
 def star_semigroup_of(handle, cap=CAP):
     """Concrete multiplication and star tables of a finite chain semigroup,
-    gathered from the right Cayley graph of the projection chains (see
-    :func:`~pgsemi.semigroups.cayley_semigroup`).
+    filled by rows from the right Cayley graph of the projection chains,
+    their own stars (see :func:`~pgsemi.semigroups.cayley_semigroup`).
 
     Returns (StarSemigroup, elements) with elements[i] the chain carrying
     id i, in canonical sort order.
     """
+    gens = [handle.projection_chain(p) for p in range(handle.algebra.size)]
     return cayley_semigroup(
-        handle._closure(cap), handle.star, ReducedChain.sort_key, repr
+        handle._closure(cap), gens, handle.star, ReducedChain.sort_key, repr
     )
 
 

@@ -17,8 +17,8 @@ Algebra 2011), with the elements sorted by blocks.
 """
 
 import itertools
-from numbers import Integral
 
+from .chains import _is_id
 from .errors import DegreeMismatch, InfeasibleDegree, InvalidArgument
 from .semigroups import CAP, cayley_semigroup, right_cayley_closure
 
@@ -35,10 +35,6 @@ __all__ = [
 ]
 
 
-def _is_int(x):
-    return isinstance(x, Integral) and not isinstance(x, bool)
-
-
 class PartitionDiagram:
     __slots__ = ("n", "block_of", "_hash")
 
@@ -46,8 +42,8 @@ class PartitionDiagram:
         """Checks that blocks, non-empty and of integers, partition 0..2n-1."""
         blocks = [list(b) for b in blocks]
         points = [(x, k) for k, b in enumerate(blocks) for x in b]
-        if not (_is_int(n) and n >= 0 and all(blocks)
-                and all(_is_int(x) for x, _ in points)
+        if not (_is_id(n) and n >= 0 and all(blocks)
+                and all(_is_id(x) for x, _ in points)
                 and sorted(x for x, _ in points) == list(range(2 * n))):
             raise InvalidArgument(
                 f"blocks {blocks!r} do not partition 0..2n-1 for n = {n!r}")
@@ -177,22 +173,20 @@ def _cut(n, i):
 def generate_monoid(gens, cap=CAP):
     """The monoid generated by gens and their stars: the right Cayley
     closure of the identity under right multiplication by gens + stars (see
-    :func:`~pgsemi.semigroups.right_cayley_closure`), with the table
-    gathered from the Cayley graph.  Returns (StarSemigroup, elements) with
+    :func:`~pgsemi.semigroups.right_cayley_closure`), with the table filled
+    by rows from the Cayley graph.  Returns (StarSemigroup, elements) with
     elements sorted by blocks; raises CapExceeded past the cap."""
     gens = list(gens)
     degrees = {g.n for g in gens}
     if len(degrees) > 1:
         raise DegreeMismatch(f"mixed degrees {sorted(degrees)}")
     n = degrees.pop() if degrees else 1
-    # stars of generators are included so the star table stays in range
+    # the stars keep the star table in range and give the fill a left action
     mby = list(dict.fromkeys(gens + [g.star() for g in gens]))
     closure = right_cayley_closure([identity_diagram(n)], mby, lambda xs: (
         x.multiply(g) for x in xs for g in mby), cap=cap)
-    return cayley_semigroup(
-        closure, PartitionDiagram.star, lambda d: d.blocks,
-        PartitionDiagram.label,
-    )
+    return cayley_semigroup(closure, mby, PartitionDiagram.star,
+                            lambda d: d.blocks, PartitionDiagram.label)
 
 
 def _family(n, gens, bound, name, allow_large):

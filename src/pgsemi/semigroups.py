@@ -6,7 +6,7 @@ the projections of a regular *-semigroup via ``q theta_p = p q p``.
 ``right_cayley_closure`` is the one closure engine, fed one breadth-first
 level of products at a time: the diagram monoids, the finite chain
 semigroups, ``subsemigroup_closure`` and the standardized coset tables are
-built with it, and ``cayley_semigroup`` gathers tables from its graph.
+built with it, and ``cayley_semigroup`` fills tables row by row from it.
 """
 
 from operator import index
@@ -39,7 +39,9 @@ __all__ = [
 class StarSemigroup:
     """A finite semigroup with involution: ``mult[a, b] = ab`` and
     ``star[a] = a*``.  Construction checks shapes and ranges only; the laws
-    are checked by :func:`validate_star_semigroup`."""
+    are checked by :func:`validate_star_semigroup`.  An int32 C-ordered
+    ``mult`` that owns its data is kept and made read-only; anything else
+    (a list, another dtype, a view) is copied, so S owns its table."""
 
     __slots__ = ("mult", "star", "labels")
 
@@ -56,7 +58,7 @@ class StarSemigroup:
                 raise MalformedTable(f"{name} entries must be integers")
             if arr.size and (arr.min() < 0 or arr.max() >= n):
                 raise MalformedTable(f"{name} entries must lie in 0..n-1")
-        self.mult = np.array(mult, dtype=np.int32, order="C")
+        self.mult = np.require(mult, np.int32, ["C", "O"])
         self.star = star.astype(np.int32, copy=True)
         self.mult.setflags(write=False)
         self.star.setflags(write=False)
@@ -262,29 +264,32 @@ def right_cayley_closure(seeds, gens, multiply, cap=CAP):
     return elements, right, origin
 
 
-def cayley_semigroup(closure, star, key, label):
-    """The StarSemigroup of a star-closed :func:`right_cayley_closure`, with
-    its elements sorted by ``key``.  Returns ``(StarSemigroup, elements)``.
+def cayley_semigroup(closure, gens, star, key, label):
+    """The StarSemigroup of a star-closed :func:`right_cayley_closure` under
+    ``gens``, elements sorted by ``key``: ``(StarSemigroup, elements)``.
 
-    The table is filled one column per element with one numpy gather: the
-    column of ``w g`` is ``right[column(w), g]``.  A seed that is not a
-    generator must be the identity, whose column is the identity map.
+    The table is filled one row per element with one numpy gather: as (w g)
+    x = w (g x), the row of ``w g`` is the row of ``w`` at the left action
+    of g, read off the right Cayley graph as g x = (x* g*)*, so the star of
+    a generator must be a generator.  A seed's row is its left action if it
+    is a generator, else the identity map (the seed must be the identity).
     """
     elements, right, origin = closure
     k = len(elements)
     order = sorted(range(k), key=lambda i: key(elements[i]))
     pos = np.empty(k, dtype=np.int32)
     pos[order] = np.arange(k, dtype=np.int32)
-    right = pos[right[order]]               # the Cayley graph in sorted ids
-    cols = np.empty((k, k), dtype=np.int32)  # cols[b, a] = a b, sorted ids
-    ident = np.arange(k, dtype=np.int32)
-    for b, (w, g) in enumerate(origin):
-        col = ident if w < 0 else cols[pos[w]]
-        cols[pos[b]] = col if g < 0 else right[col, g]
     elements = [elements[i] for i in order]
     index = {x: i for i, x in enumerate(elements)}
-    stars = [index[star(x)] for x in elements]
-    S = StarSemigroup(cols.T, stars, labels=[label(x) for x in elements])
+    stars = np.array([index[star(x)] for x in elements], dtype=np.intp)
+    gstar = [gens.index(star(x)) for x in gens]
+    right = pos[right[order]]               # the Cayley graph in sorted ids
+    left = stars[right[stars][:, gstar].T]  # left[g, x] = g x = (x* g*)*
+    mult = np.empty((k, k), dtype=np.int32)  # mult[a, b] = a b, sorted ids
+    for b, (w, g) in enumerate(origin):
+        row = np.arange(k) if g < 0 else left[g]
+        mult[pos[b]] = row if w < 0 else mult[pos[w]][row]
+    S = StarSemigroup(mult, stars, labels=[label(x) for x in elements])
     return S, elements
 
 
@@ -312,7 +317,7 @@ class AdjacencyGraph:
     __slots__ = ("n", "edges")
 
     def __init__(self, n, edges=()):
-        if type(n) is bool or not isinstance(n, (int, np.integer)) or n < 0:
+        if not _is_id(n) or n < 0:
             raise MalformedTable(f"vertex count {n!r} is not an integer >= 0")
         self.n = n = int(n)
         es = set()

@@ -33,7 +33,7 @@ import numpy as np
 
 from .chains import _classify_pairs, _is_id, _linked_pairs, _with_midpoints
 from .cosets import BUDGET, enumerate_group, from_doubled, to_doubled
-from .errors import BudgetExceeded, NotLinked
+from .errors import BudgetExceeded, InvalidArgument, NotLinked
 from .projections import relations, require_algebra
 
 __all__ = [
@@ -199,8 +199,12 @@ def complex_KP_prime(P, rel=None, pairs=None):
     if pairs is None:
         arrays = _linked_pairs(P, rel)
     else:
-        pef = np.array([(lp.p, lp.e, lp.f) for lp in pairs], dtype=np.intp)
-        arrays = _with_midpoints(P.theta, *pef.reshape(-1, 3).T)
+        pef = np.array([(lp.p, lp.e, lp.f) for lp in pairs],
+                       dtype=np.intp).reshape(-1, 3)
+        bad = pef[((pef < 0) | (pef >= P.size)).any(axis=1)].tolist()
+        if bad:
+            raise InvalidArgument(f"pair (p, e, f) = {bad[0]} is out of range")
+        arrays = _with_midpoints(P.theta, *pef.T)
     special, degenerate, ntype = _classify_pairs(P, *arrays)
     kept = np.flatnonzero(special & ~degenerate)
     p, e, f = (a[kept] for a in arrays[:3])

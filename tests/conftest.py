@@ -19,7 +19,7 @@ from pgsemi.chains import LinkedPair, Path, _linked_pairs, \
 from pgsemi.chainsemigroup import ChainSemigroupHandle, INFINITE
 from pgsemi.errors import CapExceeded, NotLinked
 from pgsemi.projections import ProjectionAlgebra, relations
-from pgsemi.semigroups import CAP
+from pgsemi.semigroups import CAP, StarSemigroup
 from pgsemi.topology import Cell, Complex2, friendliness_graph
 
 # Canonical test fleet.  Every member's components classify decisively
@@ -228,3 +228,24 @@ def reference_right_cayley_closure(seeds, gens, multiply, cap=CAP):
         right.append([visit(multiply(a, x), w, g) for g, x in enumerate(gens)])
     right = np.array(right, dtype=np.int32).reshape(len(elements), len(gens))
     return elements, right, origin
+
+
+def reference_cayley_semigroup(closure, star, key, label):
+    """The table fill as it was before it filled rows, kept verbatim: one
+    column per element, ``cols[b, a] = a b``, handed over transposed."""
+    elements, right, origin = closure
+    k = len(elements)
+    order = sorted(range(k), key=lambda i: key(elements[i]))
+    pos = np.empty(k, dtype=np.int32)
+    pos[order] = np.arange(k, dtype=np.int32)
+    right = pos[right[order]]               # the Cayley graph in sorted ids
+    cols = np.empty((k, k), dtype=np.int32)  # cols[b, a] = a b, sorted ids
+    ident = np.arange(k, dtype=np.int32)
+    for b, (w, g) in enumerate(origin):
+        col = ident if w < 0 else cols[pos[w]]
+        cols[pos[b]] = col if g < 0 else right[col, g]
+    elements = [elements[i] for i in order]
+    index = {x: i for i, x in enumerate(elements)}
+    stars = [index[star(x)] for x in elements]
+    S = StarSemigroup(cols.T, stars, labels=[label(x) for x in elements])
+    return S, elements

@@ -148,6 +148,20 @@ def test_linked_pair_requires_the_equations(P):
         LinkedPair(P, 3, 3, 0)
 
 
+def test_linked_pair_refuses_a_vertex_out_of_range():
+    # a negative vertex would read theta from its end, and on tl:4 49
+    # triples with p < 0 would pass the linkage equations that way
+    P = bundle("tl:4").algebra
+    n = P.size
+    for pef in product(range(-n, n + 2), repeat=3):
+        if min(pef) < 0 or max(pef) >= n:
+            p, e, f = pef
+            with pytest.raises(InvalidArgument, match=re.escape(
+                    f"LinkedPair(p={p}, e={e}, f={f}) has a vertex out of "
+                    f"range")):
+                LinkedPair(P, p, e, f)
+
+
 def test_kinyon_linked_pair_inventory(P):
     pairs = enumerate_linked_pairs(P)
     nondeg = [

@@ -49,7 +49,7 @@ from pgsemi.semigroups import (
     projection_algebra_of,
     validate_star_semigroup,
 )
-from pgsemi.topology import complex_KP_prime
+from pgsemi.topology import Classification, complex_KP_prime
 
 from conftest import (
     FINITE_SIZES,
@@ -164,6 +164,27 @@ def test_enumerate_cap():
         handle("band:3").enumerate(cap=25)
     with pytest.raises(ValueError):
         handle("tl:3").enumerate(cap=2)
+
+
+@pytest.mark.parametrize("src", ["kinyon", "tl:4"])
+def test_size_cross_checks_its_formula_against_the_closure(src):
+    # a trivial component reported as a group of order 2 makes the formula
+    # too large, and the closure disagrees; one that lost a vertex makes it
+    # too small, and the closure, capped at the formula, overruns the cap
+    found = FINITE_SIZES[src]
+    big = ChainSemigroupHandle(bundle(src).algebra)
+    small = ChainSemigroupHandle(bundle(src).algebra)
+    comp = max(big.components, key=lambda c: len(c.vertices))
+    comp.classification = Classification(kind="finite", order=2)
+    v = len(comp.vertices)
+    with pytest.raises(AssertionError, match=re.escape(
+            f"size formula {found + v * v} disagrees with closure {found}")):
+        big.size()
+    comp = max(small.components, key=lambda c: len(c.vertices))
+    comp.vertices = comp.vertices[1:]
+    cap = found - v * v + (v - 1) ** 2
+    with pytest.raises(CapExceeded, match=f"^closure exceeded cap={cap}$"):
+        small.size()
 
 
 def _product_and_star_closure(h):

@@ -8,10 +8,13 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+import pgsemi.chainsemigroup as chainsemigroup
+import pgsemi.diagrams as diagrams
 from pgsemi.catalog import adjacency_algebra, parse_source, \
     random_adjacency_graph
-from pgsemi.chainsemigroup import ChainSemigroupHandle
-from pgsemi.errors import CapExceeded, InvalidArgument, InvalidSemigroup
+from pgsemi.chainsemigroup import ChainSemigroupHandle, star_semigroup_of
+from pgsemi.errors import CapExceeded, InvalidArgument, InvalidSemigroup, \
+    MalformedTable
 from pgsemi.projections import Violation
 from pgsemi.semigroups import (
     CAP,
@@ -24,7 +27,8 @@ from pgsemi.semigroups import (
     validate_star_semigroup,
 )
 
-from conftest import bundle, reference_right_cayley_closure
+from conftest import bundle, reference_cayley_semigroup, \
+    reference_right_cayley_closure
 
 
 def test_tl3_tables_are_a_regular_star_semigroup():
@@ -273,6 +277,90 @@ def test_closure_takes_a_numpy_cap():
     assert len(h.enumerate(cap=np.int64(14))) == 14
     assert right_cayley_closure([0], [0], lambda xs: xs, cap=np.int32(1))[0] \
         == [0]
+
+
+# -- the row fill against the column fill ---------------------------------
+
+
+def _same_as_column_fill(monkeypatch, module, build):
+    """Run build() and check that the table ``module.cayley_semigroup``
+    fills equals the earlier column fill's on the same closure."""
+    fill, want = module.cayley_semigroup, []
+
+    def both(closure, gens, star, key, label):
+        want.append(reference_cayley_semigroup(closure, star, key, label))
+        return fill(closure, gens, star, key, label)
+
+    monkeypatch.setattr(module, "cayley_semigroup", both)
+    (S, elements), ((R, ref_elements),) = build(), want
+    assert S.mult.dtype == R.mult.dtype == np.int32
+    assert S.mult.flags.c_contiguous and not S.mult.flags.writeable
+    assert np.array_equal(S.mult, R.mult)
+    assert np.array_equal(S.star, R.star) and S.star.dtype == R.star.dtype
+    assert S.labels == R.labels and elements == ref_elements
+
+
+@pytest.mark.parametrize("family, n", [
+    *((f, n) for f in ("tl", "motzkin", "brauer", "partial_brauer",
+                       "partition") for n in range(1, 5)),
+    ("tl", 5), ("tl", 6), ("tl", 7),
+])
+def test_row_fill_matches_column_fill_on_diagram_monoids(monkeypatch,
+                                                         family, n):
+    monoid = getattr(diagrams, f"{family}_monoid")
+    _same_as_column_fill(monkeypatch, diagrams,
+                         lambda: monoid(n, allow_large=True))
+
+
+@pytest.mark.parametrize("src", [
+    "kinyon", *(f"tl:{n}" for n in range(2, 7)), "motzkin:3", "partition:2",
+    *(f"adjacency-{seed}" for seed in (1, 4, 6, 9)),
+])
+def test_row_fill_matches_column_fill_on_chain_semigroups(monkeypatch, src):
+    h = _closure_handle(src)
+    _same_as_column_fill(monkeypatch, chainsemigroup,
+                         lambda: star_semigroup_of(h))
+
+
+# -- StarSemigroup keeps an owned int32 table, copies anything else -------
+
+
+def test_star_semigroup_keeps_an_owned_int32_table():
+    S = bundle("tl:3").semigroup
+    arr = np.array(S.mult)
+    assert arr.flags.owndata and arr.flags.writeable
+    T = StarSemigroup(arr, S.star)
+    assert T.mult is arr and not arr.flags.writeable and T == S
+
+
+def test_star_semigroup_copies_lists_other_dtypes_and_views():
+    S = bundle("tl:3").semigroup
+    base = np.array(S.mult)
+    view = base[:, :]
+    given = [S.mult.tolist(), S.mult.astype(np.int64), view,
+             np.asfortranarray(S.mult)]
+    kept = [StarSemigroup(mult, S.star) for mult in given]
+    for mult, T in zip(given, kept):
+        assert T.mult is not mult and T == S
+        assert T.mult.dtype == np.int32 and T.mult.flags.owndata
+        assert T.mult.flags.c_contiguous and not T.mult.flags.writeable
+    assert base.flags.writeable and view.flags.writeable
+    base[0, 0] = (base[0, 0] + 1) % S.size      # reaches the view, not S
+    assert view[0, 0] != S.mult[0, 0] and kept[2] == S
+
+
+@pytest.mark.parametrize("mult, message", [
+    ([[0, 2], [1, 0]], "mult entries must lie in 0..n-1"),
+    (np.array([[0, -1], [1, 0]], dtype=np.int32),
+     "mult entries must lie in 0..n-1"),
+    (np.array([[0, 1], [1, 0]], dtype=float), "mult entries must be integers"),
+    ([[0, 1, 0], [1, 0, 1]], "mult must be square"),
+])
+def test_star_semigroup_refuses_malformed_tables(mult, message):
+    with pytest.raises(MalformedTable, match=re.escape(message)):
+        StarSemigroup(mult, [0, 1])
+    if isinstance(mult, np.ndarray):
+        assert mult.flags.writeable             # a refused array is not kept
 
 
 # -- star-semigroup reports against the loop-based reference ---------------

@@ -3,6 +3,7 @@
 import random
 import re
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from pgsemi.catalog import adjacency_algebra, kinyon_algebra, \
     parse_source, random_adjacency_graph
 from pgsemi.chains import LinkedPair, _reduce, classify_linked_pair, \
     enumerate_linked_pairs
-from pgsemi.errors import NotLinked, PgsemiError
+from pgsemi.errors import InvalidArgument, NotLinked, PgsemiError
 from pgsemi.projections import ProjectionAlgebra, relations
 from pgsemi.serialize import presentation_to_dict
 from pgsemi.topology import (
@@ -135,6 +136,21 @@ def test_kp_prime_refuses_pairs_not_linked_in_its_algebra(src, other, pef,
     pairs = [lp for lp in enumerate_linked_pairs(bundle(other).algebra)
              if pef in (None, (lp.p, lp.e, lp.f))]
     with pytest.raises(NotLinked, match=re.escape(message)):
+        complex_KP_prime(P, relations(P), pairs)
+
+
+def test_kp_prime_refuses_pairs_with_a_vertex_outside_its_algebra():
+    # kinyon's pairs name vertices up to 3, and band:2 has two projections;
+    # a negative vertex, from any object with p, e and f, is refused too
+    P = bundle("band:2").algebra
+    pairs = enumerate_linked_pairs(bundle("kinyon").algebra)
+    with pytest.raises(InvalidArgument, match=re.escape(
+            "pair (p, e, f) = [0, 0, 2] is out of range")):
+        complex_KP_prime(P, relations(P), pairs)
+    pairs = enumerate_linked_pairs(P)
+    pairs.insert(1, SimpleNamespace(p=0, e=-1, f=0))
+    with pytest.raises(InvalidArgument, match=re.escape(
+            "pair (p, e, f) = [0, -1, 0] is out of range")):
         complex_KP_prime(P, relations(P), pairs)
 
 
