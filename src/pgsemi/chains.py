@@ -21,10 +21,11 @@ checks every step (and refuses a vertex that is not an integer), and a
 caller that has checked every step itself, v -> v included, hands its
 walk out through ``Path._trusted``, as the straightener
 :func:`~pgsemi.presentations.word_to_friendly_path` does.  The chain
-product checks each one-sided restriction as a ``Path`` once, when it
-first needs it, and on every product only the junction step between two
-restrictions, which fails with the same ``NotFriendly`` text as ``Path``
-(see ``_not_friendly``).
+product restricts a chain's reduced walk piece by piece: each piece (a
+spanning-tree path or one non-tree edge) restricted from one entry vertex
+is checked as a ``Path`` once, when it is first needed, and on every
+product only the junction step between two restrictions, which fails with
+the same ``NotFriendly`` text as ``Path`` (see ``_not_friendly``).
 
 Linked pairs are found and classified as arrays: ``_linked_pairs`` lists
 every pair as int arrays in (p, e, f) order, and ``_classify_pairs`` runs
@@ -167,13 +168,15 @@ def reduce_path(path):
     return Path(path.algebra, _reduce(path.verts))
 
 
-def _restrict(rows, verts, q, side):
+def _below(rows, p, q, side):
+    """Raise NotBelow unless q lies below p, the ``side`` endpoint."""
+    if rows[p][q] != q:
+        raise NotBelow(f"{q} is not below the {side} endpoint {p}")
+
+
+def _restrict(rows, verts, q):
     """The vertex tuple (q_1, ..., q_k) with q_1 = q and
-    q_i = q th_{p_2} ... th_{p_i}; q must lie below p_1, the ``side``
-    endpoint named in the error."""
-    p1 = verts[0]
-    if rows[p1][q] != q:
-        raise NotBelow(f"{q} is not below the {side} endpoint {p1}")
+    q_i = q th_{p_2} ... th_{p_i}."""
     out = [q]
     cur = q
     for p in verts[1:]:
@@ -186,14 +189,16 @@ def restrict_left(path, q):
     """Restrict to start at q <= dom: (q_1, ..., q_k) with
     q_i = q th_{p_2} ... th_{p_i}."""
     P = path.algebra
-    return Path(P, _restrict(P.rows, path.verts, q, "left"))
+    _below(P.rows, path.dom, q, "left")
+    return Path(P, _restrict(P.rows, path.verts, q))
 
 
 def restrict_right(path, r):
     """Restrict to end at r <= cod: the mirror image of restrict_left
     (reverse, restrict, reverse)."""
     P = path.algebra
-    return Path(P, _restrict(P.rows, path.verts[::-1], r, "right")[::-1])
+    _below(P.rows, path.cod, r, "right")
+    return Path(P, _restrict(P.rows, path.verts[::-1], r)[::-1])
 
 
 @dataclass(frozen=True)

@@ -11,15 +11,19 @@ lives in the component's fundamental group and spells the loop
     tree-path(base -> dom)^-1 . path . tree-path(base -> cod)^-1-complement
 
 so equality of chains is endpoint equality plus a group word problem.  The
-product is restriction + concatenation; the involution reverses.  Each
-one-sided restriction of a chain is built, checked and encoded once and
-kept as endpoints plus word, so a product checks only the junction step
-and free-reduces only where the two words and the junction's edge word
-meet.
+product is restriction + concatenation; the involution reverses.  A
+chain's reduced walk is cut into pieces: the spanning-tree path between
+consecutive non-tree edges (through the vertex where the two tree paths
+meet) and each non-tree edge.  A piece restricted from an entry vertex is
+built, checked and encoded once, as its exit vertex and word, so a
+restriction is a fold of memoized piece words, and a product checks only
+the junction step and free-reduces only where the two words and the
+junction's edge word meet.
 
 Each walk is checked once, where it is formed: ``normalize`` takes a
-checked ``Path``, ``expand`` and each restriction check theirs.  A checked
-walk is encoded unreduced: ``word_of`` reads its reduced form's word.
+checked ``Path``, ``expand`` and each restricted piece check theirs.  A
+checked walk is encoded unreduced: ``word_of`` reads its reduced form's
+word.
 
 In a component whose group is trivial a chain is just its pair
 (dom, cod), and restricting it below an end applies theta along it, as
@@ -45,6 +49,7 @@ import numpy as np
 from .chains import (
     LinkedPair,
     Path,
+    _below,
     _is_id,
     _linked_pairs,
     _not_friendly,
@@ -64,6 +69,7 @@ from .semigroups import (
 from .topology import (
     complex_KP_prime,
     components,
+    free_reduce,
     pi1_presentation,
     tietze_simplify,
 )
@@ -176,6 +182,10 @@ class ChainSemigroupHandle:
         # (chain, q) -> (comp, dom, cod, word) of the chain restricted to
         # end at q ("right") or to start at q ("left")
         self._restricted = {"right": {}, "left": {}}
+        # (kind, a, b, q) -> (exit, word) of the tree path a -> b (kind
+        # "tree") or the non-tree edge a -> b ("edge") restricted to start
+        # at q
+        self._pieces = {}
 
     # -- encoding ---------------------------------------------------------
 
@@ -257,21 +267,69 @@ class ChainSemigroupHandle:
 
     # -- semigroup operations --------------------------------------------
 
+    def _piece(self, kind, a, b, q):
+        """(exit, word) of the tree path a -> b (kind "tree") or the
+        non-tree edge a -> b (kind "edge") restricted to start at q: the
+        restricted walk is checked once, as a Path, and its word is read in
+        q's component.  Memoized."""
+        pres = self.components[self.comp_of[a]].simplified
+        walk = _reduce(pres.walk(a, (), b)) if kind == "tree" else (a, b)
+        verts = Path(self.algebra, _restrict(self._rows, walk, q)).verts
+        word = self.components[self.comp_of[q]].simplified.word_of(verts)
+        out = self._pieces[kind, a, b, q] = verts[-1], word
+        return out
+
     def _restriction(self, c, q, side):
         """(comp, dom, cod, word) of c's representative path restricted to
         end at q (side "right") or to start at q (side "left"), reduced.
-        Memoized per side; each step of the restricted walk is checked
-        once, as a Path, when the entry is built."""
+        Memoized per side.
+
+        As c's word is freely reduced, its reduced walk runs along the
+        spanning tree from dom to the first letter's non-tree edge, crosses
+        it, runs along the tree to the next one, and so on to cod.  The
+        restriction to start at q folds the memoized restricted pieces (see
+        :meth:`_piece`) in order, each entered where the one before exits;
+        the restriction to end at q is the mirror of restricting c* to
+        start at q.  A friendly walk restricted to start at its own start
+        is itself, so c restricted at its own end is c.  A chain whose ends
+        do not lie in its component is refused."""
+        end = c[2] if side == "right" else c[1]
+        if q == end:
+            self._check_chain(c)
+            _below(self._rows, end, q, side)
+            return c
         cache = self._restricted[side]
         hit = cache.get((c, q))
         if hit is not None:
             return hit
-        verts = self.expand(c).verts
+        self._check_chain(c)
+        ci, x, y, word = c
         if side == "right":
-            verts = _restrict(self.algebra.rows, verts[::-1], q, side)[::-1]
+            x, y, word = y, x, (-l for l in reversed(word))
+        _below(self._rows, x, q, side)
+        gen_edges = self.components[ci].simplified.gen_edges
+        steps, a = [], x                # (kind, a, b) of each piece
+        for l in word:
+            u, v = gen_edges[abs(l) - 1]
+            if l < 0:
+                u, v = v, u
+            if a != u:
+                steps.append(("tree", a, u))
+            steps.append(("edge", u, v))
+            a = v
+        if a != y:
+            steps.append(("tree", a, y))
+        pieces, letters, cur = self._pieces, [], q
+        for kind, a, b in steps:
+            key = kind, a, b, cur
+            cur, w = pieces.get(key) or self._piece(*key)
+            letters += w
+        if side == "right":
+            out = self.comp_of[q], cur, q, free_reduce(
+                -l for l in reversed(letters))
         else:
-            verts = _restrict(self.algebra.rows, verts, q, side)
-        out = cache[(c, q)] = self._encode(Path(self.algebra, verts).verts)
+            out = self.comp_of[q], q, cur, free_reduce(letters)
+        cache[c, q] = out
         return out
 
     def product(self, c, d):
@@ -281,10 +339,12 @@ class ChainSemigroupHandle:
 
         When c, d and p1 all lie in components with trivial groups, the
         product is (p1 Theta_{c*}, q1 Theta_d), read off the spanning-tree
-        tables; no walk is built.  Otherwise the two restrictions are
-        memoized, already checked and freely reduced, and the words cancel
-        only where they meet.  The product itself is not memoized.  A chain
-        whose ends do not lie in its component is refused."""
+        tables; no walk is built.  Otherwise each restriction is a fold of
+        memoized, checked pieces of the chain's reduced walk (see
+        :meth:`_restriction`), memoized itself, and the two words cancel
+        only where they meet; no chain is expanded.  The product itself is
+        not memoized.  A chain whose ends do not lie in its component is
+        refused."""
         ci, x, p, _ = c
         cj, q, y, _ = d
         at, T = self._comp_at, self._rows

@@ -149,6 +149,7 @@ def _cells(P, pairs, bounds, kinds):
     pair that fails it."""
     p, e, f, e1, f1 = pairs
     T = P.theta
+    # K and K' pass linked rows only, so this guards any other caller
     bad = np.flatnonzero((T[f, e1] != f) | (T[e, f1] != e))
     if len(bad):
         i = bad[0]

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 import pgsemi.chainsemigroup as chainsemigroup
 import pgsemi.projections as projections
 from pgsemi.boset import boset_of, sandwich_set
-from pgsemi.catalog import parse_source
+from pgsemi.catalog import adjacency_algebra, parse_source, \
+    random_adjacency_graph
 from pgsemi.chains import (
     Path,
     enumerate_linked_pairs,
@@ -34,6 +35,7 @@ from pgsemi.errors import (
     InvalidArgument,
     MalformedTable,
     NotAMorphism,
+    NotBelow,
     NotFriendly,
     PgsemiError,
     UndecidedEquality,
@@ -256,34 +258,60 @@ def test_product_matches_uncached_reference(src):
     assert [h.expand(c) for c in pool] == first
 
 
-def test_product_builds_one_path_per_new_restriction(path_count):
-    # both expansions are memoized, so a product checks one walk for each
-    # one-sided restriction it has not met before and none for the others;
-    # where every group is trivial (kinyon, tl:4) it reads the spanning-tree
-    # tables and checks no walk at all
-    for src in ("kinyon", "band:3", "tl:4"):
+def _piece_keys(h, c, q, side):
+    """The (piece, entry vertex) pairs that restricting c to start (side
+    "left") or end (side "right") at q reads, from the public oracles: a
+    piece of c's expansion (read backwards for side "right") is a maximal
+    run of spanning-tree steps or one non-tree step, named by its vertex
+    tuple, and its entry is the restricted walk's vertex where it starts.
+    A restriction at c's own end is c itself and reads none."""
+    if q == (c.cod if side == "right" else c.dom):
+        return set()
+    verts = h.expand(c).verts[::-1 if side == "right" else 1]
+    entry = restrict_left(Path(h.algebra, verts), q).verts
+    paths = h.components[c.comp].simplified.tree_paths
+    keys, start = set(), 0
+    for i, (a, b) in enumerate(zip(verts, verts[1:])):
+        if (a, b) not in (paths[b][-2:], paths[a][-2:][::-1]):
+            if start < i:                   # the tree run before the step
+                keys.add((verts[start:i + 1], entry[start]))
+            keys.add(((a, b), entry[i]))
+            start = i + 1
+    if start < len(verts) - 1:
+        keys.add((verts[start:], entry[start]))
+    return keys
+
+
+def test_product_builds_one_path_per_new_restricted_piece(path_count):
+    # a product restricts each factor piece by piece, and checks one walk
+    # for each (piece, entry vertex) that no earlier product met and none
+    # for the others; where every group is trivial (kinyon, tl:4) it reads
+    # the spanning-tree tables and checks no walk at all, and on band:3,
+    # where no projection lies below another, every restriction is at the
+    # chain's own end and checks none either
+    for src in ("kinyon", "band:3", "tl:4", "motzkin:4", "brauer:4"):
         h = ChainSemigroupHandle(bundle(src).algebra)   # empty caches
         trivial = all(comp.classification.kind == "trivial"
                       for comp in h.components)
-        assert trivial == (src != "band:3")
-        pool = list(dict.fromkeys(chain_pool(src)))[:12]   # distinct pairs
-        for c in pool:
-            h.expand(c)
+        assert trivial == (src in ("kinyon", "tl:4"))
+        pool = list(dict.fromkeys(chain_pool(src)))[:24]   # distinct pairs
         T = h.algebra.rows
         keys = set()
-        both_cached = 0
-        path_count[0] = 0
+        kinds = Counter()
         for c in pool:
             for d in pool:
-                new = {(c, T[c.cod][d.dom], "right"),
-                       (d, T[d.dom][c.cod], "left")} - keys
+                new = set()
+                if not trivial:
+                    new = (_piece_keys(h, c, T[c.cod][d.dom], "right")
+                           | _piece_keys(h, d, T[d.dom][c.cod], "left")) - keys
                 before = path_count[0]
                 h.product(c, d)
-                assert path_count[0] - before == (0 if trivial else len(new))
-                both_cached += not new
+                assert path_count[0] - before == len(new)
+                kinds["new" if new else "none"] += 1
                 keys |= new
-        assert path_count[0] == (0 if trivial else len(keys))
-        assert both_cached > 0
+        assert len(h._pieces) == len(keys)
+        assert kinds["none"] > 0
+        assert (kinds["new"] > 0) == (src in ("motzkin:4", "brauer:4"))
     # so on a fresh handle there the first products too check no walk:
     # a full product table builds no Path and expands no chain
     for src in ("kinyon", "tl:4", "tl:6"):
@@ -295,6 +323,83 @@ def test_product_builds_one_path_per_new_restriction(path_count):
             for d in pool:
                 h.product(c, d)
         assert path_count[0] == 0 and not h._expand_cache
+
+
+def _free_word_chains(h, seed, count):
+    """The chains a seeded stream of ``count`` products keeps: it starts
+    from the projection chains of h's free components, multiplies two
+    chains it keeps, and keeps each product that lands in a free
+    component, so the words grow."""
+    free = {comp.index for comp in h.components
+            if comp.classification.kind == "free"}
+    rng = random.Random(seed)
+    seen = [h.projection_chain(p) for p in range(h.algebra.size)
+            if h.comp_of[p] in free]
+    for _ in range(count):
+        c = h.product(rng.choice(seen), rng.choice(seen))
+        if c.comp in free:
+            seen.append(c)
+    return seen
+
+
+@pytest.mark.parametrize("src", [
+    "band:8", "brauer:5", "motzkin:4", "graph:0", "graph:2", "graph:18",
+    "graph:20",
+])
+def test_restriction_matches_the_public_oracle(src):
+    # on both sides and at every q, the piece fold is the public
+    # restriction of the chain's expansion, normalized, with the same word,
+    # cold and memoized; a q not below the end raises the oracle's NotBelow.
+    # graph:<seed> is the adjacency algebra of the seeded random graph,
+    # kept where a component group is free
+    if src.startswith("graph:"):
+        G = random_adjacency_graph(np.random.default_rng(int(src[6:])))
+        P = adjacency_algebra(G).algebra
+    else:
+        P = bundle(src).algebra
+    h = ChainSemigroupHandle(P)
+    chains = random.Random(5).sample(_free_word_chains(h, 5, 300), 40)
+    chains += [h.projection_chain(p) for p in range(P.size)]
+    h = ChainSemigroupHandle(P)                        # empty caches
+    outcomes = Counter()
+    for c in chains:
+        path = h.expand(c)
+        for side, oracle in (("left", restrict_left),
+                             ("right", restrict_right)):
+            end = path.cod if side == "right" else path.dom
+            for q in range(P.size):
+                try:
+                    want = oracle(path, q)
+                except NotBelow as exc:
+                    with pytest.raises(NotBelow, match=f"^{exc}$"):
+                        h._restriction(c, q, side)
+                    outcomes["NotBelow"] += 1
+                    continue
+                for _ in range(2):
+                    ci, dom, cod, word = h._restriction(c, q, side)
+                    assert (ci, dom, cod, h._canonical(ci, word)) == \
+                        h.normalize(want)
+                    assert word == h.components[ci].simplified.word_of(
+                        want.verts)
+                outcomes["end" if q == end else "below"] += 1
+    assert outcomes["end"] and outcomes["NotBelow"]
+    assert (outcomes["below"] > 0) == (src != "band:8")
+
+
+@pytest.mark.parametrize("src", ["band:8", "brauer:5"])
+def test_products_expand_nothing_and_keep_a_bounded_piece_memo(src):
+    # a 3,000-product free-word stream: products expand no chain,
+    # and the piece memo holds at most one entry per (piece, entry vertex),
+    # so at most |P| times the v (v - 1) tree paths and 2 g non-tree edges
+    # of every component of v vertices and rank g, however long the words
+    h = ChainSemigroupHandle(bundle(src).algebra)   # empty caches
+    seen = _free_word_chains(h, 3, 3000)
+    assert max(len(c.word) for c in seen) > (1000 if src == "band:8" else 100)
+    assert not h._expand_cache
+    pieces = sum(len(comp.vertices) * (len(comp.vertices) - 1)
+                 + 2 * comp.simplified.ngens for comp in h.components)
+    assert len(h._pieces) <= h.algebra.size * pieces
+    assert bool(h._pieces) == (src != "band:8")
 
 
 def test_expand_builds_one_path(path_count):
@@ -613,6 +718,23 @@ def test_product_on_random_tables_matches_path_reference():
                     assert h.product(c, d) == want
                     outcomes["equal"] += 1
     assert set(outcomes) == {"equal", "NotBelow", "NotFriendly"}
+
+
+@pytest.mark.usefixtures("without_boundary_check")
+def test_restriction_at_a_chains_own_end_checks_the_end_is_below_itself():
+    # a table that fails P1, as 0 th_0 = 1, with a free component: [[0]]
+    # [[3]] restricts [[0]] to end at 0 = 3 th_0, its own end, and a chain
+    # restricted at its own end is itself only where that end lies below
+    # itself
+    P = ProjectionAlgebra(np.array([[1, 1, 1, 0], [0, 0, 1, 1],
+                                    [3, 2, 2, 2], [0, 3, 3, 3]]))
+    h = ChainSemigroupHandle(P)
+    c, d = h.projection_chain(0), h.projection_chain(3)
+    assert h.trivial_at.tolist() == [True, False, False, False]
+    message = "^0 is not below the right endpoint 0$"
+    for product in (h.product, lambda c, d: _product_uncached(h, c, d)):
+        with pytest.raises(NotBelow, match=message):
+            product(c, d)
 
 
 def test_reduced_chain_repr_and_order():

@@ -23,6 +23,7 @@ from pgsemi.topology import (
     Cell,
     Complex2,
     _canonical_cyclic,
+    _cells,
     abelian_invariants,
     complex_KP,
     complex_KP_prime,
@@ -137,6 +138,15 @@ def test_kp_prime_refuses_pairs_not_linked_in_its_algebra(src, other, pef,
              if pef in (None, (lp.p, lp.e, lp.f))]
     with pytest.raises(NotLinked, match=re.escape(message)):
         complex_KP_prime(P, relations(P), pairs)
+
+
+def test_cells_refuse_a_row_that_is_not_linked():
+    # K and K' hand _cells linked rows only, so no public input reaches its
+    # linkage check: in kinyon (0, 3) is not 3-linked, as 0 th_3 th_3 = 0
+    P = bundle("kinyon").algebra
+    rows = [np.array([v]) for v in (3, 0, 3, 0, 3)]    # p, e, f, e1, f1
+    with pytest.raises(NotLinked, match=re.escape("(0, 3) is not 3-linked")):
+        _cells(P, rows, [(0, 3, 0)], ["quad"])
 
 
 def test_kp_prime_refuses_pairs_with_a_vertex_outside_its_algebra():
